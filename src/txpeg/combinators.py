@@ -68,7 +68,6 @@ __all__ = [
     "perform",
     "predicate",
     "seq",
-    "success_after",
     "until",
     "whitespace",
     "word",
@@ -323,15 +322,19 @@ class Whitespace(Parser):
     """
 
     def parse(self, ctx: ParseContext) -> ParseResult:
-        ws = ctx.whitespace if ctx.whitespace is not None else DEFAULT_WHITESPACE
-        # Scanner probing is not diagnostic; it must not claim the
-        # furthest-failure record.
-        ctx.mute_failures()
-        try:
-            ws.parse(ctx)
-        finally:
-            ctx.unmute_failures()
+        _skip_whitespace(ctx)
         return SUCCESS
+
+
+def _skip_whitespace(ctx: ParseContext) -> None:
+    ws = ctx.whitespace if ctx.whitespace is not None else DEFAULT_WHITESPACE
+    # Scanner probing is not diagnostic; it must not claim the
+    # furthest-failure record.
+    ctx.mute_failures()
+    try:
+        ws.parse(ctx)
+    finally:
+        ctx.unmute_failures()
 
 
 class EndOfInput(Parser):
@@ -354,8 +357,7 @@ class Word(Parser):
         if not ctx.text.startswith(self.string, pos):
             return ctx.fail(pos, lambda: f"expected {self.string!r}")
         ctx.position = pos + len(self.string)
-        ws = ctx.whitespace if ctx.whitespace is not None else DEFAULT_WHITESPACE
-        ws.parse(ctx)
+        _skip_whitespace(ctx)
         return SUCCESS
 
     def __repr__(self):
@@ -564,11 +566,6 @@ def predicate(cond, message="condition not met") -> Parser:
 
 
 def perform(effect) -> Parser:
-    return Perform(effect)
-
-
-def success_after(effect) -> Parser:
-    """Alias of :func:`perform`: run an effect and report success."""
     return Perform(effect)
 
 

@@ -7,14 +7,17 @@ restored the position and every cell to their values at its entry.  The
 context offers the four aggregate operations that make the discipline
 cheap to follow:
 
-* :meth:`ParseContext.snapshot` captures position plus every cell,
+* :meth:`ParseContext.snapshot` captures position plus every live cell,
 * :meth:`ParseContext.restore` rewinds to a snapshot,
 * :meth:`ParseContext.diff` packages the work done since a snapshot,
 * :meth:`ParseContext.merge` replays such a package later.
 
 Cells opt into the scheme by implementing the four corresponding cell-level
-operations (:class:`StateCell`); the context simply fans out to them in
-registration order, treating the position as one more piece of state.
+operations (:class:`StateCell`).  The context fans out to the cells whose
+class is ``transactional`` (the live cells), treating the position as one
+more piece of state; cells whose operations are no-ops are never visited.
+A context built with a ``trace`` callable is a :class:`TracedContext`,
+which runs the same operations and reports each one.
 """
 
 from __future__ import annotations
@@ -26,7 +29,6 @@ __all__ = [
     "SENTINEL",
     "SUCCESS",
     "AggregateDelta",
-    "AggregateSnapshot",
     "ConfigurationError",
     "ContractViolationError",
     "Failure",
@@ -35,6 +37,7 @@ __all__ = [
     "Parser",
     "StateCell",
     "Success",
+    "TracedContext",
 ]
 
 # One NUL is appended to the input so parsers can inspect text[position]
@@ -101,7 +104,13 @@ class StateCell:
     cell_restore(s); cell_merge(d)`` must leave the observable content as
     it was after the mutations (subject to each cell's documented
     ``cell_diff`` precondition).
+
+    A class whose four operations are no-ops sets ``transactional`` to
+    False; the context then leaves its instances out of every aggregate
+    operation.
     """
+
+    transactional = True
 
     def cell_snapshot(self):
         raise NotImplementedError
@@ -121,17 +130,9 @@ class StateCell:
 
 
 @dataclass(frozen=True)
-class AggregateSnapshot:
-    """Position plus one snapshot per registered cell, in registry order."""
-
-    position: int
-    cells: tuple
-    registry: tuple
-
-
-@dataclass(frozen=True)
 class AggregateDelta:
-    """The work done since a snapshot: end position plus per-cell deltas."""
+    """The work done since a snapshot: end position plus one delta per
+    live cell, in registry order."""
 
     end_position: int
     cells: tuple
@@ -164,7 +165,17 @@ class ParseContext:
     ``ctx.state(IndentStack)``.  The furthest-failure record is
     deliberately outside the transaction: backtracking must not erase the
     best diagnostic seen so far.
+
+    Passing ``trace`` builds a :class:`TracedContext` instead, so the plain
+    context's operations carry no tracing check at all.
     """
+
+    def __new__(cls, text: str, cells: Iterable[StateCell] = (),
+                whitespace: Optional[Parser] = None,
+                trace: Optional[Callable[[str], None]] = None):
+        if trace is not None and cls is ParseContext:
+            cls = TracedContext
+        return super().__new__(cls)
 
     def __init__(self, text: str, cells: Iterable[StateCell] = (),
                  whitespace: Optional[Parser] = None,
@@ -174,6 +185,10 @@ class ParseContext:
         self.whitespace = whitespace
         self.trace = trace
         self._cells = tuple(cells)
+        # The cells the aggregate operations visit.  Its identity also tags
+        # snapshots and deltas as this context's own; it is a list because
+        # every empty tuple is the same object.
+        self._live = [c for c in self._cells if c.transactional]
         self._by_type: dict[type, StateCell] = {}
         for cell in self._cells:
             t = type(cell)
@@ -226,57 +241,83 @@ class ParseContext:
         return pos, msg() if callable(msg) else msg
 
     # -- aggregate transactions ---------------------------------------------
+    #
+    # A snapshot is the tuple (position, cell snapshots, live cells); the
+    # cell snapshots line up with the live cells.
 
-    def snapshot(self) -> AggregateSnapshot:
-        snap = AggregateSnapshot(
-            self.position,
-            tuple(c.cell_snapshot() for c in self._cells),
-            self._cells,
-        )
-        self._emit("snapshot")
-        return snap
+    def snapshot(self) -> tuple:
+        live = self._live
+        return (self.position, tuple([c.cell_snapshot() for c in live]), live)
 
-    def restore(self, snap: AggregateSnapshot) -> None:
-        if snap.registry is not self._cells:
+    def restore(self, snap: tuple) -> None:
+        position, states, live = snap
+        if live is not self._live:
             raise ContractViolationError("snapshot belongs to a different context")
-        self.position = snap.position
-        for cell, s in zip(self._cells, snap.cells):
+        self.position = position
+        for cell, s in zip(live, states):
             cell.cell_restore(s)
-        self._emit("restore")
 
-    def diff(self, snap: AggregateSnapshot) -> AggregateDelta:
-        if snap.registry is not self._cells:
+    def diff(self, snap: tuple) -> AggregateDelta:
+        _, states, live = snap
+        if live is not self._live:
             raise ContractViolationError("snapshot belongs to a different context")
-        delta = AggregateDelta(
+        return AggregateDelta(
             self.position,
-            tuple(cell.cell_diff(s) for cell, s in zip(self._cells, snap.cells)),
-            self._cells,
+            tuple([cell.cell_diff(s) for cell, s in zip(live, states)]),
+            live,
         )
-        self._emit("diff")
-        return delta
 
     def merge(self, delta: AggregateDelta) -> None:
-        if delta.registry is not self._cells:
+        live = delta.registry
+        if live is not self._live:
             raise ContractViolationError("delta belongs to a different context")
         self.position = delta.end_position
-        for cell, d in zip(self._cells, delta.cells):
+        for cell, d in zip(live, delta.cells):
             cell.cell_merge(d)
-        self._emit("merge")
 
-    def unchanged_since(self, snap: AggregateSnapshot) -> bool:
-        """True when position and every cell still match the snapshot.
+    def unchanged_since(self, snap: tuple) -> bool:
+        """True when position and every live cell still match the snapshot.
 
         Used by repetition combinators to detect iterations that succeed
         while doing nothing at all, which would otherwise loop forever.
         """
-        if self.position != snap.position:
+        position, states, live = snap
+        if live is not self._live:
+            raise ContractViolationError("snapshot belongs to a different context")
+        if self.position != position:
             return False
-        return all(
-            cell.cell_snapshot() == s
-            for cell, s in zip(self._cells, snap.cells)
-        )
+        for cell, s in zip(live, states):
+            if cell.cell_snapshot() != s:
+                return False
+        return True
+
+
+class TracedContext(ParseContext):
+    """A context that reports every snapshot, restore, diff and merge.
+
+    Each operation runs the plain one, then passes ``trace`` one line: the
+    operation, the position, and the summary of every registered cell.
+    Built by ``ParseContext(..., trace=callable)``.
+    """
+
+    def snapshot(self) -> tuple:
+        snap = super().snapshot()
+        self._emit("snapshot")
+        return snap
+
+    def restore(self, snap: tuple) -> None:
+        super().restore(snap)
+        self._emit("restore")
+
+    def diff(self, snap: tuple) -> AggregateDelta:
+        delta = super().diff(snap)
+        self._emit("diff")
+        return delta
+
+    def merge(self, delta: AggregateDelta) -> None:
+        super().merge(delta)
+        self._emit("merge")
 
     def _emit(self, op: str) -> None:
-        if self.trace is not None:
-            cells = " ".join(c.summary() for c in self._cells)
-            self.trace(f"{op} pos={self.position}" + (f" {cells}" if cells else ""))
+        cells = " ".join(c.summary() for c in self._cells)
+        self.trace(f"{op} pos={self.position}" + (f" {cells}" if cells else ""))

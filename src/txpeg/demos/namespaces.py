@@ -58,12 +58,15 @@ class EnclosingClasses(StackState):
 
 def is_type(ctx: ParseContext, iden: str) -> bool:
     """Does any visible type bear this name?"""
-    return any(r.name == iden for r in ctx.state(TypeStack).values())
+    for r in ctx.state(TypeStack):
+        if r.name == iden:
+            return True
+    return False
 
 
 def priv_of(ctx: ParseContext, iden: str) -> tuple:
     """Private classes of the topmost type with this name; () if absent."""
-    for r in ctx.state(TypeStack).values():
+    for r in ctx.state(TypeStack):
         if r.name == iden:
             return r.priv
     return ()
@@ -151,7 +154,7 @@ class ClassDef(Parser):
             parent = _expect_name(parent, "class definition superclass")
         name = _expect_name(ast.at(1), "class definition")
         enclosing = ctx.state(EnclosingClasses)
-        if parent is not None and parent in enclosing.values():
+        if parent is not None and parent in enclosing:
             return ctx.fail(
                 ctx.position,
                 f"class {name!r} cannot inherit from enclosing class {parent!r}",

@@ -8,9 +8,9 @@ is nothing more than building a new rule map out of existing bodies,
 grammars can be merged or extended without touching the bodies themselves.
 
 :func:`run_parse` owns the per-parse plumbing: fresh state cells, the AST
-stack and the left-recursion table, leading whitespace, and the full-match
-discipline.  Its outcome carries either the final AST stack or the
-furthest failure mapped to line and column.
+stack, the left-recursion table for grammars that use ``leftrec``, leading
+whitespace, and the full-match discipline.  Its outcome carries either the
+final AST stack or the furthest failure mapped to line and column.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from typing import Callable, Iterable, Optional
 
 from .combinators import AstStack, Whitespace
 from .core import ConfigurationError, ContractViolationError, ParseContext, Parser, ParseResult
-from .leftrec import LeftRecTable, check_recursion_annotated
+from .leftrec import LeftRec, LeftRecTable, check_recursion_annotated
 
 __all__ = [
     "FrozenGrammar",
@@ -61,15 +61,21 @@ def ref(name: str) -> RuleRef:
 
 
 class FrozenGrammar:
-    """A resolved, checked grammar; treat as immutable."""
+    """A resolved, checked grammar; treat as immutable.
+
+    ``uses_leftrec`` says whether a parse needs a
+    :class:`~txpeg.leftrec.LeftRecTable`; freeze sets it to whether a
+    ``leftrec`` node is reachable.
+    """
 
     def __init__(self, rules: dict, root: str, whitespace: Optional[Parser],
-                 cell_factories: tuple):
+                 cell_factories: tuple, uses_leftrec: bool):
         self.rules = rules
         self.root = root
         self.root_parser = rules[root]
         self.whitespace = whitespace
         self.cell_factories = cell_factories
+        self.uses_leftrec = uses_leftrec
 
 
 @dataclass
@@ -98,12 +104,14 @@ class GrammarDef:
         if self.whitespace is not None:
             roots.append(self.whitespace)
         seen: set[int] = set()
+        uses_leftrec = False
         stack = list(roots)
         while stack:
             p = stack.pop()
             if id(p) in seen:
                 continue
             seen.add(id(p))
+            uses_leftrec = uses_leftrec or isinstance(p, LeftRec)
             if isinstance(p, RuleRef):
                 target = self.rules.get(p.name)
                 if target is None:
@@ -115,7 +123,7 @@ class GrammarDef:
             stack.extend(p.children)
         check_recursion_annotated(self.rules, extra_roots=roots)
         return FrozenGrammar(dict(self.rules), self.root, self.whitespace,
-                             tuple(self.cells))
+                             tuple(self.cells), uses_leftrec)
 
 
 @dataclass(frozen=True)
@@ -154,16 +162,18 @@ def run_parse(grammar: FrozenGrammar, text: str, partial: bool = False,
               trace: Optional[Callable[[str], None]] = None) -> ParseOutcome:
     """Parse ``text`` with a frozen grammar.
 
-    Builds a context with fresh cells (adding the AST stack and the
-    left-recursion table unless the grammar supplied its own), consumes
-    leading whitespace, invokes the root, and unless ``partial`` demands
-    that the whole input was consumed.
+    Builds a context with fresh cells (adding the AST stack, and the
+    left-recursion table when the grammar uses ``leftrec``, unless the
+    grammar supplied its own), consumes leading whitespace, invokes the
+    root, and unless ``partial`` demands that the whole input was
+    consumed.  With ``trace``, the context reports every transaction
+    operation to it (:class:`~txpeg.core.TracedContext`).
     """
     cells = [factory() for factory in grammar.cell_factories]
     present = {type(c) for c in cells}
     if AstStack not in present:
         cells.append(AstStack())
-    if LeftRecTable not in present:
+    if grammar.uses_leftrec and LeftRecTable not in present:
         cells.append(LeftRecTable())
     ctx = ParseContext(text, cells=cells, whitespace=grammar.whitespace,
                        trace=trace)

@@ -14,7 +14,7 @@ a different representation trade-off:
   share structure, and diff/merge treat the content as one unit.
 * :class:`InertState` ignores the transaction machinery entirely: its
   content survives backtracking, which is exactly right for caches and
-  per-parse indexes.
+  per-parse indexes, and the context never visits it.
 """
 
 from __future__ import annotations
@@ -277,13 +277,16 @@ class StackState(StateCell):
     def size(self) -> int:
         return 0 if self._top is None else self._top.depth
 
+    def __iter__(self) -> Iterator[Any]:
+        """Contents top first, walked along the spine without copying."""
+        node = self._top
+        while node is not None:
+            yield node.value
+            node = node.below
+
     def values(self) -> list:
         """Contents as a list, top first."""
-        out, node = [], self._top
-        while node is not None:
-            out.append(node.value)
-            node = node.below
-        return out
+        return list(self)
 
     def cell_snapshot(self):
         return self._top
@@ -402,8 +405,13 @@ class InertState(StateCell):
 
     Whatever a subclass stores survives backtracking untouched.  Right for
     content that is computed once and then only read, or for deliberate
-    escape hatches such as logs and caches.
+    escape hatches such as logs and caches.  The class is not
+    ``transactional``, so the context leaves its instances out of
+    snapshots, restores, diffs and merges altogether; the no-op methods
+    remain for code that drives a cell directly.
     """
+
+    transactional = False
 
     def cell_snapshot(self):
         return None

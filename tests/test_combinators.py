@@ -333,3 +333,13 @@ def test_nested_backtracking_restores_deep_state():
     assert outer.parse(ctx).ok
     assert ctx.position == 3
     assert marks.values() == []
+
+
+def test_word_keeps_whitespace_failures_out_of_the_diagnostic():
+    # The scanner matches "  " and then fails deeper, on "x"; that probe
+    # must not claim the furthest-failure record.
+    ws = zero_more(seq(literal("  "), literal("x")))
+    ctx = ParseContext("a  y", whitespace=ws)
+    assert word("a").parse(ctx).ok
+    assert ctx.position == 1
+    assert ctx.furthest_failure() is None

@@ -4,6 +4,7 @@ import itertools
 
 import pytest
 
+from txpeg.combinators import perform, zero_more
 from txpeg.core import (
     ConfigurationError,
     ContractViolationError,
@@ -11,8 +12,9 @@ from txpeg.core import (
     ParseContext,
     SENTINEL,
     SUCCESS,
+    TracedContext,
 )
-from txpeg.states import CopyState, MonotonicStack, StackState
+from txpeg.states import CopyState, InertState, MonotonicStack, StackState
 from support import enumerate_logs
 
 
@@ -22,6 +24,11 @@ class AStack(StackState):
 
 class BCounter(CopyState):
     pass
+
+
+class CNotes(InertState):
+    def __init__(self):
+        self.content = "built"
 
 
 def test_text_gains_sentinel():
@@ -145,6 +152,79 @@ def test_trace_logs_every_transaction_op():
     ops = [line.split()[0] for line in lines]
     assert ops == ["snapshot", "diff", "restore", "merge"]
     assert all("AStack" in line for line in lines)
+
+
+def test_inert_cell_is_never_visited(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the context visited an inert cell")
+
+    for op in ("cell_snapshot", "cell_restore", "cell_diff", "cell_merge"):
+        monkeypatch.setattr(InertState, op, refuse)
+    notes, stack = CNotes(), AStack()
+    ctx = ParseContext("abcdef", cells=[notes, stack])
+    snap = ctx.snapshot()
+    ctx.position = 3
+    stack.push("x")
+    notes.content = "rewritten"
+    delta = ctx.diff(snap)
+    ctx.restore(snap)
+    assert (ctx.position, stack.values(), notes.content) == (0, [], "rewritten")
+    ctx.merge(delta)
+    assert (ctx.position, stack.values()) == (3, ["x"])
+    assert ctx.unchanged_since(ctx.snapshot())
+    assert ctx.state(CNotes) is notes
+
+
+def test_traced_snapshot_round_trips_like_untraced():
+    lines: list = []
+    seen = []
+    for trace in (None, lines.append):
+        stack, counter = AStack(), BCounter(n=0)
+        ctx = ParseContext("abcdef", cells=[CNotes(), stack, counter], trace=trace)
+        stack.push("keep")
+        snap = ctx.snapshot()
+        ctx.position = 4
+        stack.push("drop")
+        counter.set("n", 9)
+        delta = ctx.diff(snap)
+        ctx.restore(snap)
+        restored = (ctx.position, stack.values(), counter.get("n"))
+        ctx.merge(delta)
+        merged = (ctx.position, stack.values(), counter.get("n"))
+        seen.append((type(ctx), len(snap), len(snap[1]), restored, merged))
+    plain, traced = seen
+    assert (plain[0], traced[0]) == (ParseContext, TracedContext)
+    assert plain[1:] == traced[1:] == (3, 2, (0, ["keep"], 0), (4, ["drop", "keep"], 9))
+    assert [line.split()[0] for line in lines] == ["snapshot", "diff", "restore", "merge"]
+    assert all(line.split()[2] == "CNotes" for line in lines)
+
+
+def test_unchanged_since_catches_progress_only_in_inert_cells():
+    notes, stack = CNotes(), AStack()
+    ctx = ParseContext("ab", cells=[notes, stack])
+    snap = ctx.snapshot()
+    notes.content = "touched"
+    assert ctx.unchanged_since(snap)
+    stack.push("x")
+    assert not ctx.unchanged_since(snap)
+
+    # A repetition whose body only writes an inert cell makes no progress.
+    def touch(ctx):
+        ctx.state(CNotes).content += "!"
+
+    with pytest.raises(ContractViolationError):
+        zero_more(perform(touch)).parse(ctx)
+
+
+def test_foreign_snapshot_rejected_without_live_cells():
+    ctx1 = ParseContext("ab", cells=[CNotes()])
+    ctx2 = ParseContext("ab")
+    snap = ctx1.snapshot()
+    for op in (ctx2.restore, ctx2.diff, ctx2.unchanged_since):
+        with pytest.raises(ContractViolationError):
+            op(snap)
+    with pytest.raises(ContractViolationError):
+        ctx2.merge(ctx1.diff(snap))
 
 
 def test_context_tracks_model_under_interleaving():

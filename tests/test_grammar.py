@@ -4,7 +4,9 @@ import pytest
 
 from txpeg.combinators import capture, char_pred, literal, perform, seq, word, zero_more
 from txpeg.core import ConfigurationError, ContractViolationError
+from txpeg.demos.expr import expr_grammar
 from txpeg.grammar import GrammarDef, line_col, ref, run_parse
+from txpeg.leftrec import LeftRecTable
 from txpeg.states import CopyState
 
 
@@ -127,3 +129,28 @@ def test_trace_reaches_context():
     grammar = GrammarDef({"top": seq(literal("a"), literal("b"))}, "top").freeze()
     run_parse(grammar, "ab", trace=lines.append)
     assert any(line.startswith("snapshot") for line in lines)
+
+
+def _has_leftrec_table(ctx) -> bool:
+    try:
+        ctx.state(LeftRecTable)
+    except ConfigurationError:
+        return False
+    return True
+
+
+def test_left_rec_table_only_for_grammars_that_use_leftrec():
+    seen = []
+    rules = {"top": seq(perform(lambda ctx: seen.append(_has_leftrec_table(ctx))),
+                        literal("x"))}
+    grammar = GrammarDef(rules, "top").freeze()
+    assert not grammar.uses_leftrec
+    assert run_parse(grammar, "x").success
+    assert seen == [False]
+
+    expr = expr_grammar()
+    assert expr.uses_leftrec
+    lines: list = []
+    outcome = run_parse(expr, "1-2-3", trace=lines.append)
+    assert outcome.success
+    assert lines and all("LeftRecTable" in line for line in lines)

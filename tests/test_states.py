@@ -55,6 +55,15 @@ def test_stack_push_pop_peek():
     assert s.pop() is None
 
 
+def test_stack_iterates_top_first_without_copying():
+    s = StackState("a", "b", "c")
+    assert list(s) == s.values() == ["c", "b", "a"]
+    walk = iter(s)
+    assert next(walk) == "c"
+    assert "b" in s and "z" not in s
+    assert list(StackState()) == []
+
+
 def test_stack_restore_rewinds():
     s = StackState("a")
     snap = s.cell_snapshot()
