@@ -2,7 +2,9 @@
 
 Exit status: 0 when the parse succeeds, 1 when it fails (with a
 ``path:line:col: message`` diagnostic on stderr), 2 for usage errors or
-an unreadable input.  On success the AST goes to stdout, either as an
+an unreadable input, 3 when the input nests too deeply for the parser or
+the AST dump (Python's recursion limit), with one ``path: input nests too
+deeply`` line on stderr.  On success the AST goes to stdout, either as an
 indented tree or as deterministic JSON; the JSON form doubles as the
 fixture format for expected-output files.
 """
@@ -119,11 +121,16 @@ def main(argv: Optional[list] = None) -> int:
     if config.trace_state:
         trace = lambda line: print(line, file=sys.stderr)
 
-    outcome = run_parse(grammar, text, partial=config.partial, trace=trace)
+    try:
+        outcome = run_parse(grammar, text, partial=config.partial, trace=trace)
+        output = dump_ast(outcome.ast, config.format) if outcome.success else ""
+    except RecursionError:
+        print(f"{config.input}: input nests too deeply", file=sys.stderr)
+        return 3
     if not outcome.success:
         err = outcome.error
         print(f"{config.input}:{err.line}:{err.column}: {err.message}",
               file=sys.stderr)
         return 1
-    sys.stdout.write(dump_ast(outcome.ast, config.format))
+    sys.stdout.write(output)
     return 0

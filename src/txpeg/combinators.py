@@ -126,6 +126,16 @@ class Seq(Parser):
                 return r
         return SUCCESS
 
+    def nullable(self, child_nullable) -> bool:
+        return all(child_nullable(c) for c in self.children)
+
+    def left_children(self, nullable) -> tuple:
+        # Up to and including the first child that must consume input.
+        for i, c in enumerate(self.children):
+            if not nullable(c):
+                return self.children[:i + 1]
+        return self.children
+
 
 class Choice(Parser):
     """First succeeding child wins; no cleanup needed between attempts,
@@ -152,6 +162,9 @@ class Opt(Parser):
         self.children[0].parse(ctx)
         return SUCCESS
 
+    def nullable(self, child_nullable) -> bool:
+        return True
+
 
 def _guard_progress(ctx: ParseContext, snap, parser: Parser) -> None:
     # A repetition step that succeeds while moving nothing would loop
@@ -176,6 +189,9 @@ class ZeroMore(Parser):
             if not child.parse(ctx).ok:
                 return SUCCESS
             _guard_progress(ctx, snap, self)
+
+    def nullable(self, child_nullable) -> bool:
+        return True
 
 
 class OneMore(Parser):
@@ -223,6 +239,9 @@ class Until(Parser):
                 return r
             _guard_progress(ctx, snap, self)
 
+    def nullable(self, child_nullable) -> bool:
+        return child_nullable(self.children[1])
+
 
 # ---------------------------------------------------------------------------
 # Lookahead.
@@ -242,6 +261,9 @@ class Ahead(Parser):
             ctx.restore(snap)
             return SUCCESS
         return r
+
+    def nullable(self, child_nullable) -> bool:
+        return True
 
 
 class Not(Parser):
@@ -264,6 +286,9 @@ class Not(Parser):
         ctx.restore(snap)
         child = self.children[0]
         return ctx.fail(ctx.position, lambda: f"unexpected {child!r}")
+
+    def nullable(self, child_nullable) -> bool:
+        return True
 
 
 # ---------------------------------------------------------------------------
@@ -292,6 +317,9 @@ class CharPred(Parser):
     def __repr__(self):
         return self.label if self.label else "char_pred"
 
+    def nullable(self, child_nullable) -> bool:
+        return False
+
 
 class Literal(Parser):
     """Match an exact string."""
@@ -308,6 +336,9 @@ class Literal(Parser):
 
     def __repr__(self):
         return f"literal({self.string!r})"
+
+    def nullable(self, child_nullable) -> bool:
+        return self.string == ""
 
 
 #: Whitespace skipped after tokens unless a grammar supplies its own.
@@ -362,6 +393,9 @@ class Word(Parser):
 
     def __repr__(self):
         return f"word({self.string!r})"
+
+    def nullable(self, child_nullable) -> bool:
+        return self.string == ""
 
 
 # ---------------------------------------------------------------------------
@@ -503,6 +537,9 @@ class OptValue(Parser):
             return SUCCESS
         ast.push(None)
         return SUCCESS
+
+    def nullable(self, child_nullable) -> bool:
+        return True
 
 
 # ---------------------------------------------------------------------------

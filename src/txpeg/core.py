@@ -146,12 +146,41 @@ class Parser:
     the context.  ``parse`` must uphold the transaction contract: return
     ``SUCCESS`` with any effects in place, or a :class:`Failure` with the
     position and every cell exactly as they were at entry.
+
+    Sub-parsers live in ``children``: freeze copies the graph through it
+    and the left-recursion check walks it.  A class states its own static
+    behaviour by overriding :meth:`nullable` and :meth:`left_children`.
     """
 
     children: tuple = ()
 
     def parse(self, ctx: "ParseContext") -> ParseResult:
         raise NotImplementedError
+
+    def nullable(self, child_nullable: Callable[["Parser"], bool]) -> bool:
+        """Whether this parser can succeed without consuming input.
+
+        ``child_nullable`` answers the same question for a child; freeze
+        evaluates these to their least fixpoint (PEG nullability as in
+        Redziejowski, 2009).  The default assumes a parser may pass any
+        child through unconsumed, and that a childless one consumes
+        nothing.
+        """
+        return not self.children or any(child_nullable(c) for c in self.children)
+
+    def left_children(self, nullable: Callable[["Parser"], bool]) -> tuple:
+        """The children this parser can invoke at its own entry position."""
+        return self.children
+
+    def __copy__(self):
+        # The default copy fills the new object's __dict__ in one go, which
+        # leaves CPython's compact attribute layout and makes every
+        # attribute load on the parse path slower (about 2x for
+        # ``self.children`` on 3.11); setting attributes one by one keeps it.
+        twin = object.__new__(type(self))
+        for name, value in vars(self).items():
+            setattr(twin, name, value)
+        return twin
 
     def __repr__(self):
         return type(self).__name__

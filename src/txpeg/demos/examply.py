@@ -73,7 +73,10 @@ __all__ = [
     "examply_grammar",
     "examply_rules",
     "iden_token",
+    "int_token",
     "keyword",
+    "raw_iden",
+    "string_token",
     "type_name",
 ]
 
@@ -90,7 +93,8 @@ def _iden_char(c: str) -> bool:
     return c.isalnum() or c == "_"
 
 
-def _raw_iden() -> Parser:
+def raw_iden() -> Parser:
+    """An identifier's characters, no whitespace and no keyword check."""
     return seq(char_pred(_iden_start, "identifier"),
                zero_more(char_pred(_iden_char, "identifier character")))
 
@@ -104,7 +108,7 @@ def keyword(s: str) -> Parser:
 def iden_token() -> Parser:
     """An identifier token: pushed as a string, keywords excluded."""
     return seq(not_(choice(*[keyword(k) for k in KEYWORDS])),
-               capture(_raw_iden()), whitespace())
+               capture(raw_iden()), whitespace())
 
 
 def _is_visible_type(ctx) -> bool:
@@ -119,7 +123,7 @@ def type_name() -> Parser:
     failure points at the identifier, not at the next token.
     """
     return seq(not_(choice(*[keyword(k) for k in KEYWORDS])),
-               capture(_raw_iden()),
+               capture(raw_iden()),
                predicate(
                    _is_visible_type,
                    lambda ctx: f"{ast_stack(ctx).peek()!r} does not name a visible type",
@@ -136,6 +140,20 @@ def _str_node(s: str) -> AstNode:
     return AstNode("str", (s[1:-1],))
 
 
+def int_token() -> Parser:
+    """A decimal integer token, pushed as an ``int`` node."""
+    return _token(build(capture(one_more(char_pred(str.isdigit, "digit"))),
+                        1, node("int")))
+
+
+def string_token() -> Parser:
+    """A one-line double-quoted string token, pushed as a ``str`` node."""
+    str_char = char_pred(lambda c: c not in '"\n\x00', "string character")
+    return _token(build(capture(seq(literal('"'), zero_more(str_char),
+                                    literal('"'))),
+                        1, _str_node))
+
+
 def _import_node(pkg: str, name: str) -> AstNode:
     # The captured package prefix carries its trailing dot.
     return AstNode("import", (pkg[:-1], name))
@@ -147,13 +165,6 @@ def examply_rules() -> dict:
     Every parser object is newly built, so callers may rebind names (for
     grammar composition) without affecting other grammars.
     """
-    int_lit = _token(build(capture(one_more(char_pred(str.isdigit, "digit"))),
-                           1, node("int")))
-    str_char = char_pred(lambda c: c not in '"\n\x00', "string character")
-    str_lit = _token(build(capture(seq(literal('"'), zero_more(str_char),
-                                       literal('"'))),
-                           1, _str_node))
-
     arg_list = collect(seq(
         word("("),
         opt(seq(ref("expression"), zero_more(seq(word(","), ref("expression"))))),
@@ -166,7 +177,7 @@ def examply_rules() -> dict:
         word(")"),
     ))
 
-    pkg_prefix = capture(one_more(seq(_raw_iden(), literal("."))))
+    pkg_prefix = capture(one_more(seq(raw_iden(), literal("."))))
 
     return {
         "program": seq(build_indent_map(),
@@ -205,7 +216,7 @@ def examply_rules() -> dict:
         "decl_block": collect(seq(indent(),
                                   until(ref("declaration"), dedent()))),
         "expression": choice(ref("ctor_call"), ref("func_call"),
-                             int_lit, str_lit, ref("iden_ref")),
+                             int_token(), string_token(), ref("iden_ref")),
         "ctor_call": build(seq(class_guard(iden_token()), iden_token(),
                                arg_list, opt_value(ref("ctor_body"))),
                            3, node("ctor")),

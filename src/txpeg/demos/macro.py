@@ -17,10 +17,8 @@ end of their line, which matters only once lines mean something.
 from __future__ import annotations
 
 from ..combinators import (
-    AstNode,
     build,
     capture,
-    char_pred,
     choice,
     collect,
     end_of_input,
@@ -35,7 +33,14 @@ from ..combinators import (
     zero_more,
 )
 from ..grammar import FrozenGrammar, GrammarDef, ref
-from .examply import examply_cells, examply_rules
+from .examply import (
+    examply_cells,
+    examply_rules,
+    int_token,
+    keyword,
+    raw_iden,
+    string_token,
+)
 from .indent import newline
 
 __all__ = [
@@ -46,44 +51,11 @@ __all__ = [
 ]
 
 
-def _iden_start(c: str) -> bool:
-    return c.isalpha() or c == "_"
-
-
-def _iden_char(c: str) -> bool:
-    return c.isalnum() or c == "_"
-
-
-def _raw_iden():
-    return seq(char_pred(_iden_start, "identifier"),
-               zero_more(char_pred(_iden_char, "identifier character")))
-
-
-def _kw_macro():
-    return seq(literal("macro"), not_(char_pred(_iden_char, "identifier character")),
-               whitespace())
-
-
 def _iden_token():
-    return seq(not_(_kw_macro()), capture(_raw_iden()), whitespace())
-
-
-def _str_node(s: str) -> AstNode:
-    # The capture includes the quotes.
-    return AstNode("str", (s[1:-1],))
-
-
-def _string_token():
-    body = zero_more(char_pred(lambda c: c not in '"\n\x00', "string character"))
-    raw = seq(literal('"'), body, literal('"'))
-    return seq(build(capture(raw), 1, _str_node), whitespace())
+    return seq(not_(keyword("macro")), capture(raw_iden()), whitespace())
 
 
 def macro_rules() -> dict:
-    atom_int = seq(
-        build(capture(one_more(char_pred(str.isdigit, "digit"))), 1, node("int")),
-        whitespace(),
-    )
     atom_word = build(_iden_token(), 1, node("word"))
     splice = build(seq(literal("$"), _iden_token()), 1, node("splice"))
     group = build(
@@ -93,7 +65,7 @@ def macro_rules() -> dict:
     return {
         "macro_file": until(ref("macro_decl"), end_of_input()),
         "macro_decl": build(
-            seq(_kw_macro(), _iden_token(), word("="), ref("macro_rhs")),
+            seq(keyword("macro"), _iden_token(), word("="), ref("macro_rhs")),
             2, node("macro"),
         ),
         # Extension point: what a macro expands to.
@@ -101,7 +73,7 @@ def macro_rules() -> dict:
         "macro_template": build(collect(one_more(ref("macro_atom"))),
                                 1, node("template")),
         "macro_atom": choice(ref("macro_splice"), ref("macro_group"),
-                             atom_int, _string_token(), atom_word),
+                             int_token(), string_token(), atom_word),
         "macro_splice": splice,
         "macro_group": group,
     }

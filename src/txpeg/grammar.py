@@ -2,10 +2,13 @@
 
 A grammar is a mapping from rule names to parser bodies plus a root name.
 Bodies refer to other rules through :func:`ref` stubs; :meth:`GrammarDef.freeze`
-resolves every stub against the rule map, runs the left-recursion check,
-and returns a :class:`FrozenGrammar` ready to parse.  Because composition
-is nothing more than building a new rule map out of existing bodies,
-grammars can be merged or extended without touching the bodies themselves.
+copies the reachable parser graph, binds each copied stub to the copy of
+its rule, runs the left-recursion check, and returns a :class:`FrozenGrammar`
+ready to parse.  Each freeze copies the graph; the rule objects passed in
+are never modified.  Because composition is nothing more than building a
+new rule map out of existing bodies, grammars can be merged or extended
+without touching the bodies themselves, and grammars built from the same
+rule objects stay independent.
 
 :func:`run_parse` owns the per-parse plumbing: fresh state cells, the AST
 stack, the left-recursion table for grammars that use ``leftrec``, leading
@@ -15,8 +18,9 @@ final AST stack or the furthest failure mapped to line and column.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Iterable, Optional
+import copy
+from dataclasses import dataclass
+from typing import Callable, Optional
 
 from .combinators import AstStack, Whitespace
 from .core import ConfigurationError, ContractViolationError, ParseContext, Parser, ParseResult
@@ -35,7 +39,8 @@ __all__ = [
 
 
 class RuleRef(Parser):
-    """A by-name reference to another rule; a stub until freeze binds it."""
+    """A by-name reference to another rule; a stub that freeze copies and
+    binds, leaving this object unbound."""
 
     def __init__(self, name: str):
         self.name = name
@@ -92,26 +97,30 @@ class GrammarDef:
     cells: tuple = ()
 
     def freeze(self) -> FrozenGrammar:
-        """Resolve every rule reference and validate recursion.
+        """Copy the parser graph, bind every reference, validate recursion.
 
         Unknown rule names and unannotated left-recursive cycles are
-        configuration errors.  Freezing twice is harmless: resolution is
-        idempotent over the same rule map.
+        configuration errors.  Each freeze copies the graph; the rule
+        objects passed in are never modified.
         """
         if self.root not in self.rules:
             raise ConfigurationError(f"root rule {self.root!r} is not defined")
-        roots = list(self.rules.values())
-        if self.whitespace is not None:
-            roots.append(self.whitespace)
-        seen: set[int] = set()
-        uses_leftrec = False
-        stack = list(roots)
-        while stack:
-            p = stack.pop()
-            if id(p) in seen:
-                continue
-            seen.add(id(p))
-            uses_leftrec = uses_leftrec or isinstance(p, LeftRec)
+        # Copy every reachable node once, memoised by identity, and wire
+        # each copy to the copies of its children.  References resolve by
+        # name, so an original's own target, if it has one, is never used.
+        copies: dict[int, Parser] = {}
+        pending: list[Parser] = []
+
+        def twin(p: Parser) -> Parser:
+            if id(p) not in copies:
+                copies[id(p)] = copy.copy(p)
+                pending.append(p)
+            return copies[id(p)]
+
+        rules = {name: twin(body) for name, body in self.rules.items()}
+        whitespace = None if self.whitespace is None else twin(self.whitespace)
+        while pending:
+            p = pending.pop()
             if isinstance(p, RuleRef):
                 target = self.rules.get(p.name)
                 if target is None:
@@ -119,11 +128,13 @@ class GrammarDef:
                     raise ConfigurationError(
                         f"unresolved reference {p.name!r} (defined rules: {known})"
                     )
-                p.target = target
-            stack.extend(p.children)
-        check_recursion_annotated(self.rules, extra_roots=roots)
-        return FrozenGrammar(dict(self.rules), self.root, self.whitespace,
-                             tuple(self.cells), uses_leftrec)
+                copies[id(p)].target = twin(target)
+            elif p.children:
+                copies[id(p)].children = tuple(twin(c) for c in p.children)
+        nodes = list(copies.values())
+        check_recursion_annotated(rules, nodes)
+        return FrozenGrammar(rules, self.root, whitespace, tuple(self.cells),
+                             any(isinstance(p, LeftRec) for p in nodes))
 
 
 @dataclass(frozen=True)

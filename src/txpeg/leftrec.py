@@ -18,29 +18,8 @@ cycle named.
 
 from __future__ import annotations
 
-from typing import Iterable, Optional
+from typing import Callable, Iterable
 
-from .combinators import (
-    Ahead,
-    AndDo,
-    Build,
-    Capture,
-    CharPred,
-    Choice,
-    Collect,
-    Literal,
-    Not,
-    OneMore,
-    Opt,
-    OptValue,
-    Perform,
-    Predicate,
-    Seq,
-    Until,
-    Whitespace,
-    Word,
-    ZeroMore,
-)
 from .core import (
     SUCCESS,
     ConfigurationError,
@@ -123,128 +102,78 @@ def leftrec(child: Parser) -> Parser:
 # The dangerous graph is not every reference cycle: a parser that calls
 # itself only after consuming input unwinds fine.  What must not exist is a
 # cycle in the left-call graph, whose edges connect a parser to the
-# children it can invoke at its own entry position.  Sequences contribute
-# edges up to and including their first non-nullable element; alternation
-# contributes all branches; repetition, lookahead and the wrappers
-# contribute their bodies.  LeftRec nodes are excised before looking for
+# children it can invoke at its own entry position.  Each parser class
+# states both facts the check needs through its own hooks,
+# Parser.nullable and Parser.left_children: sequences contribute edges up
+# to and including their first non-nullable element, everything else all
+# of its children.  The check runs over the private copy of the graph
+# that freeze builds.  LeftRec nodes are excised before looking for
 # cycles, which is exactly what "annotated" means.
 
-_ZERO_WIDTH = (Opt, ZeroMore, Ahead, Not, Predicate, Perform, Whitespace, OptValue)
 
-
-def _all_nodes(roots: Iterable[Parser]) -> list[Parser]:
-    seen: dict[int, Parser] = {}
-    stack = list(roots)
-    while stack:
-        p = stack.pop()
-        if p is None or id(p) in seen:
-            continue
-        seen[id(p)] = p
-        stack.extend(p.children)
-    return list(seen.values())
-
-
-def _nullability(nodes: list[Parser]) -> dict[int, bool]:
+def _nullability(nodes: list[Parser]) -> Callable[[Parser], bool]:
     # Least fixpoint: start from "consumes input" everywhere and grow.
     nullable = {id(p): False for p in nodes}
 
-    def evaluate(p: Parser) -> bool:
-        if isinstance(p, _ZERO_WIDTH):
-            return True
-        if isinstance(p, (Literal, Word)):
-            return p.string == ""
-        if isinstance(p, CharPred):
-            return False
-        if isinstance(p, Seq):
-            return all(nullable[id(c)] for c in p.children)
-        if isinstance(p, Choice):
-            return any(nullable[id(c)] for c in p.children)
-        if isinstance(p, Until):
-            return nullable[id(p.children[1])]
-        if isinstance(p, (OneMore, AndDo, Capture, Collect, Build, LeftRec)):
-            return nullable[id(p.children[0])]
-        # Unknown parser classes: zero-width when childless, otherwise
-        # assume they can pass any child through unconsumed.
-        if not p.children:
-            return True
-        return any(nullable[id(c)] for c in p.children)
+    def is_nullable(p: Parser) -> bool:
+        return nullable[id(p)]
 
+    # Freeze lists parents before their children; visiting children first
+    # settles most nodes in the first pass.
     changed = True
     while changed:
         changed = False
-        for p in nodes:
-            v = evaluate(p)
-            if v and not nullable[id(p)]:
+        for p in reversed(nodes):
+            if not nullable[id(p)] and p.nullable(is_nullable):
                 nullable[id(p)] = True
                 changed = True
-    return nullable
-
-
-def _left_children(p: Parser, nullable: dict[int, bool]) -> tuple:
-    if isinstance(p, Seq):
-        out = []
-        for c in p.children:
-            out.append(c)
-            if not nullable[id(c)]:
-                break
-        return tuple(out)
-    # Everything else can invoke each child at its entry position.
-    return p.children
+    return is_nullable
 
 
 def check_recursion_annotated(rules: dict[str, Parser],
-                              extra_roots: Iterable[Parser] = ()) -> None:
+                              nodes: list[Parser]) -> None:
     """Reject grammars whose left-call graph cycles outside LeftRec.
 
-    ``rules`` maps names to resolved rule bodies; names appear in the
-    error message when a cycle is found.
+    ``nodes`` is every parser reachable from the resolved rule bodies in
+    ``rules``; the error message names a cycle by the rules it passes
+    through.
     """
-    roots = list(rules.values()) + list(extra_roots)
-    nodes = _all_nodes(roots)
-    nullable = _nullability(nodes)
+    is_nullable = _nullability(nodes)
     names = {}
     for name, body in rules.items():
         names.setdefault(id(body), name)
-
-    def describe(path: list[Parser]) -> str:
-        parts = [names.get(id(p), repr(p)) for p in path]
-        compact = [parts[0]]
-        for part in parts[1:]:
-            if part != compact[-1]:
-                compact.append(part)
-        return " -> ".join(compact)
 
     WHITE, GRAY, BLACK = 0, 1, 2
     color = {id(p): WHITE for p in nodes}
     for start in nodes:
         if color[id(start)] != WHITE or isinstance(start, LeftRec):
             continue
-        # Iterative DFS keeping the gray path for cycle reporting.
+        # Iterative DFS; the stack's parsers are the gray path, kept for
+        # cycle reporting.
         stack: list[tuple[Parser, Iterable]] = [
-            (start, iter(_left_children(start, nullable)))
+            (start, iter(start.left_children(is_nullable)))
         ]
         color[id(start)] = GRAY
-        path = [start]
         while stack:
             parent, children = stack[-1]
-            advanced = False
             for child in children:
                 if isinstance(child, LeftRec):
                     continue
                 c = color[id(child)]
                 if c == GRAY:
-                    cycle = path[path.index(child):] + [child]
+                    # Every cycle passes through a reference, hence a rule
+                    # body: name the cycle by those.
+                    path = [p for p, _ in stack]
+                    cycle = [names[id(p)] for p in path[path.index(child):]
+                             if id(p) in names]
                     raise ConfigurationError(
                         "left-recursive cycle without a leftrec annotation: "
-                        + describe(cycle)
+                        + " -> ".join(cycle + cycle[:1])
                     )
                 if c == WHITE:
                     color[id(child)] = GRAY
-                    path.append(child)
-                    stack.append((child, iter(_left_children(child, nullable))))
-                    advanced = True
+                    stack.append((child, iter(child.left_children(is_nullable))))
                     break
-            if not advanced:
+            else:
                 color[id(parent)] = BLACK
-                path.pop()
                 stack.pop()

@@ -3,6 +3,7 @@
 import io
 import json
 import pathlib
+import sys
 
 import pytest
 
@@ -81,6 +82,18 @@ def test_partial_flag_allows_a_prefix_match(tmp_path, capsys):
     # The trailing token whitespace belongs to the match, so the span
     # runs one past the last digit.
     assert out.splitlines()[0] == "sub [0,4)"
+
+
+def test_too_deep_an_ast_exits_three_with_one_line(tmp_path, capsys):
+    # Each operand nests one more "sub" node; dumping that many levels
+    # exceeds the recursion limit.
+    chain = "-".join(str(i % 10) for i in range(sys.getrecursionlimit()))
+    path = write(tmp_path, chain + "\n")
+    assert main(["--grammar", "expr", "--format", "json", path]) == 3
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == f"{path}: input nests too deeply\n"
+    assert "Traceback" not in out.err
 
 
 def test_json_output_is_byte_stable_and_matches_the_fixture(tmp_path, capsys):

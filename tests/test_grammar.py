@@ -2,10 +2,14 @@
 
 import pytest
 
-from txpeg.combinators import capture, char_pred, literal, perform, seq, word, zero_more
-from txpeg.core import ConfigurationError, ContractViolationError
+from txpeg.combinators import (
+    capture, char_pred, choice, literal, perform, seq, word, zero_more,
+)
+from txpeg.core import SUCCESS, ConfigurationError, ContractViolationError, Parser
+from txpeg.demos.examply import examply_cells
 from txpeg.demos.expr import expr_grammar
-from txpeg.grammar import GrammarDef, line_col, ref, run_parse
+from txpeg.demos.macro import composed_rules, macro_rules
+from txpeg.grammar import GrammarDef, RuleRef, line_col, ref, run_parse
 from txpeg.leftrec import LeftRecTable
 from txpeg.states import CopyState
 
@@ -49,8 +53,79 @@ def test_freeze_twice_is_harmless():
     gdef = GrammarDef(rules, "top")
     first = gdef.freeze()
     second = gdef.freeze()
-    assert first.root_parser is second.root_parser
+    assert first.root_parser is not second.root_parser
+    assert run_parse(first, "x").success
     assert run_parse(second, "x").success
+
+
+def test_freezing_a_composition_leaves_an_earlier_grammar_working():
+    guest = macro_rules()
+    alone = GrammarDef(guest, "macro_file").freeze()
+    GrammarDef(composed_rules(guest=guest), "program",
+               cells=examply_cells()).freeze()
+    outcome = run_parse(alone, "macro m = a b\n")
+    assert outcome.success
+    assert outcome.ast[0].kind == "macro"
+
+
+def test_freeze_leaves_the_rule_objects_unbound():
+    gdef = GrammarDef(composed_rules(), "program", cells=examply_cells())
+    gdef.freeze()
+    seen: set = set()
+    refs = []
+    stack = list(gdef.rules.values())
+    while stack:
+        p = stack.pop()
+        if id(p) in seen:
+            continue
+        seen.add(id(p))
+        if isinstance(p, RuleRef):
+            refs.append(p)
+        stack.extend(p.children)
+    assert refs
+    assert all(r.target is None for r in refs)
+
+
+@pytest.mark.parametrize("rules", [
+    {"a": choice(ref("b"), literal("x")), "b": ref("a")},
+    {"a": choice(seq(ref("b"), literal("x")), literal("a")),
+     "b": choice(seq(ref("a"), literal("y")), literal("b"))},
+])
+def test_cycle_diagnostic_names_only_rules(rules):
+    with pytest.raises(ConfigurationError) as info:
+        GrammarDef(rules, "a").freeze()
+    message = str(info.value)
+    assert "ref(" not in message
+    cycle = message.split(": ", 1)[1].split(" -> ")
+    assert set(cycle) == {"a", "b"}
+
+
+class AnyChar(Parser):
+    """One character of anything; keeps the default nullability."""
+
+    def parse(self, ctx):
+        if ctx.position >= ctx.input_length:
+            return ctx.fail(ctx.position, "expected a character")
+        ctx.position += 1
+        return SUCCESS
+
+
+class ConsumingAnyChar(AnyChar):
+    def nullable(self, child_nullable) -> bool:
+        return False
+
+
+def test_class_nullable_hook_decides_the_recursion_check():
+    def rules(prefix):
+        return {"expr": choice(seq(prefix, ref("expr")), literal("."))}
+
+    grammar = GrammarDef(rules(ConsumingAnyChar()), "expr").freeze()
+    assert not grammar.uses_leftrec
+    assert run_parse(grammar, "ab.").success
+    # The default says a childless parser may consume nothing, so the
+    # same grammar has an unannotated left call.
+    with pytest.raises(ConfigurationError):
+        GrammarDef(rules(AnyChar()), "expr").freeze()
 
 
 def test_full_match_required_by_default():
