@@ -1,12 +1,13 @@
 """Command-line driver: parse a file under a named grammar.
 
 Exit status: 0 when the parse succeeds, 1 when it fails (with a
-``path:line:col: message`` diagnostic on stderr), 2 for usage errors or
-an unreadable input, 3 when the input nests too deeply for the parser or
-the AST dump (Python's recursion limit), with one ``path: input nests too
-deeply`` line on stderr.  On success the AST goes to stdout, either as an
-indented tree or as deterministic JSON; the JSON form doubles as the
-fixture format for expected-output files.
+``path:line:col: message`` diagnostic on stderr; input nested past
+Python's recursion limit fails this way too, with the message ``input
+nests too deeply``), 2 for usage errors or an unreadable input, 3 when the
+parsed AST nests too deeply to print (Python's recursion limit), with one
+``path: input nests too deeply`` line on stderr.  On success the AST goes
+to stdout, either as an indented tree or as deterministic JSON; the JSON
+form doubles as the fixture format for expected-output files.
 """
 
 from __future__ import annotations
@@ -121,16 +122,16 @@ def main(argv: Optional[list] = None) -> int:
     if config.trace_state:
         trace = lambda line: print(line, file=sys.stderr)
 
-    try:
-        outcome = run_parse(grammar, text, partial=config.partial, trace=trace)
-        output = dump_ast(outcome.ast, config.format) if outcome.success else ""
-    except RecursionError:
-        print(f"{config.input}: input nests too deeply", file=sys.stderr)
-        return 3
+    outcome = run_parse(grammar, text, partial=config.partial, trace=trace)
     if not outcome.success:
         err = outcome.error
         print(f"{config.input}:{err.line}:{err.column}: {err.message}",
               file=sys.stderr)
         return 1
+    try:
+        output = dump_ast(outcome.ast, config.format)
+    except RecursionError:
+        print(f"{config.input}: input nests too deeply", file=sys.stderr)
+        return 3
     sys.stdout.write(output)
     return 0

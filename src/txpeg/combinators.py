@@ -166,16 +166,6 @@ class Opt(Parser):
         return True
 
 
-def _guard_progress(ctx: ParseContext, snap, parser: Parser) -> None:
-    # A repetition step that succeeds while moving nothing would loop
-    # forever; surface it as a broken contract rather than hanging.
-    if ctx.unchanged_since(snap):
-        raise ContractViolationError(
-            f"{parser!r} iteration succeeded without consuming input "
-            f"or changing state at position {ctx.position}"
-        )
-
-
 class ZeroMore(Parser):
     """Repeat the child until it fails; always succeeds."""
 
@@ -184,11 +174,11 @@ class ZeroMore(Parser):
 
     def parse(self, ctx: ParseContext) -> ParseResult:
         child = self.children[0]
-        while True:
-            snap = ctx.snapshot()
-            if not child.parse(ctx).ok:
-                return SUCCESS
-            _guard_progress(ctx, snap, self)
+        entry = step = ctx.snapshot()
+        while child.parse(ctx).ok:
+            ctx.end_iteration(entry, step, self)
+            step = ctx.snapshot()
+        return SUCCESS
 
     def nullable(self, child_nullable) -> bool:
         return True
@@ -202,16 +192,15 @@ class OneMore(Parser):
 
     def parse(self, ctx: ParseContext) -> ParseResult:
         child = self.children[0]
-        snap = ctx.snapshot()
+        entry = step = ctx.snapshot()
         r = child.parse(ctx)
         if not r.ok:
             return r
-        _guard_progress(ctx, snap, self)
         while True:
-            snap = ctx.snapshot()
+            ctx.end_iteration(entry, step, self)
+            step = ctx.snapshot()
             if not child.parse(ctx).ok:
                 return SUCCESS
-            _guard_progress(ctx, snap, self)
 
 
 class Until(Parser):
@@ -232,12 +221,12 @@ class Until(Parser):
         while True:
             if terminator.parse(ctx).ok:
                 return SUCCESS
-            snap = ctx.snapshot()
+            step = ctx.snapshot()
             r = item.parse(ctx)
             if not r.ok:
                 ctx.restore(entry)
                 return r
-            _guard_progress(ctx, snap, self)
+            ctx.end_iteration(entry, step, self)
 
     def nullable(self, child_nullable) -> bool:
         return child_nullable(self.children[1])

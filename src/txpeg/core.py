@@ -4,20 +4,27 @@ A parse runs over a :class:`ParseContext` holding the input text, the
 current position, and a fixed registry of mutable state cells.  Every
 parser invocation is transactional: it either succeeds, or it fails having
 restored the position and every cell to their values at its entry.  The
-context offers the four aggregate operations that make the discipline
-cheap to follow:
+context offers the aggregate operations that make the discipline cheap to
+follow:
 
-* :meth:`ParseContext.snapshot` captures position plus every live cell,
+* :meth:`ParseContext.snapshot` marks the current position and trail,
 * :meth:`ParseContext.restore` rewinds to a snapshot,
 * :meth:`ParseContext.diff` packages the work done since a snapshot,
-* :meth:`ParseContext.merge` replays such a package later.
+* :meth:`ParseContext.merge` replays such a package later,
+* :meth:`ParseContext.end_iteration` closes one step of a repetition.
 
-Cells opt into the scheme by implementing the four corresponding cell-level
-operations (:class:`StateCell`).  The context fans out to the cells whose
-class is ``transactional`` (the live cells), treating the position as one
-more piece of state; cells whose operations are no-ops are never visited.
-A context built with a ``trace`` callable is a :class:`TracedContext`,
-which runs the same operations and reports each one.
+The context keeps one undo trail, the append-only change log of
+:mod:`txpeg.logmodel` made operational as in the trail of the Warren
+Abstract Machine: before a cell changes its content it appends itself and
+its prior version (:meth:`StateCell.record`).  A snapshot is just the
+position and the trail's length, and a restore pops the trail back to
+that length, handing each popped version back to its cell, so cells that
+nobody touched are never visited.  Repetitions fold each finished
+iteration's entries into one per cell, which keeps the trail as long as
+the nesting is deep, not as the input is long.  Cells whose class is not
+``transactional`` stay off the trail.  A context built with a ``trace``
+callable is a :class:`TracedContext`, which runs the same operations and
+reports each one.
 """
 
 from __future__ import annotations
@@ -105,12 +112,29 @@ class StateCell:
     it was after the mutations (subject to each cell's documented
     ``cell_diff`` precondition).
 
+    A context rolls cells back through its trail, so every mutator must
+    log the cell's prior version there first, by calling :meth:`record`
+    before it changes the content.  The strategies in :mod:`txpeg.states`
+    log their own changes, so a cell that subclasses one of them and
+    changes its content only through the inherited mutators needs nothing
+    more.  A change that is not logged survives backtracking.
+
     A class whose four operations are no-ops sets ``transactional`` to
-    False; the context then leaves its instances out of every aggregate
-    operation.
+    False; the context then leaves its instances off the trail and out of
+    every aggregate operation.
     """
 
     transactional = True
+    #: The trail of the context the cell is registered with; None while the
+    #: cell stands alone, when mutations are not logged.
+    _trail: Optional[list] = None
+
+    def record(self) -> None:
+        """Log the current version on the context's trail, before a change."""
+        trail = self._trail
+        if trail is not None:
+            trail.append(self)
+            trail.append(self.cell_snapshot())
 
     def cell_snapshot(self):
         raise NotImplementedError
@@ -132,11 +156,12 @@ class StateCell:
 @dataclass(frozen=True)
 class AggregateDelta:
     """The work done since a snapshot: end position plus one delta per
-    live cell, in registry order."""
+    live cell, in registry order; ``registry`` is the context's trail,
+    which tags the delta as that context's own."""
 
     end_position: int
     cells: tuple
-    registry: tuple
+    registry: list
 
 
 class Parser:
@@ -214,16 +239,21 @@ class ParseContext:
         self.whitespace = whitespace
         self.trace = trace
         self._cells = tuple(cells)
-        # The cells the aggregate operations visit.  Its identity also tags
-        # snapshots and deltas as this context's own; it is a list because
-        # every empty tuple is the same object.
-        self._live = [c for c in self._cells if c.transactional]
+        # The undo trail, oldest first, flat: cell, prior version, cell,
+        # prior version, ...  Its identity also tags snapshots and deltas
+        # as this context's own.
+        self._trail: list = []
         self._by_type: dict[type, StateCell] = {}
         for cell in self._cells:
             t = type(cell)
             if t in self._by_type:
                 raise ConfigurationError(f"duplicate state cell class {t.__name__}")
             self._by_type[t] = cell
+        # The cells the aggregate operations visit; each logs its changes
+        # on this context's trail from now on.
+        self._live = [c for c in self._cells if c.transactional]
+        for cell in self._live:
+            cell._trail = self._trail
         # Furthest failure: (position, message or factory), never restored.
         self.furthest: Optional[tuple] = None
         self._muted = 0
@@ -271,54 +301,106 @@ class ParseContext:
 
     # -- aggregate transactions ---------------------------------------------
     #
-    # A snapshot is the tuple (position, cell snapshots, live cells); the
-    # cell snapshots line up with the live cells.
+    # A snapshot is the tuple (position, trail length, trail).  It stays
+    # valid until the context restores to an older snapshot, or until a
+    # repetition that was already running when it was taken ends an
+    # iteration; parsers only hold snapshots while their own call runs, so
+    # neither happens to a snapshot still in use.  Restoring one whose mark
+    # lies past the end of the trail raises ContractViolationError.
 
     def snapshot(self) -> tuple:
-        live = self._live
-        return (self.position, tuple([c.cell_snapshot() for c in live]), live)
+        return (self.position, len(self._trail), self._trail)
+
+    def _mark(self, snap: tuple) -> int:
+        _, mark, trail = snap
+        if trail is not self._trail:
+            raise ContractViolationError("snapshot belongs to a different context")
+        if mark > len(trail):
+            raise _stale()
+        return mark
 
     def restore(self, snap: tuple) -> None:
-        position, states, live = snap
-        if live is not self._live:
+        # The checks of _mark, inline: restore is on every failure path.
+        position, mark, trail = snap
+        if trail is not self._trail:
             raise ContractViolationError("snapshot belongs to a different context")
+        if len(trail) != mark:
+            if len(trail) < mark:
+                raise _stale()
+            while len(trail) > mark:
+                prior = trail.pop()
+                trail.pop().cell_restore(prior)
         self.position = position
-        for cell, s in zip(live, states):
-            cell.cell_restore(s)
+
+    def _entries(self, start: int) -> zip:
+        """The trail's (cell, prior version) pairs from index ``start``."""
+        trail = self._trail
+        return zip(trail[start::2], trail[start + 1::2])
+
+    def _first_entries(self, mark: int) -> dict:
+        """Each cell's first (cell, prior) entry after ``mark``, by id: the
+        version the cell had at the mark."""
+        first: dict = {}
+        for item in self._entries(mark):
+            first.setdefault(id(item[0]), item)
+        return first
 
     def diff(self, snap: tuple) -> AggregateDelta:
-        _, states, live = snap
-        if live is not self._live:
-            raise ContractViolationError("snapshot belongs to a different context")
-        return AggregateDelta(
-            self.position,
-            tuple([cell.cell_diff(s) for cell, s in zip(live, states)]),
-            live,
-        )
+        first = self._first_entries(self._mark(snap))
+        deltas = []
+        for cell in self._live:
+            item = first.get(id(cell))
+            prior = cell.cell_snapshot() if item is None else item[1]
+            deltas.append(cell.cell_diff(prior))
+        return AggregateDelta(self.position, tuple(deltas), self._trail)
 
     def merge(self, delta: AggregateDelta) -> None:
-        live = delta.registry
-        if live is not self._live:
+        if delta.registry is not self._trail:
             raise ContractViolationError("delta belongs to a different context")
-        self.position = delta.end_position
-        for cell, d in zip(live, delta.cells):
+        for cell, d in zip(self._live, delta.cells):
+            cell.record()
             cell.cell_merge(d)
+        self.position = delta.end_position
+
+    def _unchanged_after(self, mark: int) -> bool:
+        return not any(cell.cell_snapshot() != prior
+                       for cell, prior in self._first_entries(mark).values())
 
     def unchanged_since(self, snap: tuple) -> bool:
-        """True when position and every live cell still match the snapshot.
+        """True when position and every live cell still match the snapshot."""
+        mark = self._mark(snap)
+        return self.position == snap[0] and self._unchanged_after(mark)
 
-        Used by repetition combinators to detect iterations that succeed
-        while doing nothing at all, which would otherwise loop forever.
+    def end_iteration(self, entry: tuple, step: tuple, parser: Parser) -> None:
+        """Close a successful iteration of a repetition.
+
+        ``entry`` is the repetition's snapshot from before its first
+        iteration, ``step`` the one from before this iteration.  An
+        iteration that moved neither the position nor any live cell would
+        repeat forever, so it raises ContractViolationError.  Otherwise the
+        iteration's trail entries are folded into the entries kept since
+        ``entry``, keeping the first (oldest) version of each cell: restoring
+        ``entry`` or anything older needs nothing else, and the trail stays
+        within one entry per live cell per running repetition.
         """
-        position, states, live = snap
-        if live is not self._live:
-            raise ContractViolationError("snapshot belongs to a different context")
-        if self.position != position:
-            return False
-        for cell, s in zip(live, states):
-            if cell.cell_snapshot() != s:
-                return False
-        return True
+        position, mark, trail = step
+        if self.position == position and self._unchanged_after(mark):
+            raise ContractViolationError(
+                f"{parser!r} iteration succeeded without consuming input "
+                f"or changing state at position {position}"
+            )
+        if len(trail) > mark:
+            held = set(map(id, trail[entry[1]:mark:2]))
+            kept = []
+            for cell, prior in self._entries(mark):
+                if id(cell) not in held:
+                    held.add(id(cell))
+                    kept += (cell, prior)
+            trail[mark:] = kept
+
+
+def _stale() -> ContractViolationError:
+    return ContractViolationError("stale snapshot: the context has restored past it")
 
 
 class TracedContext(ParseContext):

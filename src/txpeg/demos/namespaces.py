@@ -7,8 +7,8 @@ ancestors), which stop being visible once the defining body ends.
 The combinators here keep that stack transactional while carving out
 scopes: :func:`new_type` registers names introduced by classes and
 aliases, :func:`scoped` drops the types a code block introduced,
-:func:`class_def` rebuilds the defining class's record from a diff of
-everything its body (and superclass) contributed, and :func:`class_guard`
+:func:`class_def` rebuilds the defining class's record from everything
+its body (and superclass) pushed, and :func:`class_guard`
 peeks ahead to steer the grammar by whether an identifier names a type.
 """
 
@@ -137,8 +137,9 @@ class ClassDef(Parser):
     class name below it, and the TypeStack top is the class's own empty
     record.  The body runs with the superclass's private classes made
     visible; afterwards everything pushed since entry — inherited plus
-    body-introduced — becomes the class's private-class list, and the
-    placeholder record is replaced by the finished one.
+    body-introduced — is taken off the stack as the class's private-class
+    list, and the placeholder record is replaced by the finished one.
+    Every change goes through the stack's own mutators, hence the trail.
 
     Inheriting from a class whose body we are inside is rejected here,
     before any state is touched.
@@ -160,17 +161,16 @@ class ClassDef(Parser):
                 f"class {name!r} cannot inherit from enclosing class {parent!r}",
             )
         types = ctx.state(TypeStack)
-        snap = types.cell_snapshot()
+        size = types.size
         enclosing.push(name)
         if parent is not None:
             inherit(ctx, parent)
         r = self.children[0].parse(ctx)
         if not r.ok:
-            types.cell_restore(snap)
+            types.truncate(size)
             enclosing.pop()
             return r
-        priv = types.cell_diff(snap)
-        types.cell_restore(snap)
+        priv = tuple(types.take_above(size))
         types.pop()
         types.push(TypeRecord(name, priv))
         enclosing.pop()

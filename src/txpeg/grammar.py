@@ -179,6 +179,9 @@ def run_parse(grammar: FrozenGrammar, text: str, partial: bool = False,
     root, and unless ``partial`` demands that the whole input was
     consumed.  With ``trace``, the context reports every transaction
     operation to it (:class:`~txpeg.core.TracedContext`).
+
+    Input nested past Python's recursion limit fails with the error
+    ``input nests too deeply``, located where the parse had got to.
     """
     cells = [factory() for factory in grammar.cell_factories]
     present = {type(c) for c in cells}
@@ -188,8 +191,11 @@ def run_parse(grammar: FrozenGrammar, text: str, partial: bool = False,
         cells.append(LeftRecTable())
     ctx = ParseContext(text, cells=cells, whitespace=grammar.whitespace,
                        trace=trace)
-    Whitespace().parse(ctx)
-    result = grammar.root_parser.parse(ctx)
+    try:
+        Whitespace().parse(ctx)
+        result = grammar.root_parser.parse(ctx)
+    except RecursionError:
+        return _failed(ctx, ctx.position, "input nests too deeply")
     if result.ok and (partial or ctx.position >= ctx.input_length):
         ast = ctx.state(AstStack)
         values = ast.values()
@@ -202,6 +208,10 @@ def run_parse(grammar: FrozenGrammar, text: str, partial: bool = False,
         position, message = result.position, result.message
     else:
         position, message = furthest
+    return _failed(ctx, position, message)
+
+
+def _failed(ctx: ParseContext, position: int, message: str) -> ParseOutcome:
     position = min(position, ctx.input_length)
     line, col = line_col(ctx.text, position)
     return ParseOutcome(

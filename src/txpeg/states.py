@@ -1,10 +1,12 @@
 """State cell strategies: ways of making mutable state transactional.
 
 Each class here implements the :class:`~txpeg.core.StateCell` contract with
-a different representation trade-off:
+a different representation trade-off.  Every version is immutable, so each
+mutator logs the version it replaces on the context's trail by reference,
+without copying, before it swaps in the new one:
 
-* :class:`CopyState` copies a small field record whole; snapshots are cheap
-  because the record is tiny.
+* :class:`CopyState` keeps a small field record and replaces it whole on
+  every change; snapshots are cheap because the record is tiny.
 * :class:`StackState` is a persistent linked stack; a snapshot is a node
   reference, a delta is the whole list, and merge replaces.
 * :class:`MonotonicStack` is the same structure with a stronger diff: the
@@ -204,8 +206,9 @@ _EMPTY_MAP = PersistentMap()
 class CopyState(StateCell):
     """A record of a few named fields, captured whole.
 
-    Snapshot and delta are both full copies of the (small) field dict, so
-    restore and merge simply swap the copy in.  Field values are assumed
+    The field dict is never changed in place: ``set`` swaps in an updated
+    copy of the (small) dict, so snapshot and delta are the dict itself and
+    restore and merge simply swap it back in.  Field values are assumed
     immutable; the copy is shallow.
     """
 
@@ -216,19 +219,24 @@ class CopyState(StateCell):
         return self._fields.get(name, default)
 
     def set(self, name: str, value: Any) -> None:
-        self._fields[name] = value
+        fields = self._fields
+        trail = self._trail
+        if trail is not None:
+            trail.append(self)
+            trail.append(fields)
+        self._fields = {**fields, name: value}
 
     def cell_snapshot(self):
-        return dict(self._fields)
+        return self._fields
 
     def cell_restore(self, snapshot) -> None:
-        self._fields = dict(snapshot)
+        self._fields = snapshot
 
     def cell_diff(self, snapshot):
-        return dict(self._fields)
+        return self._fields
 
     def cell_merge(self, delta) -> None:
-        self._fields = dict(delta)
+        self._fields = delta
 
     def summary(self) -> str:
         inner = ",".join(f"{k}={v!r}" for k, v in sorted(self._fields.items()))
@@ -259,16 +267,24 @@ class StackState(StateCell):
         for v in values:
             self.push(v)
 
+    def _set_top(self, node: Optional[_Node]) -> None:
+        # Every change of content goes through here, logging the old top.
+        trail = self._trail
+        if trail is not None:
+            trail.append(self)
+            trail.append(self._top)
+        self._top = node
+
     def push(self, value: Any) -> None:
-        self._top = _Node(value, self._top)
+        self._set_top(_Node(value, self._top))
 
     def pop(self) -> Any:
         """Remove and return the top value; None when empty."""
-        if self._top is None:
+        top = self._top
+        if top is None:
             return None
-        value = self._top.value
-        self._top = self._top.below
-        return value
+        self._set_top(top.below)
+        return top.value
 
     def peek(self, default: Any = None) -> Any:
         return default if self._top is None else self._top.value
@@ -324,15 +340,21 @@ class MonotonicStack(StackState):
 
     def truncate(self, size: int) -> None:
         """Pop down to ``size`` entries."""
-        while self._top is not None and self._top.depth > size:
-            self._top = self._top.below
+        node = self._top
+        while node is not None and node.depth > size:
+            node = node.below
+        if node is not self._top:
+            self._set_top(node)
 
     def take_above(self, size: int) -> list:
         """Pop everything above ``size`` entries, returned bottom to top."""
         out: list = []
-        while self._top is not None and self._top.depth > size:
-            out.append(self._top.value)
-            self._top = self._top.below
+        node = self._top
+        while node is not None and node.depth > size:
+            out.append(node.value)
+            node = node.below
+        if node is not self._top:
+            self._set_top(node)
         out.reverse()
         return out
 
@@ -349,8 +371,11 @@ class MonotonicStack(StackState):
         return tuple(out)
 
     def cell_merge(self, delta) -> None:
+        # A cell operation, like cell_restore: the context logs around it.
+        top = self._top
         for value in delta:
-            self.push(value)
+            top = _Node(value, top)
+        self._top = top
 
 
 class MapState(StateCell):
@@ -368,11 +393,19 @@ class MapState(StateCell):
     def get(self, key, default=None):
         return self._map.get(key, default)
 
+    def _swap(self, new: PersistentMap) -> None:
+        if new is not self._map:
+            trail = self._trail
+            if trail is not None:
+                trail.append(self)
+                trail.append(self._map)
+            self._map = new
+
     def put(self, key, value) -> None:
-        self._map = self._map.set(key, value)
+        self._swap(self._map.set(key, value))
 
     def remove(self, key) -> None:
-        self._map = self._map.delete(key)
+        self._swap(self._map.delete(key))
 
     def __contains__(self, key):
         return key in self._map

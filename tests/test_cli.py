@@ -96,6 +96,17 @@ def test_too_deep_an_ast_exits_three_with_one_line(tmp_path, capsys):
     assert "Traceback" not in out.err
 
 
+def test_too_deep_an_input_exits_one_with_a_located_diagnostic(tmp_path, capsys):
+    path = write(tmp_path, "<a>" * 400 + "</a>" * 400)
+    assert main(["--grammar", "tags", path]) == 1
+    out = capsys.readouterr()
+    assert out.out == ""
+    lines = out.err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith(f"{path}:1:")
+    assert lines[0].endswith(": input nests too deeply")
+
+
 def test_json_output_is_byte_stable_and_matches_the_fixture(tmp_path, capsys):
     fixture = FIXTURES / "examply" / "accept" / "r1_import_package.examply"
     runs = []

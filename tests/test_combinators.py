@@ -28,6 +28,9 @@ from txpeg.combinators import (
     zero_more,
 )
 from txpeg.core import ContractViolationError, ParseContext
+from txpeg.demos.examply import examply_grammar
+from txpeg.demos.smoke import tags_grammar
+from txpeg.grammar import run_parse
 from txpeg.states import StackState
 
 
@@ -147,6 +150,24 @@ def test_repetition_guard_catches_empty_iterations():
     ctx = ctx_for("aa")
     with pytest.raises(ContractViolationError):
         zero_more(opt(literal("a"))).parse(ctx)
+
+
+@pytest.mark.parametrize("make", [one_more, lambda p: until(p, literal(";"))],
+                         ids=["one_more", "until"])
+def test_repetition_guard_catches_zero_width_iterations(make):
+    ctx = ctx_for("ab")
+    with pytest.raises(ContractViolationError):
+        make(literal("")).parse(ctx)
+
+
+def test_repetition_guard_catches_a_push_undone_by_a_pop():
+    marks = Marks()
+    ctx = ctx_for("ab", marks)
+    # The iteration logs two changes on the trail, yet leaves the position
+    # and every cell as they were.
+    p = seq(perform(lambda c: marks.push("x")), perform(lambda c: marks.pop()))
+    with pytest.raises(ContractViolationError):
+        zero_more(p).parse(ctx)
 
 
 def test_repetition_with_state_only_progress_is_allowed():
@@ -343,3 +364,35 @@ def test_word_keeps_whitespace_failures_out_of_the_diagnostic():
     assert word("a").parse(ctx).ok
     assert ctx.position == 1
     assert ctx.furthest_failure() is None
+
+
+def _trail_lengths_per_iteration(monkeypatch, grammar, text):
+    """The trail length at every repetition step of one parse."""
+    seen = []
+    end_iteration = ParseContext.end_iteration
+
+    def spy(ctx, entry, step, parser):
+        end_iteration(ctx, entry, step, parser)
+        seen.append(ctx.snapshot()[1])
+
+    monkeypatch.setattr(ParseContext, "end_iteration", spy)
+    assert run_parse(grammar, text).success
+    monkeypatch.undo()
+    return seen
+
+
+@pytest.mark.parametrize("grammar, item", [
+    (tags_grammar, "<a><b></b></a>"),
+    (examply_grammar, "val v: Int = 1\n"),
+], ids=["tags", "examply"])
+def test_trail_does_not_grow_with_the_number_of_items(monkeypatch, grammar, item):
+    g = grammar()
+
+    def text(n):
+        body = item * n
+        return f"<r>{body}</r>" if grammar is tags_grammar else body
+
+    few = _trail_lengths_per_iteration(monkeypatch, g, text(5))
+    many = _trail_lengths_per_iteration(monkeypatch, g, text(200))
+    assert len(many) > len(few) > 0
+    assert max(many) == max(few)

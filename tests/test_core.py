@@ -4,7 +4,7 @@ import itertools
 
 import pytest
 
-from txpeg.combinators import perform, zero_more
+from txpeg.combinators import literal, perform, seq, zero_more
 from txpeg.core import (
     ConfigurationError,
     ContractViolationError,
@@ -12,6 +12,7 @@ from txpeg.core import (
     ParseContext,
     SENTINEL,
     SUCCESS,
+    StateCell,
     TracedContext,
 )
 from txpeg.states import CopyState, InertState, MonotonicStack, StackState
@@ -191,7 +192,9 @@ def test_traced_snapshot_round_trips_like_untraced():
         restored = (ctx.position, stack.values(), counter.get("n"))
         ctx.merge(delta)
         merged = (ctx.position, stack.values(), counter.get("n"))
-        seen.append((type(ctx), len(snap), len(snap[1]), restored, merged))
+        # The snapshot marks the trail after its one entry, the "keep"
+        # push as (cell, prior version); the inert cell is never logged.
+        seen.append((type(ctx), len(snap), snap[1], restored, merged))
     plain, traced = seen
     assert (plain[0], traced[0]) == (ParseContext, TracedContext)
     assert plain[1:] == traced[1:] == (3, 2, (0, ["keep"], 0), (4, ["drop", "keep"], 9))
@@ -283,3 +286,105 @@ def test_context_tracks_model_under_interleaving():
 
 def test_enumerate_logs_counts():
     assert len(enumerate_logs(("a", "b", "c"), 5)) == 364
+
+
+# ---------------------------------------------------------------------------
+# The undo trail.
+
+
+def test_untouched_cells_are_never_restored(monkeypatch):
+    stack, counter = AStack(), BCounter(n=0)
+    ctx = ParseContext("abcdef", cells=[stack, counter])
+    snap = ctx.snapshot()
+    stack.push("x")
+    restored = []
+    monkeypatch.setattr(BCounter, "cell_restore",
+                        lambda self, s: restored.append(s))
+    ctx.restore(snap)
+    assert (stack.values(), restored) == ([], [])
+
+
+def test_restoring_a_snapshot_past_the_trail_end_is_refused():
+    stack = AStack()
+    ctx = ParseContext("abc", cells=[stack])
+    outer = ctx.snapshot()
+    stack.push("x")
+    inner = ctx.snapshot()
+    ctx.restore(outer)
+    # ``inner`` was taken after ``outer``; rewinding to ``outer`` ended it.
+    for op in (ctx.restore, ctx.diff, ctx.unchanged_since):
+        with pytest.raises(ContractViolationError):
+            op(inner)
+    assert stack.values() == []
+
+
+def test_diff_sees_each_cell_as_it_was_at_the_snapshot():
+    stack, counter = AStack(), BCounter(n=0)
+    ctx = ParseContext("abcdef", cells=[stack, counter])
+    snap = ctx.snapshot()
+    for n in range(1, 4):
+        counter.set("n", n)
+        stack.push(n)
+    stack.pop()
+    delta = ctx.diff(snap)
+    ctx.restore(snap)
+    assert (stack.values(), counter.get("n")) == ([], 0)
+    ctx.merge(delta)
+    assert (stack.values(), counter.get("n")) == ([2, 1], 3)
+    assert not ctx.unchanged_since(snap)
+    ctx.restore(snap)
+    assert ctx.unchanged_since(snap)
+
+
+def test_loop_folding_keeps_every_older_snapshot_restorable():
+    stack, counter = AStack(), BCounter(n=0)
+    ctx = ParseContext("aaaa", cells=[stack, counter])
+    stack.push("before")
+    outer = ctx.snapshot()
+
+    def bump(ctx):
+        stack.push(ctx.position)
+        counter.set("n", counter.get("n") + 1)
+
+    item = seq(literal("a"), perform(bump))
+    assert zero_more(item).parse(ctx).ok
+    assert (stack.values(), counter.get("n")) == ([4, 3, 2, 1, "before"], 4)
+    # Four iterations, folded to one entry per cell.
+    assert ctx.snapshot()[1] - outer[1] == 4
+    ctx.restore(outer)
+    assert (ctx.position, stack.values(), counter.get("n")) == (0, ["before"], 0)
+
+
+class Tally(StateCell):
+    """A custom cell outside the strategies: logs through ``record``."""
+
+    def __init__(self):
+        self.count = 0
+
+    def bump(self):
+        self.record()
+        self.count += 1
+
+    def cell_snapshot(self):
+        return self.count
+
+    def cell_restore(self, snapshot):
+        self.count = snapshot
+
+    def cell_diff(self, snapshot):
+        return self.count
+
+    def cell_merge(self, delta):
+        self.count = delta
+
+
+def test_custom_cell_records_its_prior_version_before_a_change():
+    tally = Tally()
+    tally.bump()  # not registered yet: nothing is logged
+    ctx = ParseContext("ab", cells=[tally])
+    snap = ctx.snapshot()
+    tally.bump()
+    tally.bump()
+    assert (snap[1], ctx.snapshot()[1]) == (0, 4)
+    ctx.restore(snap)
+    assert tally.count == 1

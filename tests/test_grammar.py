@@ -6,9 +6,10 @@ from txpeg.combinators import (
     capture, char_pred, choice, literal, perform, seq, word, zero_more,
 )
 from txpeg.core import SUCCESS, ConfigurationError, ContractViolationError, Parser
-from txpeg.demos.examply import examply_cells
+from txpeg.demos.examply import examply_cells, examply_grammar
 from txpeg.demos.expr import expr_grammar
 from txpeg.demos.macro import composed_rules, macro_rules
+from txpeg.demos.smoke import tags_grammar
 from txpeg.grammar import GrammarDef, RuleRef, line_col, ref, run_parse
 from txpeg.leftrec import LeftRecTable
 from txpeg.states import CopyState
@@ -229,3 +230,26 @@ def test_left_rec_table_only_for_grammars_that_use_leftrec():
     outcome = run_parse(expr, "1-2-3", trace=lines.append)
     assert outcome.success
     assert lines and all("LeftRecTable" in line for line in lines)
+
+
+def nested_tags(depth: int) -> str:
+    return "<a>" * depth + "</a>" * depth
+
+
+def nested_funs(depth: int) -> str:
+    lines = ["    " * d + f"fun f{d}(): Int" for d in range(depth)]
+    return "\n".join(lines + ["    " * depth + "val x: Int = 1"]) + "\n"
+
+
+@pytest.mark.parametrize("grammar, text", [
+    (tags_grammar, nested_tags(400)),
+    (examply_grammar, nested_funs(80)),
+], ids=["tags", "examply"])
+def test_deep_nesting_fails_with_a_located_error(grammar, text):
+    # Past Python's recursion limit: a failed outcome, not a RecursionError.
+    outcome = run_parse(grammar(), text)
+    assert not outcome.success
+    err = outcome.error
+    assert err.message == "input nests too deeply"
+    assert 0 < err.position <= len(text)
+    assert (err.line, err.column) == line_col(text, err.position)
