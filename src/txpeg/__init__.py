@@ -8,8 +8,9 @@ corrupting anything.
 
 The interesting pieces:
 
-- :mod:`txpeg.core` — the parse context, the cell contract
-  (snapshot/restore/diff/merge), and the furthest-failure record.
+- :mod:`txpeg.core` — the parse context with its undo trail, the cell
+  contract (snapshot and restore, with whole-version diff and merge by
+  default), and the furthest-failure record.
 - :mod:`txpeg.states` — ready-made cell strategies: full-copy, persistent
   stacks, an append-only stack with graftable diffs, a persistent map,
   and an inert base for derived data.

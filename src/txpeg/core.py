@@ -21,8 +21,10 @@ position and the trail's length, and a restore pops the trail back to
 that length, handing each popped version back to its cell, so cells that
 nobody touched are never visited.  Repetitions fold each finished
 iteration's entries into one per cell, which keeps the trail as long as
-the nesting is deep, not as the input is long.  Cells whose class is not
-``transactional`` stay off the trail.  A context built with a ``trace``
+the nesting is deep, not as the input is long.  Diff and merge walk the
+same trail: a delta carries one entry per cell logged since its snapshot,
+and a cell that never logs (an :class:`~txpeg.states.InertState`) is never
+visited by any of these operations.  A context built with a ``trace``
 callable is a :class:`TracedContext`, which runs the same operations and
 reports each one.
 """
@@ -105,26 +107,27 @@ class StateCell:
     """A unit of mutable parse state.
 
     Subclasses hold whatever content they like and expose it through their
-    own mutators; the four ``cell_*`` methods below are how the context
-    rolls that content back and forth.  The contract: for any run of
-    mutations, ``s = cell_snapshot(); ...mutations...; d = cell_diff(s);
-    cell_restore(s); cell_merge(d)`` must leave the observable content as
-    it was after the mutations (subject to each cell's documented
-    ``cell_diff`` precondition).
+    own mutators; the ``cell_*`` methods below are how the context rolls
+    that content back and forth.  Two are required: ``cell_snapshot``
+    returns the current version and ``cell_restore`` reinstates one.  The
+    other two have defaults that treat a whole version as the delta:
+    ``cell_diff`` returns the current version and ``cell_merge`` restores
+    it.  A cell overrides them only for a finer delta, as
+    :class:`~txpeg.states.MonotonicStack` does.  The contract: for any run
+    of mutations, ``s = cell_snapshot(); ...mutations...; d =
+    cell_diff(s); cell_restore(s); cell_merge(d)`` must leave the
+    observable content as it was after the mutations (subject to each
+    cell's documented ``cell_diff`` precondition).
 
     A context rolls cells back through its trail, so every mutator must
     log the cell's prior version there first, by calling :meth:`record`
     before it changes the content.  The strategies in :mod:`txpeg.states`
     log their own changes, so a cell that subclasses one of them and
     changes its content only through the inherited mutators needs nothing
-    more.  A change that is not logged survives backtracking.
-
-    A class whose four operations are no-ops sets ``transactional`` to
-    False; the context then leaves its instances off the trail and out of
-    every aggregate operation.
+    more.  A change that is not logged survives backtracking, and a cell
+    that never logs is never visited by the context.
     """
 
-    transactional = True
     #: The trail of the context the cell is registered with; None while the
     #: cell stands alone, when mutations are not logged.
     _trail: Optional[list] = None
@@ -143,10 +146,10 @@ class StateCell:
         raise NotImplementedError
 
     def cell_diff(self, snapshot):
-        raise NotImplementedError
+        return self.cell_snapshot()
 
     def cell_merge(self, delta) -> None:
-        raise NotImplementedError
+        self.cell_restore(delta)
 
     def summary(self) -> str:
         """One short token describing the content, for trace logs."""
@@ -155,9 +158,9 @@ class StateCell:
 
 @dataclass(frozen=True)
 class AggregateDelta:
-    """The work done since a snapshot: end position plus one delta per
-    live cell, in registry order; ``registry`` is the context's trail,
-    which tags the delta as that context's own."""
+    """The work done since a snapshot: end position plus a (cell, delta)
+    pair for each cell logged on the trail since then; ``registry`` is the
+    context's trail, which tags the delta as that context's own."""
 
     end_position: int
     cells: tuple
@@ -216,7 +219,9 @@ class ParseContext:
 
     The cell registry is fixed at construction; cells are looked up by
     their exact class, so a grammar addresses "the indentation stack" as
-    ``ctx.state(IndentStack)``.  The furthest-failure record is
+    ``ctx.state(IndentStack)``.  Registering a cell binds it to the
+    context's trail, which every transaction operation walks; the registry
+    itself is only for lookup.  The furthest-failure record is
     deliberately outside the transaction: backtracking must not erase the
     best diagnostic seen so far.
 
@@ -249,10 +254,8 @@ class ParseContext:
             if t in self._by_type:
                 raise ConfigurationError(f"duplicate state cell class {t.__name__}")
             self._by_type[t] = cell
-        # The cells the aggregate operations visit; each logs its changes
-        # on this context's trail from now on.
-        self._live = [c for c in self._cells if c.transactional]
-        for cell in self._live:
+        # Each cell logs its changes on this context's trail from now on.
+        for cell in self._cells:
             cell._trail = self._trail
         # Furthest failure: (position, message or factory), never restored.
         self.furthest: Optional[tuple] = None
@@ -346,18 +349,14 @@ class ParseContext:
         return first
 
     def diff(self, snap: tuple) -> AggregateDelta:
-        first = self._first_entries(self._mark(snap))
-        deltas = []
-        for cell in self._live:
-            item = first.get(id(cell))
-            prior = cell.cell_snapshot() if item is None else item[1]
-            deltas.append(cell.cell_diff(prior))
-        return AggregateDelta(self.position, tuple(deltas), self._trail)
+        first = self._first_entries(self._mark(snap)).values()
+        cells = tuple((cell, cell.cell_diff(prior)) for cell, prior in first)
+        return AggregateDelta(self.position, cells, self._trail)
 
     def merge(self, delta: AggregateDelta) -> None:
         if delta.registry is not self._trail:
             raise ContractViolationError("delta belongs to a different context")
-        for cell, d in zip(self._live, delta.cells):
+        for cell, d in delta.cells:
             cell.record()
             cell.cell_merge(d)
         self.position = delta.end_position
@@ -367,7 +366,8 @@ class ParseContext:
                        for cell, prior in self._first_entries(mark).values())
 
     def unchanged_since(self, snap: tuple) -> bool:
-        """True when position and every live cell still match the snapshot."""
+        """True when the position and every cell logged since the snapshot
+        still match it."""
         mark = self._mark(snap)
         return self.position == snap[0] and self._unchanged_after(mark)
 
@@ -376,12 +376,12 @@ class ParseContext:
 
         ``entry`` is the repetition's snapshot from before its first
         iteration, ``step`` the one from before this iteration.  An
-        iteration that moved neither the position nor any live cell would
+        iteration that moved neither the position nor any logged cell would
         repeat forever, so it raises ContractViolationError.  Otherwise the
         iteration's trail entries are folded into the entries kept since
         ``entry``, keeping the first (oldest) version of each cell: restoring
         ``entry`` or anything older needs nothing else, and the trail stays
-        within one entry per live cell per running repetition.
+        within one entry per logged cell per running repetition.
         """
         position, mark, trail = step
         if self.position == position and self._unchanged_after(mark):

@@ -105,10 +105,14 @@ def keyword(s: str) -> Parser:
                whitespace())
 
 
+def _not_keyword() -> Parser:
+    """Succeeds, consuming nothing, unless a keyword starts here."""
+    return not_(choice(*[keyword(k) for k in KEYWORDS]))
+
+
 def iden_token() -> Parser:
     """An identifier token: pushed as a string, keywords excluded."""
-    return seq(not_(choice(*[keyword(k) for k in KEYWORDS])),
-               capture(raw_iden()), whitespace())
+    return seq(_not_keyword(), capture(raw_iden()), whitespace())
 
 
 def _is_visible_type(ctx) -> bool:
@@ -122,7 +126,7 @@ def type_name() -> Parser:
     Visibility is checked before the trailing whitespace is consumed so a
     failure points at the identifier, not at the next token.
     """
-    return seq(not_(choice(*[keyword(k) for k in KEYWORDS])),
+    return seq(_not_keyword(),
                capture(raw_iden()),
                predicate(
                    _is_visible_type,

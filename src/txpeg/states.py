@@ -3,7 +3,10 @@
 Each class here implements the :class:`~txpeg.core.StateCell` contract with
 a different representation trade-off.  Every version is immutable, so each
 mutator logs the version it replaces on the context's trail by reference,
-without copying, before it swaps in the new one:
+without copying, before it swaps in the new one.  The mutators append to
+the trail inline rather than through ``StateCell.record``, which saves a
+call on the hottest paths.  All but :class:`MonotonicStack` keep the
+default diff and merge, where the delta is the whole current version:
 
 * :class:`CopyState` keeps a small field record and replaces it whole on
   every change; snapshots are cheap because the record is tiny.
@@ -14,9 +17,9 @@ without copying, before it swaps in the new one:
   grafted onto another stack later.
 * :class:`MapState` is a persistent hash-array-mapped-trie map; versions
   share structure, and diff/merge treat the content as one unit.
-* :class:`InertState` ignores the transaction machinery entirely: its
-  content survives backtracking, which is exactly right for caches and
-  per-parse indexes, and the context never visits it.
+* :class:`InertState` ignores the transaction machinery entirely: it never
+  logs, so its content survives backtracking, which is exactly right for
+  caches and per-parse indexes, and the context never visits it.
 """
 
 from __future__ import annotations
@@ -232,12 +235,6 @@ class CopyState(StateCell):
     def cell_restore(self, snapshot) -> None:
         self._fields = snapshot
 
-    def cell_diff(self, snapshot):
-        return self._fields
-
-    def cell_merge(self, delta) -> None:
-        self._fields = delta
-
     def summary(self) -> str:
         inner = ",".join(f"{k}={v!r}" for k, v in sorted(self._fields.items()))
         return f"{type(self).__name__}({inner})"
@@ -309,12 +306,6 @@ class StackState(StateCell):
 
     def cell_restore(self, snapshot) -> None:
         self._top = snapshot
-
-    def cell_diff(self, snapshot):
-        return self._top
-
-    def cell_merge(self, delta) -> None:
-        self._top = delta
 
     def summary(self) -> str:
         return f"{type(self).__name__}(depth={self.size})"
@@ -423,12 +414,6 @@ class MapState(StateCell):
     def cell_restore(self, snapshot) -> None:
         self._map = snapshot
 
-    def cell_diff(self, snapshot):
-        return self._map
-
-    def cell_merge(self, delta) -> None:
-        self._map = delta
-
     def summary(self) -> str:
         return f"{type(self).__name__}(size={len(self._map)})"
 
@@ -438,22 +423,14 @@ class InertState(StateCell):
 
     Whatever a subclass stores survives backtracking untouched.  Right for
     content that is computed once and then only read, or for deliberate
-    escape hatches such as logs and caches.  The class is not
-    ``transactional``, so the context leaves its instances out of
-    snapshots, restores, diffs and merges altogether; the no-op methods
-    remain for code that drives a cell directly.
+    escape hatches such as logs and caches.  The class never logs on the
+    trail, so the context leaves its instances out of snapshots, restores,
+    diffs and merges altogether; the no-op methods remain for code that
+    drives a cell directly.
     """
-
-    transactional = False
 
     def cell_snapshot(self):
         return None
 
     def cell_restore(self, snapshot) -> None:
-        pass
-
-    def cell_diff(self, snapshot):
-        return None
-
-    def cell_merge(self, delta) -> None:
         pass

@@ -4,7 +4,19 @@ import itertools
 
 import pytest
 
-from txpeg.combinators import literal, perform, seq, zero_more
+from txpeg.combinators import (
+    build,
+    capture,
+    char_pred,
+    choice,
+    literal,
+    node,
+    one_more,
+    perform,
+    seq,
+    word,
+    zero_more,
+)
 from txpeg.core import (
     ConfigurationError,
     ContractViolationError,
@@ -15,6 +27,8 @@ from txpeg.core import (
     StateCell,
     TracedContext,
 )
+from txpeg.grammar import GrammarDef, ref, run_parse
+from txpeg.leftrec import leftrec
 from txpeg.states import CopyState, InertState, MonotonicStack, StackState
 from support import enumerate_logs
 
@@ -388,3 +402,82 @@ def test_custom_cell_records_its_prior_version_before_a_change():
     assert (snap[1], ctx.snapshot()[1]) == (0, 4)
     ctx.restore(snap)
     assert tally.count == 1
+
+
+class Level(StateCell):
+    """A custom cell with only the two required operations."""
+
+    def __init__(self):
+        self.level = 0
+
+    def raise_to(self, level):
+        self.record()
+        self.level = level
+
+    def cell_snapshot(self):
+        return self.level
+
+    def cell_restore(self, snapshot):
+        self.level = snapshot
+
+
+def test_cell_with_only_snapshot_and_restore_round_trips():
+    level = Level()
+    ctx = ParseContext("ab", cells=[level])
+    snap = ctx.snapshot()
+    ctx.position = 1
+    level.raise_to(3)
+    delta = ctx.diff(snap)
+    ctx.restore(snap)
+    assert (ctx.position, level.level) == (0, 0)
+    ctx.merge(delta)
+    assert (ctx.position, level.level) == (1, 3)
+    ctx.restore(snap)
+    assert (ctx.position, level.level) == (0, 0)
+
+
+def test_merge_logs_exactly_the_cells_the_delta_carries():
+    stack, counter = AStack(), BCounter(n=0)
+    ctx = ParseContext("abc", cells=[stack, counter])
+    snap = ctx.snapshot()
+    stack.push("x")
+    stack.push("y")
+    delta = ctx.diff(snap)
+    assert [cell for cell, _ in delta.cells] == [stack]
+    ctx.restore(snap)
+    counter.set("n", 5)
+    before = ctx.snapshot()
+    ctx.merge(delta)
+    # One (cell, prior version) entry, the stack's; the counter keeps the
+    # value it was given after the diff.
+    assert ctx.snapshot()[1] - before[1] == 2
+    assert (stack.values(), counter.get("n")) == (["y", "x"], 5)
+    ctx.restore(before)
+    assert (stack.values(), counter.get("n")) == ([], 5)
+
+
+class Flag(CopyState):
+    def __init__(self):
+        super().__init__(up=False)
+
+
+def test_merging_a_seed_keeps_what_the_body_did_before_recursing():
+    # The body raises the flag before its left-recursive call, and the seed
+    # that call merges (a bare number) never touched the flag, so merging
+    # it must leave the flag raised.
+    def raise_flag(ctx):
+        ctx.state(Flag).set("up", True)
+
+    seen = []
+    number = build(capture(one_more(char_pred(str.isdigit, "digit"))), 1, node("num"))
+    rules = {
+        "top": seq(ref("e"), perform(lambda ctx: seen.append(ctx.state(Flag).get("up")))),
+        "e": leftrec(choice(
+            build(seq(perform(raise_flag), ref("e"), word("-"), number), 2, node("sub")),
+            number,
+        )),
+    }
+    grammar = GrammarDef(rules, "top", cells=(Flag,)).freeze()
+    out = run_parse(grammar, "1-2-3")
+    assert out.success
+    assert seen == [True]
