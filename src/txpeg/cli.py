@@ -3,11 +3,12 @@
 Exit status: 0 when the parse succeeds, 1 when it fails (with a
 ``path:line:col: message`` diagnostic on stderr; input nested past
 Python's recursion limit fails this way too, with the message ``input
-nests too deeply``), 2 for usage errors or an unreadable input, 3 when the
-parsed AST nests too deeply to print (Python's recursion limit), with one
-``path: input nests too deeply`` line on stderr.  On success the AST goes
-to stdout, either as an indented tree or as deterministic JSON; the JSON
-form doubles as the fixture format for expected-output files.
+nests too deeply``), 2 for usage errors or an input that cannot be read
+or is not UTF-8, 3 when the parsed AST nests too deeply to print
+(Python's recursion limit), with one ``path: input nests too deeply``
+line on stderr.  On success the AST goes to stdout, either as an indented
+tree or as deterministic JSON; the JSON form doubles as the fixture format
+for expected-output files.
 """
 
 from __future__ import annotations
@@ -115,6 +116,11 @@ def main(argv: Optional[list] = None) -> int:
         text = _read_input(config.input)
     except OSError as exc:
         print(f"cannot read {config.input}: {exc.strerror or exc}",
+              file=sys.stderr)
+        return 2
+    except UnicodeDecodeError as exc:
+        print(f"cannot read {config.input}: not UTF-8 "
+              f"(byte 0x{exc.object[exc.start]:02x} at offset {exc.start})",
               file=sys.stderr)
         return 2
 

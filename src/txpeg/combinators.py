@@ -532,87 +532,28 @@ class OptValue(Parser):
 
 
 # ---------------------------------------------------------------------------
-# Factory surface.  Grammars read better built from functions.
+# Factory surface.  Grammars read better in lowercase; each name is the
+# class itself, so ``seq(a, b)`` builds a :class:`Seq` with no wrapper call.
 
-
-def seq(*children: Parser) -> Parser:
-    return Seq(*children)
-
-
-def choice(*children: Parser) -> Parser:
-    return Choice(*children)
-
-
-def opt(child: Parser) -> Parser:
-    return Opt(child)
-
-
-def zero_more(child: Parser) -> Parser:
-    return ZeroMore(child)
-
-
-def one_more(child: Parser) -> Parser:
-    return OneMore(child)
-
-
-def until(item: Parser, terminator: Parser) -> Parser:
-    return Until(item, terminator)
-
-
-def ahead(child: Parser) -> Parser:
-    return Ahead(child)
-
-
-def not_(child: Parser) -> Parser:
-    return Not(child)
-
-
-def char_pred(pred: Callable[[str], bool], label: Optional[str] = None) -> Parser:
-    return CharPred(pred, label)
-
-
-def literal(string: str) -> Parser:
-    return Literal(string)
-
-
-def word(string: str) -> Parser:
-    return Word(string)
-
-
-def end_of_input() -> Parser:
-    return EndOfInput()
-
-
-def whitespace() -> Parser:
-    return Whitespace()
-
-
-def predicate(cond, message="condition not met") -> Parser:
-    return Predicate(cond, message)
-
-
-def perform(effect) -> Parser:
-    return Perform(effect)
-
-
-def and_do(child: Parser, effect) -> Parser:
-    return AndDo(child, effect)
-
-
-def capture(child: Parser) -> Parser:
-    return Capture(child)
-
-
-def collect(child: Parser) -> Parser:
-    return Collect(child)
-
-
-def build(child: Parser, arity: int, make) -> Parser:
-    return Build(child, arity, make)
-
-
-def opt_value(child: Parser) -> Parser:
-    return OptValue(child)
-
+seq = Seq
+choice = Choice
+opt = Opt
+zero_more = ZeroMore
+one_more = OneMore
+until = Until
+ahead = Ahead
+not_ = Not
+char_pred = CharPred
+literal = Literal
+word = Word
+end_of_input = EndOfInput
+whitespace = Whitespace
+predicate = Predicate
+perform = Perform
+and_do = AndDo
+capture = Capture
+collect = Collect
+build = Build
+opt_value = OptValue
 
 DEFAULT_WHITESPACE = ZeroMore(CharPred(str.isspace, "whitespace"))

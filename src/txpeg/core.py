@@ -197,7 +197,8 @@ class Parser:
         return not self.children or any(child_nullable(c) for c in self.children)
 
     def left_children(self, nullable: Callable[["Parser"], bool]) -> tuple:
-        """The children this parser can invoke at its own entry position."""
+        """The children this parser can invoke at its own entry position;
+        ``LeftRec``, which allows its own re-entry, returns none."""
         return self.children
 
     def __copy__(self):

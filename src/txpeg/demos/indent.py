@@ -3,10 +3,11 @@
 Two cells cooperate.  :class:`IndentMap` is inert, derived data: a per-line
 table of indentation widths (tabs expanded to stops at multiples of 4) and
 of the offset where each line's indentation ends, filled once at parse
-start by the :func:`build_indent_map` parser.  :class:`IndentStack` is live
-state: the indentation widths of the enclosing blocks, pushed by
-:func:`indent` and popped by :func:`dedent`, and therefore restored
-automatically whenever the parse backtracks out of a block.
+start by :func:`build_indent_map`, a ``perform`` effect.
+:class:`IndentStack` is live state: the indentation widths of the
+enclosing blocks, pushed by :func:`indent` and popped by :func:`dedent`
+(parser classes, each a check and an effect in one step), and therefore
+restored automatically whenever the parse backtracks out of a block.
 
 The token layer consumes newlines as ordinary whitespace; line structure
 is recovered from the map, not from the character stream.  :func:`newline`
@@ -20,7 +21,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 
-from ..combinators import predicate
+from ..combinators import perform, predicate
 from ..core import SUCCESS, ParseContext, Parser, ParseResult
 from ..states import InertState, StackState
 
@@ -47,13 +48,13 @@ class IndentEntry:
     end: int
 
 
-def build_indent_table(text: str, tab: int = TAB_WIDTH) -> tuple[list[IndentEntry], list[int]]:
+def build_indent_table(text: str) -> tuple[list[IndentEntry], list[int]]:
     """Per-line indentation entries plus line start offsets.
 
     Splits on newline only; every other character, the position sentinel
     included, belongs to its line.  A line's count is the length of its
     space/tab prefix after expanding tabs to stops at multiples of
-    ``tab``; its end is the absolute offset just past that prefix.
+    :data:`TAB_WIDTH`; its end is the absolute offset just past that prefix.
     """
     entries: list[IndentEntry] = []
     starts: list[int] = []
@@ -64,7 +65,7 @@ def build_indent_table(text: str, tab: int = TAB_WIDTH) -> tuple[list[IndentEntr
         while i < len(line) and line[i] in " \t":
             i += 1
         prefix = line[:i]
-        entries.append(IndentEntry(len(prefix.expandtabs(tab)), pos + i))
+        entries.append(IndentEntry(len(prefix.expandtabs(TAB_WIDTH)), pos + i))
         pos += len(line) + 1
     return entries, starts
 
@@ -80,8 +81,8 @@ class IndentMap(InertState):
         self.entries: list[IndentEntry] = []
         self._starts: list[int] = []
 
-    def build(self, text: str, tab: int = TAB_WIDTH) -> None:
-        self.entries, self._starts = build_indent_table(text, tab)
+    def build(self, text: str) -> None:
+        self.entries, self._starts = build_indent_table(text)
 
     def line_of(self, offset: int) -> int:
         return bisect_right(self._starts, offset) - 1
@@ -96,14 +97,6 @@ class IndentStack(StackState):
 
 def _current_count(ctx: ParseContext) -> int:
     return ctx.state(IndentMap).entry_at(ctx.position).count
-
-
-class BuildIndentMap(Parser):
-    """Fill the indentation map from the whole input; never moves."""
-
-    def parse(self, ctx: ParseContext) -> ParseResult:
-        ctx.state(IndentMap).build(ctx.text)
-        return SUCCESS
 
 
 class Indent(Parser):
@@ -133,16 +126,17 @@ class Dedent(Parser):
                         lambda: f"expecting indentation < {old} positions")
 
 
+def _fill_indent_map(ctx: ParseContext) -> None:
+    ctx.state(IndentMap).build(ctx.text)
+
+
 def build_indent_map() -> Parser:
-    return BuildIndentMap()
+    """Fill the indentation map from the whole input; never moves."""
+    return perform(_fill_indent_map)
 
 
-def indent() -> Parser:
-    return Indent()
-
-
-def dedent() -> Parser:
-    return Dedent()
+indent = Indent
+dedent = Dedent
 
 
 def _at_line_start(ctx: ParseContext) -> bool:

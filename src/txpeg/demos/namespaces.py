@@ -5,11 +5,12 @@ the type's private classes (its inner classes and those of its
 ancestors), which stop being visible once the defining body ends.
 
 The combinators here keep that stack transactional while carving out
-scopes: :func:`new_type` registers names introduced by classes and
-aliases, :func:`scoped` drops the types a code block introduced,
-:func:`class_def` rebuilds the defining class's record from everything
-its body (and superclass) pushed, and :func:`class_guard`
+scopes: :func:`new_type` (an ``and_do`` effect) registers names introduced
+by classes and aliases, :func:`scoped` drops the types a code block
+introduced, :func:`class_def` rebuilds the defining class's record from
+everything its body (and superclass) pushed, and :func:`class_guard`
 peeks ahead to steer the grammar by whether an identifier names a type.
+Only the two that need state from before their child runs are classes.
 """
 
 from __future__ import annotations
@@ -17,15 +18,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from ..combinators import ahead, ast_stack, predicate, seq
+from ..combinators import ahead, and_do, ast_stack, perform, predicate, seq
 from ..core import SUCCESS, ContractViolationError, ParseContext, Parser, ParseResult
 from ..states import MonotonicStack, StackState
 
 __all__ = [
-    "AnonClassInherit",
     "ClassDef",
     "EnclosingClasses",
-    "NewType",
     "Scoped",
     "TypeRecord",
     "TypeStack",
@@ -86,33 +85,27 @@ def _expect_name(value, what: str) -> str:
     return value
 
 
-class NewType(Parser):
+def _register_type(ctx: ParseContext) -> None:
+    name = _expect_name(ast_stack(ctx).at(0), "type registration")
+    ctx.state(TypeStack).push(TypeRecord(name))
+
+
+def _register_alias(ctx: ParseContext) -> None:
+    # The AST stack holds the aliased name on top and the new name below.
+    ast = ast_stack(ctx)
+    source = _expect_name(ast.at(0), "alias registration")
+    name = _expect_name(ast.at(1), "alias registration")
+    ctx.state(TypeStack).push(TypeRecord(name, priv_of(ctx, source)))
+
+
+def new_type(child: Parser, alias: bool = False) -> Parser:
     """Register the identifier the child just pushed as a type.
 
-    In alias mode the AST stack holds (aliased name on top, new name
-    below); the new name starts out with the aliased type's private
-    classes.  A plain introduction reads the top and starts empty: a
-    class's own record is completed later by :class:`ClassDef`.
+    In alias mode the new name starts out with the aliased type's private
+    classes; a plain introduction starts empty, and a class's own record
+    is completed later by :class:`ClassDef`.
     """
-
-    def __init__(self, child: Parser, alias: bool = False):
-        self.children = (child,)
-        self.alias = alias
-
-    def parse(self, ctx: ParseContext) -> ParseResult:
-        r = self.children[0].parse(ctx)
-        if not r.ok:
-            return r
-        ast = ast_stack(ctx)
-        if self.alias:
-            source = _expect_name(ast.at(0), "alias registration")
-            name = _expect_name(ast.at(1), "alias registration")
-            priv = priv_of(ctx, source)
-        else:
-            name = _expect_name(ast.at(0), "type registration")
-            priv = ()
-        ctx.state(TypeStack).push(TypeRecord(name, priv))
-        return SUCCESS
+    return and_do(child, _register_alias if alias else _register_type)
 
 
 class Scoped(Parser):
@@ -177,34 +170,22 @@ class ClassDef(Parser):
         return SUCCESS
 
 
-class AnonClassInherit(Parser):
-    """Open a superclass's private classes for an anonymous class body.
-
-    Zero-width; reads the superclass name one below the AST stack top (the
-    argument list sits on top by the time the body starts).  No record is
-    created: the anonymous class has no name to bind.
-    """
-
-    def parse(self, ctx: ParseContext) -> ParseResult:
-        name = _expect_name(ast_stack(ctx).at(1), "anonymous class body")
-        inherit(ctx, name)
-        return SUCCESS
-
-
-def new_type(child: Parser, alias: bool = False) -> Parser:
-    return NewType(child, alias)
-
-
-def scoped(child: Parser) -> Parser:
-    return Scoped(child)
-
-
-def class_def(body: Parser) -> Parser:
-    return ClassDef(body)
+def _inherit_from_superclass(ctx: ParseContext) -> None:
+    # The argument list sits on top by the time the body starts.
+    inherit(ctx, _expect_name(ast_stack(ctx).at(1), "anonymous class body"))
 
 
 def anon_class_inherit() -> Parser:
-    return AnonClassInherit()
+    """Open a superclass's private classes for an anonymous class body.
+
+    Zero-width; reads the superclass name one below the AST stack top.
+    No record is created: the anonymous class has no name to bind.
+    """
+    return perform(_inherit_from_superclass)
+
+
+scoped = Scoped
+class_def = ClassDef
 
 
 def _top_names_a_type(ctx: ParseContext) -> bool:

@@ -61,8 +61,7 @@ class RuleRef(Parser):
         return f"ref({self.name!r})"
 
 
-def ref(name: str) -> RuleRef:
-    return RuleRef(name)
+ref = RuleRef
 
 
 class FrozenGrammar:

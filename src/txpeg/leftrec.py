@@ -91,9 +91,11 @@ class LeftRec(Parser):
         table.remove(key)
         return SUCCESS
 
+    def left_children(self, nullable) -> tuple:
+        return ()
 
-def leftrec(child: Parser) -> Parser:
-    return LeftRec(child)
+
+leftrec = LeftRec
 
 
 # ---------------------------------------------------------------------------
@@ -105,10 +107,10 @@ def leftrec(child: Parser) -> Parser:
 # children it can invoke at its own entry position.  Each parser class
 # states both facts the check needs through its own hooks,
 # Parser.nullable and Parser.left_children: sequences contribute edges up
-# to and including their first non-nullable element, everything else all
-# of its children.  The check runs over the private copy of the graph
-# that freeze builds.  LeftRec nodes are excised before looking for
-# cycles, which is exactly what "annotated" means.
+# to and including their first non-nullable element, LeftRec none at all
+# (so no cycle can pass through one, which is exactly what "annotated"
+# means), everything else all of its children.  The check runs over the
+# private copy of the graph that freeze builds.
 
 
 def _nullability(nodes: list[Parser]) -> Callable[[Parser], bool]:
@@ -146,7 +148,7 @@ def check_recursion_annotated(rules: dict[str, Parser],
     WHITE, GRAY, BLACK = 0, 1, 2
     color = {id(p): WHITE for p in nodes}
     for start in nodes:
-        if color[id(start)] != WHITE or isinstance(start, LeftRec):
+        if color[id(start)] != WHITE:
             continue
         # Iterative DFS; the stack's parsers are the gray path, kept for
         # cycle reporting.
@@ -157,8 +159,6 @@ def check_recursion_annotated(rules: dict[str, Parser],
         while stack:
             parent, children = stack[-1]
             for child in children:
-                if isinstance(child, LeftRec):
-                    continue
                 c = color[id(child)]
                 if c == GRAY:
                     # Every cycle passes through a reference, hence a rule

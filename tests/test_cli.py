@@ -155,3 +155,21 @@ def test_dump_ast_handles_every_leaf_shape():
     data = json.loads(dump_ast(ast, "json"))
     assert data[0]["children"][1] is None
     assert ast_from_data(data) == ast
+
+
+def test_non_utf8_file_exits_two_with_the_offending_byte(tmp_path, capsys):
+    path = tmp_path / "bad.tags"
+    path.write_bytes(b"<a>\xff</a>")
+    assert main(["--grammar", "tags", str(path)]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == f"cannot read {path}: not UTF-8 (byte 0xff at offset 3)\n"
+
+
+def test_non_utf8_stdin_exits_two_with_the_offending_byte(capsys, monkeypatch):
+    stdin = io.TextIOWrapper(io.BytesIO(b"<a>\xff</a>"), encoding="utf-8")
+    monkeypatch.setattr("sys.stdin", stdin)
+    assert main(["--grammar", "tags", "-"]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == "cannot read -: not UTF-8 (byte 0xff at offset 3)\n"
