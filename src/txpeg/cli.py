@@ -6,9 +6,13 @@ Python's recursion limit fails this way too, with the message ``input
 nests too deeply``), 2 for usage errors or an input that cannot be read
 or is not UTF-8, 3 when the parsed AST nests too deeply to print
 (Python's recursion limit), with one ``path: input nests too deeply``
-line on stderr.  On success the AST goes to stdout, either as an indented
-tree or as deterministic JSON; the JSON form doubles as the fixture format
-for expected-output files.
+line on stderr, 4 when the grammar or a state cell breaks the library's
+contract during the parse (a ``ContractViolationError`` or
+``ConfigurationError``), with one ``path: internal error: message`` line
+on stderr.  Input is decoded as strict UTF-8 with universal newlines,
+from a file and from stdin alike.  On success the AST goes to stdout,
+either as an indented tree or as deterministic JSON; the JSON form
+doubles as the fixture format for expected-output files.
 """
 
 from __future__ import annotations
@@ -19,6 +23,7 @@ import sys
 from typing import Callable, Optional
 
 from .combinators import AstNode
+from .core import ConfigurationError, ContractViolationError
 from .demos.examply import examply_grammar
 from .demos.expr import expr_grammar
 from .demos.smoke import anbncn_grammar, tags_grammar
@@ -86,10 +91,17 @@ def dump_ast(ast: list, fmt: str) -> str:
 
 
 def _read_input(path: str) -> str:
+    # Bytes, so stdin decodes as strictly as a file whatever the locale;
+    # a stdin without a byte buffer (a StringIO, say) is read as text.
     if path == "-":
-        return sys.stdin.read()
-    with open(path, encoding="utf-8") as handle:
-        return handle.read()
+        buffer = getattr(sys.stdin, "buffer", None)
+        if buffer is None:
+            return sys.stdin.read()
+        data = buffer.read()
+    else:
+        with open(path, "rb") as handle:
+            data = handle.read()
+    return data.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
 
 
 def main(argv: Optional[list] = None) -> int:
@@ -128,7 +140,11 @@ def main(argv: Optional[list] = None) -> int:
     if config.trace_state:
         trace = lambda line: print(line, file=sys.stderr)
 
-    outcome = run_parse(grammar, text, partial=config.partial, trace=trace)
+    try:
+        outcome = run_parse(grammar, text, partial=config.partial, trace=trace)
+    except (ContractViolationError, ConfigurationError) as exc:
+        print(f"{config.input}: internal error: {exc}", file=sys.stderr)
+        return 4
     if not outcome.success:
         err = outcome.error
         print(f"{config.input}:{err.line}:{err.column}: {err.message}",

@@ -11,6 +11,17 @@ introduced, :func:`class_def` rebuilds the defining class's record from
 everything its body (and superclass) pushed, and :func:`class_guard`
 peeks ahead to steer the grammar by whether an identifier names a type.
 Only the two that need state from before their child runs are classes.
+
+Lookups go through a name index that sits beside the stack: for each
+name, the records that bear it on one stack version, topmost first.  The
+index is derived data.  It remembers which top node it describes, is
+checked against the live top by identity on every lookup, and is never
+logged on the trail, so restores, truncations, merges and every other
+change of the stack need no hook: a lookup that finds the top moved
+walks both versions down to their common ancestor and moves the index
+across, at a cost of the distance between the versions rather than the
+depth of the stack (rerooting, as in Conchon and Filliâtre,
+*Semi-persistent Data Structures*, 2008).
 """
 
 from __future__ import annotations
@@ -50,6 +61,37 @@ class TypeRecord:
 class TypeStack(MonotonicStack):
     """Every type currently visible, innermost on top."""
 
+    def __init__(self, *values: TypeRecord):
+        # name -> (topmost record bearing it on the path to _synced, the
+        # pair for the records below it), or None.
+        self._names: dict = {}
+        self._synced = None
+        super().__init__(*values)
+
+    def find(self, name: str) -> Optional[TypeRecord]:
+        """The topmost record with this name, or None."""
+        if self._synced is not self._top:
+            self._sync()
+        found = self._names.get(name)
+        return None if found is None else found[0]
+
+    def _sync(self) -> None:
+        # Walk the indexed and the live top down to their common ancestor,
+        # unindexing the old path as we go and indexing the new one after.
+        names = self._names
+        old, new = self._synced, self._top
+        added = []
+        while old is not new:
+            if new is None or (old is not None and old.depth >= new.depth):
+                names[old.value.name] = names[old.value.name][1]
+                old = old.below
+            else:
+                added.append(new.value)
+                new = new.below
+        for record in reversed(added):
+            names[record.name] = (record, names.get(record.name))
+        self._synced = self._top
+
 
 class EnclosingClasses(StackState):
     """Names of the classes whose bodies the parse is currently inside."""
@@ -57,18 +99,13 @@ class EnclosingClasses(StackState):
 
 def is_type(ctx: ParseContext, iden: str) -> bool:
     """Does any visible type bear this name?"""
-    for r in ctx.state(TypeStack):
-        if r.name == iden:
-            return True
-    return False
+    return ctx.state(TypeStack).find(iden) is not None
 
 
 def priv_of(ctx: ParseContext, iden: str) -> tuple:
     """Private classes of the topmost type with this name; () if absent."""
-    for r in ctx.state(TypeStack):
-        if r.name == iden:
-            return r.priv
-    return ()
+    found = ctx.state(TypeStack).find(iden)
+    return () if found is None else found.priv
 
 
 def inherit(ctx: ParseContext, name: str) -> None:

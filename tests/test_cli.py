@@ -2,12 +2,15 @@
 
 import io
 import json
+import os
 import pathlib
+import subprocess
 import sys
 
 import pytest
 
 from txpeg.cli import ast_from_data, ast_to_data, dump_ast, main
+from txpeg.core import ConfigurationError, ContractViolationError
 from txpeg.demos.examply import examply_grammar
 from txpeg.grammar import run_parse
 
@@ -173,3 +176,44 @@ def test_non_utf8_stdin_exits_two_with_the_offending_byte(capsys, monkeypatch):
     out = capsys.readouterr()
     assert out.out == ""
     assert out.err == "cannot read -: not UTF-8 (byte 0xff at offset 3)\n"
+
+
+def test_non_utf8_stdin_under_the_c_locale_exits_two_like_a_file():
+    # Under a C locale Python reads text stdin with surrogateescape, so
+    # only a strict decode of the bytes reports the bad byte.
+    src = str(pathlib.Path(__file__).parent.parent / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, LC_ALL="C", PYTHONPATH=path)
+    env.pop("PYTHONIOENCODING", None)
+    env.pop("PYTHONUTF8", None)
+    done = subprocess.run(
+        [sys.executable, "-c", "import sys; from txpeg.cli import main; sys.exit(main())",
+         "--grammar", "tags", "-"],
+        input=b"<a>\xff</a>", capture_output=True, env=env, timeout=60)
+    assert done.returncode == 2
+    assert done.stdout == b""
+    assert done.stderr == b"cannot read -: not UTF-8 (byte 0xff at offset 3)\n"
+
+
+def test_stdin_bytes_get_universal_newlines(capsys, monkeypatch):
+    crlf = io.TextIOWrapper(io.BytesIO(b"val x: Int = 1\r\nval y: Int = 2\r"),
+                            encoding="utf-8")
+    monkeypatch.setattr("sys.stdin", crlf)
+    assert main(["--grammar", "examply", "--format", "json", "-"]) == 0
+    translated = capsys.readouterr().out
+    monkeypatch.setattr("sys.stdin", io.StringIO("val x: Int = 1\nval y: Int = 2\n"))
+    assert main(["--grammar", "examply", "--format", "json", "-"]) == 0
+    assert translated == capsys.readouterr().out
+
+
+@pytest.mark.parametrize("error", [ContractViolationError, ConfigurationError])
+def test_internal_error_exits_four_with_one_line(tmp_path, capsys, monkeypatch, error):
+    def broken(*args, **kwargs):
+        raise error("cell broke its contract")
+
+    monkeypatch.setattr("txpeg.cli.run_parse", broken)
+    path = write(tmp_path, "aabbcc")
+    assert main(["--grammar", "anbncn", path]) == 4
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == f"{path}: internal error: cell broke its contract\n"

@@ -4,6 +4,8 @@ on top of them."""
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from support import column_after
 
@@ -33,6 +35,7 @@ from txpeg.demos.namespaces import (
 )
 from txpeg.grammar import run_parse
 from txpeg.leftrec import LeftRecTable
+from txpeg.states import StackState
 
 
 def fail_msg(result):
@@ -260,6 +263,112 @@ def test_class_def_restores_types_when_the_body_fails():
     assert not class_def(body).parse(ctx).ok
     assert types.size == 1 and types.at(0) == TypeRecord("B")
     assert ctx.state(EnclosingClasses).peek() is None
+
+
+# The type index: lookups must agree with shadowing over the whole stack
+# (the topmost record of a name wins), whatever moved the stack's top.
+
+_NAMES = "ABC"
+
+
+def _scan(types, name):
+    """The shadowing oracle: the first match walking down from the top."""
+    return next((r for r in list(types) if r.name == name), None)
+
+
+def _check_lookups(ctx):
+    types = ctx.state(TypeStack)
+    for name in _NAMES + "Z":
+        expected = _scan(types, name)
+        assert types.find(name) == expected
+        assert is_type(ctx, name) == (expected is not None)
+        assert priv_of(ctx, name) == (() if expected is None else expected.priv)
+
+
+_type_ops = st.one_of(
+    st.tuples(st.just("push"), st.sampled_from(_NAMES), st.integers(0, 99)),
+    st.tuples(st.just("pop")),
+    st.tuples(st.just("truncate"), st.integers(0, 8)),
+    st.tuples(st.just("take_above"), st.integers(0, 8)),
+    st.tuples(st.just("snapshot")),
+    st.tuples(st.just("restore"), st.integers(0, 7)),
+    st.tuples(st.just("diff_restore_merge"),
+              st.lists(st.tuples(st.sampled_from(_NAMES), st.integers(0, 99)),
+                       max_size=4),
+              st.integers(0, 3)),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_type_ops, max_size=40))
+def test_type_index_matches_a_scan_of_the_stack(ops):
+    ctx = _ns_ctx()
+    types = ctx.state(TypeStack)
+    held = []
+    _check_lookups(ctx)
+    for op, *args in ops:
+        if op == "push":
+            name, tag = args
+            types.push(TypeRecord(name, (TypeRecord(str(tag)),)))
+        elif op == "pop":
+            types.pop()
+        elif op == "truncate":
+            types.truncate(args[0])
+        elif op == "take_above":
+            types.take_above(args[0])
+        elif op == "snapshot":
+            held.append(ctx.snapshot())
+        elif op == "restore" and held:
+            # Restoring a snapshot voids the ones taken after it.
+            keep = args[0] % len(held) + 1
+            del held[keep:]
+            ctx.restore(held[-1])
+        elif op == "diff_restore_merge":
+            pushed, pops = args
+            snap = ctx.snapshot()
+            for name, tag in pushed:
+                types.push(TypeRecord(name, (TypeRecord(str(tag)),)))
+            _check_lookups(ctx)
+            delta = ctx.diff(snap)
+            ctx.restore(snap)
+            _check_lookups(ctx)
+            for _ in range(pops):
+                types.pop()
+            _check_lookups(ctx)
+            ctx.merge(delta)
+        _check_lookups(ctx)
+
+
+def test_lookups_do_not_scan_the_stack(monkeypatch):
+    ctx = _ns_ctx()
+    types = ctx.state(TypeStack)
+    for i in range(4000):
+        types.push(TypeRecord(f"T{i}", (TypeRecord(f"P{i}"),)))
+    start = ctx.snapshot()
+
+    def no_scan(self):
+        raise AssertionError("a type lookup walked the stack")
+
+    monkeypatch.setattr(StackState, "__iter__", no_scan)
+    assert is_type(ctx, "T0") and is_type(ctx, "T3999")
+    assert not is_type(ctx, "T4000")
+    assert priv_of(ctx, "T0") == (TypeRecord("P0"),)
+    assert priv_of(ctx, "T4000") == ()
+
+    # A push that shadows the bottom record, then the pop that unshadows it.
+    types.push(TypeRecord("T0", (TypeRecord("inner"),)))
+    assert priv_of(ctx, "T0") == (TypeRecord("inner"),)
+    types.pop()
+    assert priv_of(ctx, "T0") == (TypeRecord("P0"),)
+
+    # A new name, then a restore that drops it again; a truncation far down.
+    types.push(TypeRecord("Fresh"))
+    assert is_type(ctx, "Fresh")
+    ctx.restore(start)
+    assert not is_type(ctx, "Fresh") and is_type(ctx, "T3999")
+    types.truncate(10)
+    assert is_type(ctx, "T9") and not is_type(ctx, "T10")
+    assert priv_of(ctx, "T9") == (TypeRecord("P9"),)
 
 
 # ---------------------------------------------------------------------------
