@@ -4,15 +4,15 @@ Exit status: 0 when the parse succeeds, 1 when it fails (with a
 ``path:line:col: message`` diagnostic on stderr; input nested past
 Python's recursion limit fails this way too, with the message ``input
 nests too deeply``), 2 for usage errors or an input that cannot be read
-or is not UTF-8, 3 when the parsed AST nests too deeply to print
-(Python's recursion limit), with one ``path: input nests too deeply``
-line on stderr, 4 when the grammar or a state cell breaks the library's
+or is not UTF-8, 4 when the grammar or a state cell breaks the library's
 contract during the parse (a ``ContractViolationError`` or
 ``ConfigurationError``), with one ``path: internal error: message`` line
 on stderr.  Input is decoded as strict UTF-8 with universal newlines,
 from a file and from stdin alike.  On success the AST goes to stdout,
 either as an indented tree or as deterministic JSON; the JSON form
-doubles as the fixture format for expected-output files.
+doubles as the fixture format for expected-output files.  Both are
+written with explicit stacks, not recursion, so an AST of any depth
+prints.
 """
 
 from __future__ import annotations
@@ -20,6 +20,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from itertools import chain, repeat
+from json.encoder import encode_basestring_ascii
 from typing import Callable, Optional
 
 from .combinators import AstNode
@@ -41,16 +43,24 @@ GRAMMARS: dict = {
 
 def ast_to_data(value):
     """AST value → plain data: nodes become {kind, span, children}."""
-    if isinstance(value, AstNode):
-        span = list(value.span) if value.span is not None else None
-        return {
-            "kind": value.kind,
-            "span": span,
-            "children": [ast_to_data(c) for c in value.children],
-        }
-    if isinstance(value, list):
-        return [ast_to_data(v) for v in value]
-    return value
+    # Each item is a value and the list its data goes into; children are
+    # pushed last first, so they are converted, and appended, in order.
+    top: list = []
+    stack = [(value, top)]
+    while stack:
+        value, into = stack.pop()
+        if isinstance(value, AstNode):
+            children: list = []
+            span = list(value.span) if value.span is not None else None
+            into.append({"kind": value.kind, "span": span, "children": children})
+            stack.extend((c, children) for c in reversed(value.children))
+        elif isinstance(value, list):
+            items: list = []
+            into.append(items)
+            stack.extend((v, items) for v in reversed(value))
+        else:
+            into.append(value)
+    return top[0]
 
 
 def ast_from_data(data):
@@ -65,25 +75,68 @@ def ast_from_data(data):
 
 
 def _tree_lines(value, depth: int, out: list) -> None:
-    pad = "  " * depth
-    if isinstance(value, AstNode):
-        span = value.span
-        where = f" [{span[0]},{span[1]})" if span is not None else ""
-        out.append(f"{pad}{value.kind}{where}")
-        for child in value.children:
-            _tree_lines(child, depth + 1, out)
-    elif isinstance(value, list):
-        out.append(f"{pad}list ({len(value)})")
-        for item in value:
-            _tree_lines(item, depth + 1, out)
-    else:
-        out.append(f"{pad}{value!r}")
+    stack = [(value, depth)]
+    while stack:
+        value, depth = stack.pop()
+        pad = "  " * depth
+        if isinstance(value, AstNode):
+            span = value.span
+            where = f" [{span[0]},{span[1]})" if span is not None else ""
+            out.append(f"{pad}{value.kind}{where}")
+            stack.extend((c, depth + 1) for c in reversed(value.children))
+        elif isinstance(value, list):
+            out.append(f"{pad}list ({len(value)})")
+            stack.extend((v, depth + 1) for v in reversed(value))
+        else:
+            out.append(f"{pad}{value!r}")
+
+
+def _json_text(data) -> str:
+    """``json.dumps(data, indent=2)``, byte for byte, without recursion."""
+    out: list = []
+    # The open containers, outermost first: each one's iterator over its
+    # remaining (prefix, value) items, and the text that closes it.
+    stack: list = []
+    items, closer = iter((("", data),)), ""
+    while True:
+        for prefix, value in items:
+            if isinstance(value, str):
+                out.append(prefix + encode_basestring_ascii(value))
+            elif type(value) is int:
+                out.append(prefix + repr(value))
+            elif value is None:
+                out.append(prefix + "null")
+            elif isinstance(value, (list, tuple, dict)):
+                is_dict = isinstance(value, dict)
+                if not value:
+                    out.append(prefix + ("{}" if is_dict else "[]"))
+                    continue
+                stack.append((items, closer))
+                inner = "\n" + "  " * len(stack)
+                prefixes = chain((inner,), repeat("," + inner))
+                if is_dict:
+                    out.append(prefix + "{")
+                    closer = inner[:-2] + "}"
+                    items = ((p + encode_basestring_ascii(k) + ": ", v)
+                             for p, (k, v) in zip(prefixes, value.items()))
+                else:
+                    out.append(prefix + "[")
+                    closer = inner[:-2] + "]"
+                    items = zip(prefixes, value)
+                break
+            else:
+                out.append(prefix + json.dumps(value))
+        else:
+            out.append(closer)
+            if not stack:
+                return "".join(out)
+            items, closer = stack.pop()
 
 
 def dump_ast(ast: list, fmt: str) -> str:
     """Serialize a parse result (a list of top-level values)."""
     if fmt == "json":
-        return json.dumps(ast_to_data(ast), indent=2) + "\n"
+        return _json_text(ast_to_data(ast)) + "\n"
     out: list = []
     for value in ast:
         _tree_lines(value, 0, out)
@@ -150,10 +203,5 @@ def main(argv: Optional[list] = None) -> int:
         print(f"{config.input}:{err.line}:{err.column}: {err.message}",
               file=sys.stderr)
         return 1
-    try:
-        output = dump_ast(outcome.ast, config.format)
-    except RecursionError:
-        print(f"{config.input}: input nests too deeply", file=sys.stderr)
-        return 3
-    sys.stdout.write(output)
+    sys.stdout.write(dump_ast(outcome.ast, config.format))
     return 0

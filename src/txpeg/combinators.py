@@ -15,9 +15,11 @@ speculative parses that fail drop their half-built output for free.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Any, Callable, Optional, Union
 
 from .core import (
+    ASCII,
     SUCCESS,
     ContractViolationError,
     Failure,
@@ -129,6 +131,8 @@ class Seq(Parser):
     def nullable(self, child_nullable) -> bool:
         return all(child_nullable(c) for c in self.children)
 
+    first = Parser.children_first
+
     def left_children(self, nullable) -> tuple:
         # Up to and including the first child that must consume input.
         for i, c in enumerate(self.children):
@@ -151,6 +155,8 @@ class Choice(Parser):
                 return r
         return ctx.fail(ctx.position, "no alternative matched")
 
+    first = Parser.children_first
+
 
 class Opt(Parser):
     """Try the child; succeed either way."""
@@ -165,15 +171,32 @@ class Opt(Parser):
     def nullable(self, child_nullable) -> bool:
         return True
 
+    first = Parser.children_first
+
 
 class ZeroMore(Parser):
     """Repeat the child until it fails; always succeeds."""
+
+    #: The child's :meth:`~txpeg.core.Parser.char_test`, which freeze sets
+    #: on its private copy: the repetition is then one scanning loop.
+    scan: Optional[Callable[[str], bool]] = None
 
     def __init__(self, child: Parser):
         self.children = (child,)
 
     def parse(self, ctx: ParseContext) -> ParseResult:
         child = self.children[0]
+        scan = self.scan
+        if scan is not None:
+            # What the child would do, one character at a time, down to
+            # the failure it records where the run ends.
+            text, pos = ctx.text, ctx.position
+            end = len(text)
+            while pos < end and scan(text[pos]):
+                pos += 1
+            ctx.position = pos
+            ctx.fail(pos, lambda: f"expected {child!r}")
+            return SUCCESS
         entry = step = ctx.snapshot()
         while child.parse(ctx).ok:
             ctx.end_iteration(entry, step, self)
@@ -182,6 +205,11 @@ class ZeroMore(Parser):
 
     def nullable(self, child_nullable) -> bool:
         return True
+
+    first = Parser.children_first
+
+    def specialise(self, nullable, first) -> None:
+        self.scan = self.children[0].char_test()
 
 
 class OneMore(Parser):
@@ -201,6 +229,8 @@ class OneMore(Parser):
             step = ctx.snapshot()
             if not child.parse(ctx).ok:
                 return SUCCESS
+
+    first = Parser.children_first
 
 
 class Until(Parser):
@@ -231,6 +261,8 @@ class Until(Parser):
     def nullable(self, child_nullable) -> bool:
         return child_nullable(self.children[1])
 
+    first = Parser.children_first
+
 
 # ---------------------------------------------------------------------------
 # Lookahead.
@@ -254,14 +286,25 @@ class Ahead(Parser):
     def nullable(self, child_nullable) -> bool:
         return True
 
+    def first(self, child_first, nullable) -> frozenset:
+        return frozenset()
+
 
 class Not(Parser):
     """Succeed iff the child fails; state-neutral in both directions."""
+
+    #: ASCII characters at which the child cannot match, so it is not
+    #: called there: a failing child leaves everything as it found it.
+    #: Freeze fills it in on its private copy when the child must consume
+    #: input and its FIRST set is known.
+    skip_at: frozenset = frozenset()
 
     def __init__(self, child: Parser):
         self.children = (child,)
 
     def parse(self, ctx: ParseContext) -> ParseResult:
+        if ctx.text[ctx.position] in self.skip_at:
+            return SUCCESS
         snap = ctx.snapshot()
         # The child's failures are this parser's successes; keep them out
         # of the diagnostic record.
@@ -279,9 +322,28 @@ class Not(Parser):
     def nullable(self, child_nullable) -> bool:
         return True
 
+    def first(self, child_first, nullable) -> frozenset:
+        return frozenset()
+
+    def specialise(self, nullable, first) -> None:
+        child = self.children[0]
+        chars = None if nullable(child) else first(child)
+        self.skip_at = frozenset() if chars is None else _outside(chars)
+
+
+@lru_cache(maxsize=256)
+def _outside(chars: frozenset) -> frozenset:
+    # Grammars repeat a few guards many times, the keyword check above all.
+    return ASCII - chars
+
 
 # ---------------------------------------------------------------------------
 # Terminals.
+
+
+@lru_cache(maxsize=256)
+def _accepted_ascii(pred: Callable[[str], bool]) -> frozenset:
+    return frozenset(filter(pred, ASCII))
 
 
 class CharPred(Parser):
@@ -290,6 +352,11 @@ class CharPred(Parser):
     The appended NUL sentinel is passed to the predicate like any other
     character; the usual character classes reject it, so only a predicate
     written to accept NUL can match at end of input.
+
+    The predicate must be a pure function of its one character: freeze
+    calls it on ``chr(0)`` to ``chr(127)`` to learn the parser's FIRST set
+    (:meth:`~txpeg.core.Parser.first`), and a frozen ``zero_more`` of a
+    ``char_pred`` calls it without going through this parser.
     """
 
     def __init__(self, pred: Callable[[str], bool], label: Optional[str] = None):
@@ -308,6 +375,15 @@ class CharPred(Parser):
 
     def nullable(self, child_nullable) -> bool:
         return False
+
+    def first(self, child_first, nullable) -> frozenset:
+        try:
+            return _accepted_ascii(self.pred)
+        except TypeError:       # an unhashable predicate object
+            return frozenset(filter(self.pred, ASCII))
+
+    def char_test(self) -> Callable[[str], bool]:
+        return self.pred
 
 
 class Literal(Parser):
@@ -328,6 +404,9 @@ class Literal(Parser):
 
     def nullable(self, child_nullable) -> bool:
         return self.string == ""
+
+    def first(self, child_first, nullable) -> frozenset:
+        return ASCII.intersection(self.string[:1])
 
 
 #: Whitespace skipped after tokens unless a grammar supplies its own.
@@ -365,6 +444,9 @@ class EndOfInput(Parser):
             return SUCCESS
         return ctx.fail(ctx.position, "expected end of input")
 
+    def first(self, child_first, nullable) -> frozenset:
+        return frozenset()
+
 
 class Word(Parser):
     """Match a literal, then skip trailing whitespace: a token."""
@@ -385,6 +467,9 @@ class Word(Parser):
 
     def nullable(self, child_nullable) -> bool:
         return self.string == ""
+
+    def first(self, child_first, nullable) -> frozenset:
+        return ASCII.intersection(self.string[:1])
 
 
 # ---------------------------------------------------------------------------
@@ -455,6 +540,8 @@ class Capture(Parser):
         ast_stack(ctx).push(ctx.text[start:ctx.position])
         return SUCCESS
 
+    first = Parser.children_first
+
 
 class Collect(Parser):
     """Gather everything the child pushed into one list, oldest first."""
@@ -470,6 +557,8 @@ class Collect(Parser):
             return r
         ast.push(ast.take_above(depth))
         return SUCCESS
+
+    first = Parser.children_first
 
 
 class Build(Parser):
@@ -503,6 +592,8 @@ class Build(Parser):
         ast.push(made)
         return SUCCESS
 
+    first = Parser.children_first
+
 
 class OptValue(Parser):
     """An option on the AST stack: the child's one value, or None.
@@ -529,6 +620,8 @@ class OptValue(Parser):
 
     def nullable(self, child_nullable) -> bool:
         return True
+
+    first = Parser.children_first
 
 
 # ---------------------------------------------------------------------------

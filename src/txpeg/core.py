@@ -35,6 +35,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Union
 
 __all__ = [
+    "ASCII",
     "SENTINEL",
     "SUCCESS",
     "AggregateDelta",
@@ -52,6 +53,9 @@ __all__ = [
 # One NUL is appended to the input so parsers can inspect text[position]
 # without bounds checks; no other position may sit past it.
 SENTINEL = "\x00"
+
+#: The characters a FIRST set describes (:meth:`Parser.first`).
+ASCII = frozenset(map(chr, range(128)))
 
 
 class ContractViolationError(Exception):
@@ -177,7 +181,9 @@ class Parser:
 
     Sub-parsers live in ``children``: freeze copies the graph through it
     and the left-recursion check walks it.  A class states its own static
-    behaviour by overriding :meth:`nullable` and :meth:`left_children`.
+    behaviour by overriding :meth:`nullable`, :meth:`left_children`,
+    :meth:`first` and :meth:`char_test`, and may adapt its frozen copy to
+    those facts in :meth:`specialise`.
     """
 
     children: tuple = ()
@@ -195,6 +201,48 @@ class Parser:
         nothing.
         """
         return not self.children or any(child_nullable(c) for c in self.children)
+
+    def first(self, child_first: Callable[["Parser"], Optional[frozenset]],
+              nullable: Callable[["Parser"], bool]) -> Optional[frozenset]:
+        """The ASCII characters that can start a match that consumes input
+        (its FIRST set), or None when that is unknown.
+
+        Only ``chr(0)`` to ``chr(127)`` are described: a match may start
+        with any other character.  ``child_first`` answers the same question
+        for a child, and ``nullable`` is :meth:`nullable` worked out over
+        the whole graph.  Freeze asks only where it uses the answer, the
+        child of a ``not_``, memoises it, and counts a node met again while
+        its own set is being worked out as unknown.  The default, unknown,
+        is always safe, so a custom parser keeps the plain path.
+        """
+        return None
+
+    def children_first(self, child_first, nullable) -> Optional[frozenset]:
+        """:meth:`first` for a parser that consumes input only through its
+        children: the union of theirs along :meth:`left_children`.  A class
+        adopts it with ``first = Parser.children_first``."""
+        chars = frozenset()
+        for c in self.left_children(nullable):
+            got = child_first(c)
+            if got is None:
+                return None
+            chars |= got
+        return chars
+
+    def char_test(self) -> Optional[Callable[[str], bool]]:
+        """A predicate on one character when this parser matches exactly
+        one character that satisfies it and does nothing else; else None."""
+        return None
+
+    def specialise(self, nullable: Callable[["Parser"], bool],
+                   first: Callable[["Parser"], Optional[frozenset]]) -> None:
+        """Adapt this node of a frozen copy to the facts freeze worked out.
+
+        Freeze calls it once on every node of its private copy, after the
+        recursion check; ``nullable`` and ``first`` answer :meth:`nullable`
+        and :meth:`first` for any node.  The outcome of every parse must
+        stay as it would have been.  The default does nothing.
+        """
 
     def left_children(self, nullable: Callable[["Parser"], bool]) -> tuple:
         """The children this parser can invoke at its own entry position;

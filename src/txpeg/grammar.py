@@ -3,12 +3,14 @@
 A grammar is a mapping from rule names to parser bodies plus a root name.
 Bodies refer to other rules through :func:`ref` stubs; :meth:`GrammarDef.freeze`
 copies the reachable parser graph, binds each copied stub to the copy of
-its rule, runs the left-recursion check, and returns a :class:`FrozenGrammar`
-ready to parse.  Each freeze copies the graph; the rule objects passed in
-are never modified.  Because composition is nothing more than building a
-new rule map out of existing bodies, grammars can be merged or extended
-without touching the bodies themselves, and grammars built from the same
-rule objects stay independent.
+its rule, runs the left-recursion check, lets every copied node specialise
+itself (:meth:`~txpeg.core.Parser.specialise`), and returns a
+:class:`FrozenGrammar` ready to parse.  Each freeze copies the graph; the
+rule objects passed in are never modified.  Because composition is
+nothing more than building a new rule map out of existing bodies,
+grammars can be merged or extended without touching the bodies
+themselves, and grammars built from the same rule objects stay
+independent.
 
 :func:`run_parse` owns the per-parse plumbing: fresh state cells, the AST
 stack, the left-recursion table for grammars that use ``leftrec``, leading
@@ -22,7 +24,7 @@ import copy
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from .combinators import AstStack, Whitespace
+from .combinators import DEFAULT_WHITESPACE, AstStack, Whitespace
 from .core import ConfigurationError, ContractViolationError, ParseContext, Parser, ParseResult
 from .leftrec import LeftRec, LeftRecTable, check_recursion_annotated
 
@@ -60,6 +62,8 @@ class RuleRef(Parser):
     def __repr__(self):
         return f"ref({self.name!r})"
 
+    first = Parser.children_first
+
 
 ref = RuleRef
 
@@ -69,7 +73,8 @@ class FrozenGrammar:
 
     ``uses_leftrec`` says whether a parse needs a
     :class:`~txpeg.leftrec.LeftRecTable`; freeze sets it to whether a
-    ``leftrec`` node is reachable.
+    ``leftrec`` node is reachable.  ``whitespace`` is the frozen copy of
+    the grammar's whitespace parser, or of the default one.
     """
 
     def __init__(self, rules: dict, root: str, whitespace: Optional[Parser],
@@ -99,8 +104,10 @@ class GrammarDef:
         """Copy the parser graph, bind every reference, validate recursion.
 
         Unknown rule names and unannotated left-recursive cycles are
-        configuration errors.  Each freeze copies the graph; the rule
-        objects passed in are never modified.
+        configuration errors.  Each freeze copies the graph, the default
+        whitespace parser included when the grammar has none of its own,
+        and specialises the copies; the rule objects passed in are never
+        modified.
         """
         if self.root not in self.rules:
             raise ConfigurationError(f"root rule {self.root!r} is not defined")
@@ -117,7 +124,8 @@ class GrammarDef:
             return copies[id(p)]
 
         rules = {name: twin(body) for name, body in self.rules.items()}
-        whitespace = None if self.whitespace is None else twin(self.whitespace)
+        whitespace = twin(DEFAULT_WHITESPACE if self.whitespace is None
+                          else self.whitespace)
         while pending:
             p = pending.pop()
             if isinstance(p, RuleRef):
@@ -131,9 +139,29 @@ class GrammarDef:
             elif p.children:
                 copies[id(p)].children = tuple(twin(c) for c in p.children)
         nodes = list(copies.values())
-        check_recursion_annotated(rules, nodes)
+        nullable = check_recursion_annotated(rules, nodes)
+        first = _first_sets(nullable)
+        for p in nodes:
+            p.specialise(nullable, first)
         return FrozenGrammar(rules, self.root, whitespace, tuple(self.cells),
                              any(isinstance(p, LeftRec) for p in nodes))
+
+
+def _first_sets(nullable: Callable[[Parser], bool]
+                ) -> Callable[[Parser], Optional[frozenset]]:
+    """:meth:`Parser.first` on demand, memoised by node.  A node asked for
+    again while its own set is being worked out is on a cycle: it answers
+    unknown, and so does everything whose set depends on it."""
+    memo: dict[int, Optional[frozenset]] = {}
+
+    def first(p: Parser) -> Optional[frozenset]:
+        key = id(p)
+        if key not in memo:
+            memo[key] = None
+            memo[key] = p.first(first, nullable)
+        return memo[key]
+
+    return first
 
 
 @dataclass(frozen=True)

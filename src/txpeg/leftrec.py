@@ -94,6 +94,11 @@ class LeftRec(Parser):
     def left_children(self, nullable) -> tuple:
         return ()
 
+    def first(self, child_first, nullable):
+        # A match starts with the seed's first character, which the body
+        # consumes; a body that reaches back here is a cycle, so unknown.
+        return child_first(self.children[0])
+
 
 leftrec = LeftRec
 
@@ -133,12 +138,13 @@ def _nullability(nodes: list[Parser]) -> Callable[[Parser], bool]:
 
 
 def check_recursion_annotated(rules: dict[str, Parser],
-                              nodes: list[Parser]) -> None:
+                              nodes: list[Parser]) -> Callable[[Parser], bool]:
     """Reject grammars whose left-call graph cycles outside LeftRec.
 
     ``nodes`` is every parser reachable from the resolved rule bodies in
     ``rules``; the error message names a cycle by the rules it passes
-    through.
+    through.  Returns the nullability of each node, which the check
+    worked out on the way.
     """
     is_nullable = _nullability(nodes)
     names = {}
@@ -177,3 +183,4 @@ def check_recursion_annotated(rules: dict[str, Parser],
             else:
                 color[id(parent)] = BLACK
                 stack.pop()
+    return is_nullable

@@ -12,6 +12,7 @@ import pytest
 from txpeg.cli import ast_from_data, ast_to_data, dump_ast, main
 from txpeg.core import ConfigurationError, ContractViolationError
 from txpeg.demos.examply import examply_grammar
+from txpeg.demos.expr import expr_grammar
 from txpeg.grammar import run_parse
 
 FIXTURES = pathlib.Path(__file__).parent.parent / "fixtures"
@@ -87,16 +88,26 @@ def test_partial_flag_allows_a_prefix_match(tmp_path, capsys):
     assert out.splitlines()[0] == "sub [0,4)"
 
 
-def test_too_deep_an_ast_exits_three_with_one_line(tmp_path, capsys):
-    # Each operand nests one more "sub" node; dumping that many levels
-    # exceeds the recursion limit.
-    chain = "-".join(str(i % 10) for i in range(sys.getrecursionlimit()))
+def test_an_ast_deeper_than_the_recursion_limit_prints_json_that_round_trips(
+        tmp_path, capsys):
+    # Each operand nests one more "sub" node, so the AST is deeper than
+    # the recursion limit; the dump writes it without recursing.
+    limit = sys.getrecursionlimit()
+    chain = "-".join(str(i % 10) for i in range(limit))
     path = write(tmp_path, chain + "\n")
-    assert main(["--grammar", "expr", "--format", "json", path]) == 3
+    assert main(["--grammar", "expr", "--format", "json", path]) == 0
     out = capsys.readouterr()
-    assert out.out == ""
-    assert out.err == f"{path}: input nests too deeply\n"
-    assert "Traceback" not in out.err
+    assert out.err == ""
+    expected = ast_to_data(run_parse(expr_grammar(), chain + "\n").ast)
+    # Only the check needs more room: json.loads and == recurse.
+    sys.setrecursionlimit(limit * 10)
+    try:
+        assert json.loads(out.out) == expected
+    finally:
+        sys.setrecursionlimit(limit)
+    # The tree: limit - 1 sub nodes, and limit num nodes with one digit each.
+    assert main(["--grammar", "expr", path]) == 0
+    assert capsys.readouterr().out.count("\n") == 3 * limit - 1
 
 
 def test_too_deep_an_input_exits_one_with_a_located_diagnostic(tmp_path, capsys):
@@ -158,6 +169,15 @@ def test_dump_ast_handles_every_leaf_shape():
     data = json.loads(dump_ast(ast, "json"))
     assert data[0]["children"][1] is None
     assert ast_from_data(data) == ast
+
+
+def test_the_json_writer_matches_json_dumps_with_indent_two():
+    from txpeg.combinators import AstNode
+
+    leaves = ["", "é\n\"q\"\t\\", "\U0001f600", 0, -7, 2.5, 1e100, True, False,
+              None, (), (1, "t"), {}, {"k": [[], {}]}, [[[]]], [{}]]
+    ast = [AstNode("k", tuple(leaves), (0, 2)), AstNode("m", (), None), [], leaves]
+    assert dump_ast(ast, "json") == json.dumps(ast_to_data(ast), indent=2) + "\n"
 
 
 def test_non_utf8_file_exits_two_with_the_offending_byte(tmp_path, capsys):

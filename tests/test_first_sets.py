@@ -1,0 +1,137 @@
+"""FIRST sets at freeze, and the shortcuts they allow on the frozen copy:
+a ``not_`` that skips a child which cannot start at the next character,
+and a ``zero_more(char_pred(...))`` that scans in one loop."""
+
+from txpeg.combinators import (
+    DEFAULT_WHITESPACE, char_pred, choice, literal, not_, opt, seq, zero_more,
+)
+from txpeg.core import ASCII, SUCCESS, ParseContext, Parser
+from txpeg.demos.examply import KEYWORDS, examply_grammar
+from txpeg.demos.expr import expr_grammar
+from txpeg.demos.macro import composed_grammar
+from txpeg.demos.smoke import tags_grammar
+from txpeg.grammar import GrammarDef, ref, run_parse
+from txpeg.leftrec import leftrec
+
+
+def guarded_chars(guard) -> frozenset:
+    """The characters at which a frozen ``not_`` still calls its child."""
+    return ASCII - guard.skip_at
+
+
+class Counting(Parser):
+    """Runs its child and counts the calls; states no FIRST set."""
+
+    def __init__(self, child):
+        self.children = (child,)
+        self.calls = []
+
+    def parse(self, ctx):
+        self.calls.append(ctx.position)
+        return self.children[0].parse(ctx)
+
+
+def test_the_examply_keyword_guard_tests_exactly_the_keyword_initials():
+    grammar = examply_grammar()
+    # iden_ref = build(seq(not_(choice(keyword...)), capture(...), ws))
+    guard = grammar.rules["iden_ref"].children[0].children[0]
+    assert type(guard).__name__ == "Not"
+    assert guarded_chars(guard) == {k[0] for k in KEYWORDS}
+
+
+def test_a_nullable_child_is_never_skipped():
+    # macro_atom = seq(not_(newline()), ...): newline consumes nothing.
+    guard = composed_grammar().rules["macro_atom"].children[0]
+    assert type(guard).__name__ == "Not"
+    assert guard.skip_at == frozenset()
+    # opt("a") has a known FIRST set, {"a"}, but matches "b" too, empty.
+    rules = {"top": seq(not_(opt(literal("a"))), char_pred(str.isalpha, "letter"))}
+    grammar = GrammarDef(rules, "top").freeze()
+    assert grammar.rules["top"].children[0].skip_at == frozenset()
+    assert not run_parse(grammar, "b").success
+
+
+def test_a_parser_without_first_is_unknown_and_still_called():
+    assert Parser().first(lambda p: frozenset(), lambda p: False) is None
+    child = Counting(literal("a"))
+    rules = {"top": seq(not_(child), char_pred(str.isalpha, "letter"))}
+    grammar = GrammarDef(rules, "top").freeze()
+    frozen_child = grammar.rules["top"].children[0].children[0]
+    assert grammar.rules["top"].children[0].skip_at == frozenset()
+    assert run_parse(grammar, "b").success
+    assert not run_parse(grammar, "a").success
+    # The frozen copy shares the counting list with the original.
+    assert frozen_child.calls is child.calls == [0, 0]
+
+
+def test_a_known_child_is_not_called_where_it_cannot_start():
+    child = Counting(literal("a"))
+    child.first = lambda child_first, nullable: frozenset("a")
+    rules = {"top": seq(not_(child), char_pred(str.isalpha, "letter"))}
+    grammar = GrammarDef(rules, "top").freeze()
+    assert run_parse(grammar, "b").success
+    assert child.calls == []
+    assert not run_parse(grammar, "a").success
+    assert child.calls == [0]
+
+
+def test_a_non_ascii_next_character_falls_through_and_still_parses():
+    outcome = run_parse(examply_grammar(), "val élan: Int = 1\n")
+    assert outcome.success
+    assert outcome.ast[0].children[0] == "élan"
+    # A child with no ASCII character in its FIRST set is still called
+    # at a non-ASCII one.
+    child = Counting(literal("é"))
+    child.first = lambda child_first, nullable: frozenset()
+    grammar = GrammarDef({"top": seq(not_(child), literal("é"))}, "top").freeze()
+    assert not run_parse(grammar, "é").success
+    assert child.calls == [0]
+
+
+def test_a_char_pred_that_accepts_nul_still_matches_at_end_of_input():
+    at_end = char_pred(lambda c: c == "\x00", "end of input")
+    grammar = GrammarDef({"top": seq(literal("a"), not_(at_end))}, "top").freeze()
+    assert guarded_chars(grammar.rules["top"].children[1]) == {"\x00"}
+    assert not run_parse(grammar, "a").success
+    anything = zero_more(char_pred(lambda c: True, "anything"))
+    grammar = GrammarDef({"top": anything}, "top").freeze()
+    assert grammar.rules["top"].scan is not None
+    outcome = run_parse(grammar, "ab")
+    assert outcome.success
+    assert outcome.end_position == 3      # past the sentinel, as unfrozen
+
+
+def test_a_cyclic_rule_under_not_is_unknown():
+    rules = {
+        "top": seq(not_(ref("sum")), char_pred(str.isalpha, "letter")),
+        "sum": leftrec(choice(seq(ref("sum"), literal("+"), literal("1")),
+                              literal("1"))),
+    }
+    grammar = GrammarDef(rules, "top").freeze()
+    assert grammar.rules["top"].children[0].skip_at == frozenset()
+    assert run_parse(grammar, "x").success
+    assert not run_parse(grammar, "1").success
+
+
+def test_the_scan_loop_records_the_failure_where_the_run_ends():
+    digits = zero_more(char_pred(str.isdigit, "digit"))
+    grammar = GrammarDef({"top": digits}, "top").freeze()
+    assert grammar.rules["top"].scan is str.isdigit
+    ctx = ParseContext("12y")
+    assert grammar.root_parser.parse(ctx) is SUCCESS
+    assert ctx.position == 2
+    assert ctx.furthest_failure() == (2, "expected digit")
+
+
+def test_freeze_leaves_the_shared_default_whitespace_alone():
+    child = DEFAULT_WHITESPACE.children[0]
+    before = (type(DEFAULT_WHITESPACE), dict(vars(DEFAULT_WHITESPACE)),
+              type(child), dict(vars(child)))
+    for make in (examply_grammar, composed_grammar, expr_grammar, tags_grammar):
+        grammar = make()
+        assert grammar.whitespace is not DEFAULT_WHITESPACE
+        assert grammar.whitespace.scan is str.isspace
+    assert DEFAULT_WHITESPACE.children[0] is child
+    assert (type(DEFAULT_WHITESPACE), vars(DEFAULT_WHITESPACE),
+            type(child), vars(child)) == before
+    assert "scan" not in vars(DEFAULT_WHITESPACE)

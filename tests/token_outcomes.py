@@ -4,8 +4,9 @@ Every input of one to three tokens drawn from :data:`TOKENS` is parsed
 under both grammars.  Tokens are separated by one space, except that none
 goes next to a newline, so a line break starts the next line's content.
 The outcome recorded for each input is whether it succeeded, where it
-stopped or failed, and the error message.  ``tests/token_outcomes.json`` holds the committed outcomes, and
-``tests/test_token_outcomes.py`` checks them.
+stopped or failed, and the error message.  ``tests/token_outcomes.json``
+holds the committed outcomes, and ``tests/test_token_outcomes.py`` checks
+them.
 
 Run from the repository root:
 
