@@ -65,13 +65,27 @@ def ast_to_data(value):
 
 def ast_from_data(data):
     """Inverse of :func:`ast_to_data`, for structural round-trips."""
-    if isinstance(data, dict):
-        span = tuple(data["span"]) if data["span"] is not None else None
-        children = tuple(ast_from_data(c) for c in data["children"])
-        return AstNode(data["kind"], children, span)
-    if isinstance(data, list):
-        return [ast_from_data(v) for v in data]
-    return data
+    # As ast_to_data; node children gather in lists, tupled at the end.
+    top: list = []
+    nodes: list = []
+    stack = [(data, top)]
+    while stack:
+        data, into = stack.pop()
+        if isinstance(data, dict):
+            span = tuple(data["span"]) if data["span"] is not None else None
+            node = AstNode(data["kind"], [], span)
+            nodes.append(node)
+            into.append(node)
+            stack.extend((c, node.children) for c in reversed(data["children"]))
+        elif isinstance(data, list):
+            items: list = []
+            into.append(items)
+            stack.extend((v, items) for v in reversed(data))
+        else:
+            into.append(data)
+    for node in nodes:
+        node.children = tuple(node.children)
+    return top[0]
 
 
 def _tree_lines(value, depth: int, out: list) -> None:

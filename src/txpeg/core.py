@@ -272,7 +272,8 @@ class ParseContext:
     context's trail, which every transaction operation walks; the registry
     itself is only for lookup.  The furthest-failure record is
     deliberately outside the transaction: backtracking must not erase the
-    best diagnostic seen so far.
+    best diagnostic seen so far.  So is ``seeds``, the left-recursive calls
+    in flight (:mod:`txpeg.leftrec`): each removes its own key on exit.
 
     Passing ``trace`` builds a :class:`TracedContext` instead, so the plain
     context's operations carry no tracing check at all.
@@ -308,6 +309,7 @@ class ParseContext:
             cell._trail = self._trail
         # Furthest failure: (position, message or factory), never restored.
         self.furthest: Optional[tuple] = None
+        self.seeds: dict = {}
         self._muted = 0
 
     @property

@@ -13,9 +13,9 @@ themselves, and grammars built from the same rule objects stay
 independent.
 
 :func:`run_parse` owns the per-parse plumbing: fresh state cells, the AST
-stack, the left-recursion table for grammars that use ``leftrec``, leading
-whitespace, and the full-match discipline.  Its outcome carries either the
-final AST stack or the furthest failure mapped to line and column.
+stack, leading whitespace, and the full-match discipline.  Its outcome
+carries either the final AST stack or the furthest failure mapped to line
+and column.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from typing import Callable, Optional
 
 from .combinators import DEFAULT_WHITESPACE, AstStack, Whitespace
 from .core import ConfigurationError, ContractViolationError, ParseContext, Parser, ParseResult
-from .leftrec import LeftRec, LeftRecTable, check_recursion_annotated
+from .leftrec import check_recursion_annotated
 
 __all__ = [
     "FrozenGrammar",
@@ -71,20 +71,17 @@ ref = RuleRef
 class FrozenGrammar:
     """A resolved, checked grammar; treat as immutable.
 
-    ``uses_leftrec`` says whether a parse needs a
-    :class:`~txpeg.leftrec.LeftRecTable`; freeze sets it to whether a
-    ``leftrec`` node is reachable.  ``whitespace`` is the frozen copy of
-    the grammar's whitespace parser, or of the default one.
+    ``whitespace`` is the frozen copy of the grammar's whitespace parser,
+    or of the default one.
     """
 
     def __init__(self, rules: dict, root: str, whitespace: Optional[Parser],
-                 cell_factories: tuple, uses_leftrec: bool):
+                 cell_factories: tuple):
         self.rules = rules
         self.root = root
         self.root_parser = rules[root]
         self.whitespace = whitespace
         self.cell_factories = cell_factories
-        self.uses_leftrec = uses_leftrec
 
 
 @dataclass
@@ -143,8 +140,7 @@ class GrammarDef:
         first = _first_sets(nullable)
         for p in nodes:
             p.specialise(nullable, first)
-        return FrozenGrammar(rules, self.root, whitespace, tuple(self.cells),
-                             any(isinstance(p, LeftRec) for p in nodes))
+        return FrozenGrammar(rules, self.root, whitespace, tuple(self.cells))
 
 
 def _first_sets(nullable: Callable[[Parser], bool]
@@ -200,8 +196,7 @@ def run_parse(grammar: FrozenGrammar, text: str, partial: bool = False,
               trace: Optional[Callable[[str], None]] = None) -> ParseOutcome:
     """Parse ``text`` with a frozen grammar.
 
-    Builds a context with fresh cells (adding the AST stack, and the
-    left-recursion table when the grammar uses ``leftrec``, unless the
+    Builds a context with fresh cells (adding the AST stack unless the
     grammar supplied its own), consumes leading whitespace, invokes the
     root, and unless ``partial`` demands that the whole input was
     consumed.  With ``trace``, the context reports every transaction
@@ -211,11 +206,8 @@ def run_parse(grammar: FrozenGrammar, text: str, partial: bool = False,
     ``input nests too deeply``, located where the parse had got to.
     """
     cells = [factory() for factory in grammar.cell_factories]
-    present = {type(c) for c in cells}
-    if AstStack not in present:
+    if AstStack not in {type(c) for c in cells}:
         cells.append(AstStack())
-    if grammar.uses_leftrec and LeftRecTable not in present:
-        cells.append(LeftRecTable())
     ctx = ParseContext(text, cells=cells, whitespace=grammar.whitespace,
                        trace=trace)
     try:

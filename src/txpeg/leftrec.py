@@ -6,8 +6,10 @@ that run.  It then re-runs the body repeatedly, letting each left-recursive
 re-entry consume the current seed (merge the delta, jump to its end), and
 keeps the run as the new seed while the end position still grows.  Seeds
 are ordinary aggregate deltas, so AST effects replay along with the
-position, and they live in a map cell keyed by (parser, position), which
-means backtracking rolls the bookkeeping back like any other state.
+position.  The calls in flight are keyed by (parser id, position) in the
+plain dict ``ParseContext.seeds``, which needs no trail: a call adds its
+key on entry and deletes it on every exit, so the map follows the call
+stack, and no snapshot taken inside a call outlives it.
 
 The companion :func:`check_recursion_annotated` runs at grammar freeze:
 any cycle of invocations that can come back to the same parser at the same
@@ -28,23 +30,12 @@ from .core import (
     ParseResult,
     Parser,
 )
-from .states import MapState
 
 __all__ = [
     "LeftRec",
-    "LeftRecTable",
     "check_recursion_annotated",
     "leftrec",
 ]
-
-
-class LeftRecTable(MapState):
-    """Per-parse table of in-flight left-recursive invocations.
-
-    Maps (parser id, position) to either the blocked marker or the current
-    seed delta.  Being an ordinary map cell, entries are snapshot and
-    restored together with everything else.
-    """
 
 
 _BLOCKED = object()
@@ -57,39 +48,39 @@ class LeftRec(Parser):
         self.children = (child,)
 
     def parse(self, ctx: ParseContext) -> ParseResult:
-        table = ctx.state(LeftRecTable)
+        seeds = ctx.seeds
         key = (id(self), ctx.position)
-        entry = table.get(key)
-        if entry is not None:
-            if entry is _BLOCKED:
+        seed = seeds.get(key)
+        if seed is not None:
+            if seed is _BLOCKED:
                 # Deliberate control flow, not a diagnosable user error:
                 # bypass the furthest-failure record.
                 return Failure(ctx.position, "left-recursive invocation blocked")
-            ctx.merge(entry)
+            ctx.merge(seed)
             return SUCCESS
 
         body = self.children[0]
         entry_snap = ctx.snapshot()
-        table.put(key, _BLOCKED)
-        r = body.parse(ctx)
-        if not r.ok:
-            table.remove(key)
-            return r
-        best = ctx.diff(entry_snap)
-        while True:
-            ctx.restore(entry_snap)
-            table.put(key, best)
-            if not body.parse(ctx).ok:
-                break
-            grown = ctx.diff(entry_snap)
-            if grown.end_position > best.end_position:
+        seeds[key] = _BLOCKED
+        try:
+            r = body.parse(ctx)
+            if not r.ok:
+                return r
+            best = ctx.diff(entry_snap)
+            while True:
+                ctx.restore(entry_snap)
+                seeds[key] = best
+                if not body.parse(ctx).ok:
+                    break
+                grown = ctx.diff(entry_snap)
+                if grown.end_position <= best.end_position:
+                    break
                 best = grown
-            else:
-                break
-        ctx.restore(entry_snap)
-        ctx.merge(best)
-        table.remove(key)
-        return SUCCESS
+            ctx.restore(entry_snap)
+            ctx.merge(best)
+            return SUCCESS
+        finally:
+            del seeds[key]
 
     def left_children(self, nullable) -> tuple:
         return ()

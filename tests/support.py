@@ -38,8 +38,8 @@ from txpeg.combinators import (
 )
 from txpeg.core import ParseContext, Parser
 from txpeg.grammar import RuleRef
-from txpeg.leftrec import LeftRecTable, leftrec
-from txpeg.states import CopyState, StackState
+from txpeg.leftrec import leftrec
+from txpeg.states import CopyState, MapState, StackState
 from txpeg.logmodel import (
     ModelError,
     ModelParser,
@@ -245,12 +245,19 @@ class FuzzStack(StackState):
     """Stack-strategy cell the fuzzer mutates."""
 
 
+class FuzzMap(MapState):
+    """Map-strategy cell the fuzzer mutates."""
+
+
 class TransactionViolation(AssertionError):
     """A parser broke the all-or-nothing discipline."""
 
 
 def _observe(ctx):
-    return (ctx.position, tuple(c.cell_snapshot() for c in ctx._cells))
+    # The left-recursion seeds sit outside the trail, so they are compared
+    # as a copy: failures and lookahead must leave them as found too.
+    return (ctx.position, tuple(c.cell_snapshot() for c in ctx._cells),
+            dict(ctx.seeds))
 
 
 class Checked(Parser):
@@ -297,7 +304,7 @@ def _apush(value):
 
 
 def _mput(key):
-    return lambda ctx: ctx.state(LeftRecTable).put(("fuzz", key), key)
+    return lambda ctx: ctx.state(FuzzMap).put(("fuzz", key), key)
 
 
 def _counter_even(ctx):
@@ -450,7 +457,7 @@ def fuzz_transactionality(trees=10500, max_depth=6, max_input=32,
         root = _gen_any(rng, max_depth, wrap)
         ctx = ParseContext(_gen_input(rng, max_input),
                            cells=[FuzzCounter(), FuzzStack(), AstStack(),
-                                  LeftRecTable()])
+                                  FuzzMap()])
         r = root.parse(ctx)
         outcomes["success" if r.ok else "failure"] += 1
     return {

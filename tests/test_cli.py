@@ -110,6 +110,21 @@ def test_an_ast_deeper_than_the_recursion_limit_prints_json_that_round_trips(
     assert capsys.readouterr().out.count("\n") == 3 * limit - 1
 
 
+def test_ast_from_data_reads_back_an_ast_deeper_than_the_recursion_limit():
+    # 999 nested "sub" nodes: more than a recursive reader fits under the
+    # default recursion limit.
+    chain = "-".join(str(i % 10) for i in range(1000))
+    ast = run_parse(expr_grammar(), chain).ast
+    reloaded = ast_from_data(ast_to_data(ast))
+    # Only the check needs more room: == on nested nodes recurses.
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(limit * 10)
+    try:
+        assert reloaded == ast
+    finally:
+        sys.setrecursionlimit(limit)
+
+
 def test_too_deep_an_input_exits_one_with_a_located_diagnostic(tmp_path, capsys):
     path = write(tmp_path, "<a>" * 400 + "</a>" * 400)
     assert main(["--grammar", "tags", path]) == 1

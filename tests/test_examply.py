@@ -34,7 +34,6 @@ from txpeg.demos.namespaces import (
     scoped,
 )
 from txpeg.grammar import run_parse
-from txpeg.leftrec import LeftRecTable
 from txpeg.states import StackState
 
 
@@ -77,8 +76,7 @@ def test_entry_lookup_spans_whole_lines():
 
 
 def _indent_ctx(text):
-    ctx = ParseContext(text, cells=[IndentMap(), IndentStack(), AstStack(),
-                                    LeftRecTable()])
+    ctx = ParseContext(text, cells=[IndentMap(), IndentStack(), AstStack()])
     build_indent_map().parse(ctx)
     return ctx
 
@@ -140,8 +138,7 @@ def test_aligned_requires_matching_width():
 
 
 def _ns_ctx():
-    return ParseContext("", cells=[TypeStack(), EnclosingClasses(), AstStack(),
-                                   LeftRecTable()])
+    return ParseContext("", cells=[TypeStack(), EnclosingClasses(), AstStack()])
 
 
 def _push_name(name):

@@ -1,17 +1,22 @@
 """Grammar assembly: reference resolution, freezing, and the driver."""
 
+import re
+
 import pytest
 
 from txpeg.combinators import (
-    capture, char_pred, choice, literal, perform, seq, word, zero_more,
+    AstStack, build, capture, char_pred, choice, literal, node, perform, seq, word,
+    zero_more,
 )
-from txpeg.core import SUCCESS, ConfigurationError, ContractViolationError, Parser
+from txpeg.core import (
+    SUCCESS, ConfigurationError, ContractViolationError, ParseContext, Parser,
+)
 from txpeg.demos.examply import examply_cells, examply_grammar
-from txpeg.demos.expr import expr_grammar
+from txpeg.demos.expr import expr_grammar, expr_rules
 from txpeg.demos.macro import composed_rules, macro_rules
 from txpeg.demos.smoke import tags_grammar
 from txpeg.grammar import GrammarDef, RuleRef, line_col, ref, run_parse
-from txpeg.leftrec import LeftRecTable
+from txpeg.leftrec import leftrec
 from txpeg.states import CopyState
 
 
@@ -121,7 +126,6 @@ def test_class_nullable_hook_decides_the_recursion_check():
         return {"expr": choice(seq(prefix, ref("expr")), literal("."))}
 
     grammar = GrammarDef(rules(ConsumingAnyChar()), "expr").freeze()
-    assert not grammar.uses_leftrec
     assert run_parse(grammar, "ab.").success
     # The default says a childless parser may consume nothing, so the
     # same grammar has an unannotated left call.
@@ -207,29 +211,37 @@ def test_trace_reaches_context():
     assert any(line.startswith("snapshot") for line in lines)
 
 
-def _has_leftrec_table(ctx) -> bool:
-    try:
-        ctx.state(LeftRecTable)
-    except ConfigurationError:
-        return False
-    return True
-
-
-def test_left_rec_table_only_for_grammars_that_use_leftrec():
+def test_a_perform_after_the_left_call_sees_the_seed_in_force():
+    # Each growth round re-enters "expression" on the seed of the round
+    # before; the in-flight map holds that seed, not the blocked marker.
     seen = []
-    rules = {"top": seq(perform(lambda ctx: seen.append(_has_leftrec_table(ctx))),
-                        literal("x"))}
-    grammar = GrammarDef(rules, "top").freeze()
-    assert not grammar.uses_leftrec
-    assert run_parse(grammar, "x").success
-    assert seen == [False]
-
-    expr = expr_grammar()
-    assert expr.uses_leftrec
-    lines: list = []
-    outcome = run_parse(expr, "1-2-3", trace=lines.append)
+    rules = expr_rules()
+    rules["expression"] = leftrec(choice(
+        build(seq(ref("expression"),
+                  perform(lambda ctx: seen.append(
+                      [getattr(s, "end_position", "blocked")
+                       for s in ctx.seeds.values()])),
+                  word("-"), ref("number")), 2, node("sub")),
+        ref("number"),
+    ))
+    outcome = run_parse(GrammarDef(rules, "expression").freeze(), "1-2-3")
     assert outcome.success
-    assert lines and all("LeftRecTable" in line for line in lines)
+    assert seen == [[1], [3], [5]]
+
+
+@pytest.mark.parametrize("text, ok", [("1-2-3", True), ("-", False)])
+def test_no_seed_stays_in_flight_after_a_leftrec_parse(text, ok):
+    ctx = ParseContext(text, cells=[AstStack()])
+    assert expr_grammar().root_parser.parse(ctx).ok is ok
+    assert ctx.seeds == {}
+
+
+def test_trace_lines_of_a_leftrec_parse_list_only_the_ast_stack():
+    lines: list = []
+    assert run_parse(expr_grammar(), "1-2-3", trace=lines.append).success
+    assert lines
+    assert all(re.fullmatch(r"\w+ pos=\d+ AstStack\(depth=\d+\)", line)
+               for line in lines)
 
 
 def nested_tags(depth: int) -> str:
