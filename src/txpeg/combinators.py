@@ -178,7 +178,7 @@ class ZeroMore(Parser):
     """Repeat the child until it fails; always succeeds."""
 
     #: The child's :meth:`~txpeg.core.Parser.char_test`, which freeze sets
-    #: on its private copy: the repetition is then one scanning loop.
+    #: on its private copy: the repetition is then one :func:`_scan_run`.
     scan: Optional[Callable[[str], bool]] = None
 
     def __init__(self, child: Parser):
@@ -186,16 +186,8 @@ class ZeroMore(Parser):
 
     def parse(self, ctx: ParseContext) -> ParseResult:
         child = self.children[0]
-        scan = self.scan
-        if scan is not None:
-            # What the child would do, one character at a time, down to
-            # the failure it records where the run ends.
-            text, pos = ctx.text, ctx.position
-            end = len(text)
-            while pos < end and scan(text[pos]):
-                pos += 1
-            ctx.position = pos
-            ctx.fail(pos, lambda: f"expected {child!r}")
+        if self.scan is not None:
+            _scan_run(ctx, self.scan, child)
             return SUCCESS
         entry = step = ctx.snapshot()
         while child.parse(ctx).ok:
@@ -215,11 +207,20 @@ class ZeroMore(Parser):
 class OneMore(Parser):
     """Like :class:`ZeroMore` but the first iteration must succeed."""
 
+    scan: Optional[Callable[[str], bool]] = None
+
     def __init__(self, child: Parser):
         self.children = (child,)
 
     def parse(self, ctx: ParseContext) -> ParseResult:
         child = self.children[0]
+        if self.scan is not None:
+            start = ctx.position
+            failure = _scan_run(ctx, self.scan, child)
+            if ctx.position > start:
+                return SUCCESS
+            # Muted, nothing was built: the child fails here as it would.
+            return child.parse(ctx) if failure is None else failure
         entry = step = ctx.snapshot()
         r = child.parse(ctx)
         if not r.ok:
@@ -231,6 +232,22 @@ class OneMore(Parser):
                 return SUCCESS
 
     first = Parser.children_first
+    specialise = ZeroMore.specialise
+
+
+def _scan_run(ctx: ParseContext, scan: Callable[[str], bool],
+              child: Parser) -> Optional[Failure]:
+    """Repeat ``child``, whose :meth:`~txpeg.core.Parser.char_test` is
+    ``scan``, in one loop; return the failure the child records where the
+    run ends, or None while failures are muted, when none is built."""
+    text, pos = ctx.text, ctx.position
+    end = len(text)
+    while pos < end and scan(text[pos]):
+        pos += 1
+    ctx.position = pos
+    if ctx.muted:
+        return None
+    return ctx.fail(pos, lambda: f"expected {child!r}")
 
 
 class Until(Parser):
@@ -342,8 +359,11 @@ def _outside(chars: frozenset) -> frozenset:
 
 
 @lru_cache(maxsize=256)
-def _accepted_ascii(pred: Callable[[str], bool]) -> frozenset:
-    return frozenset(filter(pred, ASCII))
+def _accepted_ascii(pred: Callable[[str], bool]) -> Optional[frozenset]:
+    try:
+        return frozenset(filter(pred, ASCII))
+    except Exception:       # it raises on some character: unknown
+        return None
 
 
 class CharPred(Parser):
@@ -355,8 +375,9 @@ class CharPred(Parser):
 
     The predicate must be a pure function of its one character: freeze
     calls it on ``chr(0)`` to ``chr(127)`` to learn the parser's FIRST set
-    (:meth:`~txpeg.core.Parser.first`), and a frozen ``zero_more`` of a
-    ``char_pred`` calls it without going through this parser.
+    (:meth:`~txpeg.core.Parser.first`), and a frozen ``zero_more`` or
+    ``one_more`` of a ``char_pred`` calls it without going through this
+    parser.
     """
 
     def __init__(self, pred: Callable[[str], bool], label: Optional[str] = None):
@@ -376,11 +397,11 @@ class CharPred(Parser):
     def nullable(self, child_nullable) -> bool:
         return False
 
-    def first(self, child_first, nullable) -> frozenset:
+    def first(self, child_first, nullable) -> Optional[frozenset]:
         try:
             return _accepted_ascii(self.pred)
         except TypeError:       # an unhashable predicate object
-            return frozenset(filter(self.pred, ASCII))
+            return _accepted_ascii.__wrapped__(self.pred)
 
     def char_test(self) -> Callable[[str], bool]:
         return self.pred

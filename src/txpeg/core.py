@@ -231,7 +231,9 @@ class Parser:
 
     def char_test(self) -> Optional[Callable[[str], bool]]:
         """A predicate on one character when this parser matches exactly
-        one character that satisfies it and does nothing else; else None."""
+        one character that satisfies it and does nothing else; else None.
+        A frozen ``zero_more`` or ``one_more`` of it then scans with the
+        predicate, with no snapshot, and fails with ``expected <repr>``."""
         return None
 
     def specialise(self, nullable: Callable[["Parser"], bool],
@@ -310,7 +312,8 @@ class ParseContext:
         # Furthest failure: (position, message or factory), never restored.
         self.furthest: Optional[tuple] = None
         self.seeds: dict = {}
-        self._muted = 0
+        # Nonzero while failures are muted (mute_failures).
+        self.muted = 0
 
     @property
     def input_length(self) -> int:
@@ -330,7 +333,7 @@ class ParseContext:
 
     def fail(self, position: int, message: Union[str, Callable[[], str]]) -> Failure:
         """Build a failure and fold it into the furthest-failure record."""
-        if not self._muted and (self.furthest is None or position >= self.furthest[0]):
+        if not self.muted and (self.furthest is None or position >= self.furthest[0]):
             self.furthest = (position, message)
         return Failure(position, message)
 
@@ -341,10 +344,10 @@ class ParseContext:
         parsers whose failures are expected, not diagnostic; recording
         them would bury the real error under scanner noise.
         """
-        self._muted += 1
+        self.muted += 1
 
     def unmute_failures(self) -> None:
-        self._muted -= 1
+        self.muted -= 1
 
     def furthest_failure(self) -> Optional[tuple[int, str]]:
         """The deepest failure seen, as (position, message), if any."""

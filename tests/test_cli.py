@@ -4,6 +4,7 @@ import io
 import json
 import os
 import pathlib
+import random
 import subprocess
 import sys
 
@@ -252,3 +253,51 @@ def test_internal_error_exits_four_with_one_line(tmp_path, capsys, monkeypatch, 
     out = capsys.readouterr()
     assert out.out == ""
     assert out.err == f"{path}: internal error: cell broke its contract\n"
+
+
+# Bytes the mutations insert: invalid UTF-8, NUL, a bare carriage return,
+# and the punctuation both grammars branch on.
+MUTATION_BYTES = b"\xff\x00\r\n\t <>/\":=(){},.ab1"
+TAGS_DOCUMENTS = [b"<a><b></b><c></c></a>", b"<foo><bar></bar></foo>"]
+
+
+def mutants(rng, data, count):
+    for _ in range(count):
+        out = bytearray(data)
+        for _ in range(rng.randint(1, 3)):
+            at = rng.randrange(len(out) + 1)
+            op = rng.choice(("insert", "delete", "replace"))
+            byte = rng.choice((rng.choice(MUTATION_BYTES), rng.choice(data)))
+            if op == "insert":
+                out.insert(at, byte)
+            elif at < len(out):
+                if op == "delete":
+                    del out[at]
+                else:
+                    out[at] = byte
+        yield bytes(out)
+
+
+def test_mutated_fixtures_exit_cleanly_with_at_most_one_line(tmp_path, capsys):
+    rng = random.Random(1609)
+    cases = [("tags", doc) for doc in TAGS_DOCUMENTS]
+    cases += [("examply", p.read_bytes())
+              for kind in ("accept", "reject")
+              for p in sorted((FIXTURES / "examply" / kind).glob("*.examply"))]
+    path = tmp_path / "mutant"
+    seen = set()
+    for grammar, data in cases:
+        for mutant in mutants(rng, data, 6):
+            path.write_bytes(mutant)
+            code = main(["--grammar", grammar, str(path)])
+            err = capsys.readouterr().err
+            try:
+                mutant.decode("utf-8")
+                utf8 = True
+            except UnicodeDecodeError:
+                utf8 = False
+            assert code in (0, 1, 2), (grammar, mutant)
+            assert (code == 2) == (not utf8), (grammar, mutant, err)
+            assert err.count("\n") <= 1 and "Traceback" not in err, (grammar, mutant, err)
+            seen.add(code)
+    assert seen == {0, 1, 2}

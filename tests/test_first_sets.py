@@ -1,9 +1,13 @@
 """FIRST sets at freeze, and the shortcuts they allow on the frozen copy:
 a ``not_`` that skips a child which cannot start at the next character,
-and a ``zero_more(char_pred(...))`` that scans in one loop."""
+and a ``zero_more`` or ``one_more`` of a ``char_pred`` that scans in one
+loop."""
+
+import pytest
 
 from txpeg.combinators import (
-    DEFAULT_WHITESPACE, char_pred, choice, literal, not_, opt, seq, zero_more,
+    DEFAULT_WHITESPACE, char_pred, choice, literal, not_, one_more, opt, seq,
+    zero_more,
 )
 from txpeg.core import ASCII, SUCCESS, ParseContext, Parser
 from txpeg.demos.examply import KEYWORDS, examply_grammar
@@ -121,6 +125,48 @@ def test_the_scan_loop_records_the_failure_where_the_run_ends():
     assert grammar.root_parser.parse(ctx) is SUCCESS
     assert ctx.position == 2
     assert ctx.furthest_failure() == (2, "expected digit")
+
+
+def test_one_more_scans_too_and_fails_as_its_char_pred_would():
+    digits = one_more(char_pred(str.isdigit, "digit"))
+    grammar = GrammarDef({"top": digits}, "top").freeze()
+    assert grammar.rules["top"].scan is str.isdigit
+    ctx = ParseContext("12y")
+    assert grammar.root_parser.parse(ctx) is SUCCESS
+    assert (ctx.position, ctx.furthest_failure()) == (2, (2, "expected digit"))
+    ctx = ParseContext("y")
+    r = grammar.root_parser.parse(ctx)
+    assert (r.ok, r.position, r.message) == (False, 0, "expected digit")
+    assert (ctx.position, ctx.furthest_failure()) == (0, (0, "expected digit"))
+    # Muted, a run that ends builds no failure; one that never starts
+    # still returns the char_pred's own.
+    ctx = ParseContext("12y")
+    ctx.mute_failures()
+    ctx.fail = lambda position, message: pytest.fail("built a muted failure")
+    assert grammar.root_parser.parse(ctx) is SUCCESS
+    ctx = ParseContext("y")
+    ctx.mute_failures()
+    r = grammar.root_parser.parse(ctx)
+    assert (r.ok, r.position, r.message) == (False, 0, "expected digit")
+    assert ctx.furthest is None
+
+
+class Unhashable:
+    __hash__ = None
+
+    def __call__(self, c):
+        return int(c) > 3
+
+
+@pytest.mark.parametrize("pred", [lambda c: int(c) > 3, Unhashable()],
+                         ids=["function", "unhashable"])
+def test_a_predicate_that_raises_on_some_characters_leaves_first_unknown(pred):
+    rules = {"top": seq(not_(char_pred(pred, "digit over 3")),
+                        char_pred(str.isdigit, "digit"))}
+    grammar = GrammarDef(rules, "top").freeze()
+    assert grammar.rules["top"].children[0].skip_at == frozenset()
+    assert run_parse(grammar, "2").success
+    assert run_parse(grammar, "5").error.message == "unexpected digit over 3"
 
 
 def test_freeze_leaves_the_shared_default_whitespace_alone():

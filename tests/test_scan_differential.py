@@ -1,0 +1,64 @@
+"""A frozen ``zero_more``/``one_more`` of a ``char_pred`` scans in one loop;
+these grammars must parse every input exactly as their unfrozen parser
+objects do, which call the ``char_pred`` once per character."""
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from txpeg.combinators import (
+    AstStack, capture, char_pred, choice, literal, not_, one_more, seq, word,
+    zero_more,
+)
+from txpeg.core import ParseContext
+from txpeg.grammar import GrammarDef
+
+letter = char_pred(lambda c: c in "ab", "letter")
+blank = char_pred(lambda c: c == " ", "blank")
+not_newline = char_pred(lambda c: c != "\n", "comment character")
+nul_or_a = char_pred(lambda c: c in "a\x00", "a or nul")
+
+# name -> (root parser, whitespace parser or None for the default)
+GRAMMARS = {
+    "one_more at the head": (seq(one_more(letter), literal(";")), None),
+    "zero_more at the head": (seq(zero_more(letter), literal(";")), None),
+    "after a literal": (seq(literal("#"), one_more(letter), zero_more(blank)), None),
+    "under capture": (seq(capture(one_more(letter)), literal(" "),
+                          capture(zero_more(letter))), None),
+    "under not_": (seq(not_(one_more(letter)), not_(seq(zero_more(blank), literal(";"))),
+                       one_more(char_pred(lambda c: c != "\x00", "any"))), None),
+    "in the whitespace": (one_more(choice(word("a"), word("b;"))),
+                          one_more(choice(one_more(blank),
+                                          seq(literal("#"), zero_more(not_newline)),
+                                          literal("\n")))),
+    "accepting nul": (seq(one_more(nul_or_a), zero_more(nul_or_a)), None),
+}
+
+
+def outcome(root, text, whitespace):
+    ctx = ParseContext(text, cells=[AstStack()], whitespace=whitespace)
+    result = root.parse(ctx)
+    failure = None if result.ok else (result.position, result.message)
+    return (result.ok, ctx.position, failure, ctx.furthest_failure(),
+            ctx.state(AstStack).values())
+
+
+@pytest.mark.parametrize("name", GRAMMARS)
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(text=st.text(alphabet="ab #;\n\x00", max_size=10))
+def test_the_frozen_scan_matches_the_unfrozen_parsers(name, text):
+    root, ws = GRAMMARS[name]
+    frozen = GrammarDef({"top": root}, "top", whitespace=ws).freeze()
+    assert outcome(frozen.root_parser, text, frozen.whitespace) == outcome(root, text, ws)
+
+
+def test_every_grammar_above_scans_once_frozen():
+    def scans(p, seen):
+        if id(p) in seen:
+            return False
+        seen.add(id(p))
+        return getattr(p, "scan", None) is not None or any(scans(c, seen) for c in p.children)
+
+    for root, ws in GRAMMARS.values():
+        frozen = GrammarDef({"top": root}, "top", whitespace=ws).freeze()
+        assert scans(frozen.root_parser, set()) or scans(frozen.whitespace, set())
