@@ -160,15 +160,14 @@ def dump_ast(ast: list, fmt: str) -> str:
 def _read_input(path: str) -> str:
     # Bytes, so stdin decodes as strictly as a file whatever the locale;
     # a stdin without a byte buffer (a StringIO, say) is read as text.
-    if path == "-":
-        buffer = getattr(sys.stdin, "buffer", None)
-        if buffer is None:
-            return sys.stdin.read()
-        data = buffer.read()
-    else:
+    if path != "-":
         with open(path, "rb") as handle:
-            data = handle.read()
-    return data.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
+            text = handle.read().decode("utf-8")
+    elif getattr(sys.stdin, "buffer", None) is None:
+        text = sys.stdin.read()
+    else:
+        text = sys.stdin.buffer.read().decode("utf-8")
+    return text.replace("\r\n", "\n").replace("\r", "\n")
 
 
 def main(argv: Optional[list] = None) -> int:

@@ -241,7 +241,7 @@ def _scan_run(ctx: ParseContext, scan: Callable[[str], bool],
     ``scan``, in one loop; return the failure the child records where the
     run ends, or None while failures are muted, when none is built."""
     text, pos = ctx.text, ctx.position
-    end = len(text)
+    end = len(text) - 1         # the sentinel is never scanned
     while pos < end and scan(text[pos]):
         pos += 1
     ctx.position = pos
@@ -369,9 +369,9 @@ def _accepted_ascii(pred: Callable[[str], bool]) -> Optional[frozenset]:
 class CharPred(Parser):
     """Match one character satisfying a predicate.
 
-    The appended NUL sentinel is passed to the predicate like any other
-    character; the usual character classes reject it, so only a predicate
-    written to accept NUL can match at end of input.
+    The appended NUL sentinel is never passed to the predicate, so no
+    predicate matches at end of input; a NUL inside the input is passed
+    like any other character.
 
     The predicate must be a pure function of its one character: freeze
     calls it on ``chr(0)`` to ``chr(127)`` to learn the parser's FIRST set
@@ -386,7 +386,7 @@ class CharPred(Parser):
 
     def parse(self, ctx: ParseContext) -> ParseResult:
         pos = ctx.position
-        if pos < len(ctx.text) and self.pred(ctx.text[pos]):
+        if pos < len(ctx.text) - 1 and self.pred(ctx.text[pos]):
             ctx.position = pos + 1
             return SUCCESS
         return ctx.fail(pos, lambda: f"expected {self!r}")
@@ -469,11 +469,8 @@ class EndOfInput(Parser):
         return frozenset()
 
 
-class Word(Parser):
+class Word(Literal):
     """Match a literal, then skip trailing whitespace: a token."""
-
-    def __init__(self, string: str):
-        self.string = string
 
     def parse(self, ctx: ParseContext) -> ParseResult:
         pos = ctx.position
@@ -485,12 +482,6 @@ class Word(Parser):
 
     def __repr__(self):
         return f"word({self.string!r})"
-
-    def nullable(self, child_nullable) -> bool:
-        return self.string == ""
-
-    def first(self, child_first, nullable) -> frozenset:
-        return ASCII.intersection(self.string[:1])
 
 
 # ---------------------------------------------------------------------------

@@ -24,9 +24,8 @@ iteration's entries into one per cell, which keeps the trail as long as
 the nesting is deep, not as the input is long.  Diff and merge walk the
 same trail: a delta carries one entry per cell logged since its snapshot,
 and a cell that never logs (an :class:`~txpeg.states.InertState`) is never
-visited by any of these operations.  A context built with a ``trace``
-callable is a :class:`TracedContext`, which runs the same operations and
-reports each one.
+visited by any of these operations.  A :class:`TracedContext` runs the
+same operations and reports each one to a ``trace`` callable.
 """
 
 from __future__ import annotations
@@ -276,25 +275,13 @@ class ParseContext:
     deliberately outside the transaction: backtracking must not erase the
     best diagnostic seen so far.  So is ``seeds``, the left-recursive calls
     in flight (:mod:`txpeg.leftrec`): each removes its own key on exit.
-
-    Passing ``trace`` builds a :class:`TracedContext` instead, so the plain
-    context's operations carry no tracing check at all.
     """
 
-    def __new__(cls, text: str, cells: Iterable[StateCell] = (),
-                whitespace: Optional[Parser] = None,
-                trace: Optional[Callable[[str], None]] = None):
-        if trace is not None and cls is ParseContext:
-            cls = TracedContext
-        return super().__new__(cls)
-
     def __init__(self, text: str, cells: Iterable[StateCell] = (),
-                 whitespace: Optional[Parser] = None,
-                 trace: Optional[Callable[[str], None]] = None):
+                 whitespace: Optional[Parser] = None):
         self.text = text + SENTINEL
         self.position = 0
         self.whitespace = whitespace
-        self.trace = trace
         self._cells = tuple(cells)
         # The undo trail, oldest first, flat: cell, prior version, cell,
         # prior version, ...  Its identity also tags snapshots and deltas
@@ -309,8 +296,8 @@ class ParseContext:
         # Each cell logs its changes on this context's trail from now on.
         for cell in self._cells:
             cell._trail = self._trail
-        # Furthest failure: (position, message or factory), never restored.
-        self.furthest: Optional[tuple] = None
+        # The furthest failure, never restored.
+        self.furthest: Optional[Failure] = None
         self.seeds: dict = {}
         # Nonzero while failures are muted (mute_failures).
         self.muted = 0
@@ -333,9 +320,10 @@ class ParseContext:
 
     def fail(self, position: int, message: Union[str, Callable[[], str]]) -> Failure:
         """Build a failure and fold it into the furthest-failure record."""
-        if not self.muted and (self.furthest is None or position >= self.furthest[0]):
-            self.furthest = (position, message)
-        return Failure(position, message)
+        failure = Failure(position, message)
+        if not self.muted and (self.furthest is None or position >= self.furthest.position):
+            self.furthest = failure
+        return failure
 
     def mute_failures(self) -> None:
         """Pause furthest-failure recording.
@@ -351,10 +339,8 @@ class ParseContext:
 
     def furthest_failure(self) -> Optional[tuple[int, str]]:
         """The deepest failure seen, as (position, message), if any."""
-        if self.furthest is None:
-            return None
-        pos, msg = self.furthest
-        return pos, msg() if callable(msg) else msg
+        f = self.furthest
+        return None if f is None else (f.position, f.message)
 
     # -- aggregate transactions ---------------------------------------------
     #
@@ -419,12 +405,6 @@ class ParseContext:
         return not any(cell.cell_snapshot() != prior
                        for cell, prior in self._first_entries(mark).values())
 
-    def unchanged_since(self, snap: tuple) -> bool:
-        """True when the position and every cell logged since the snapshot
-        still match it."""
-        mark = self._mark(snap)
-        return self.position == snap[0] and self._unchanged_after(mark)
-
     def end_iteration(self, entry: tuple, step: tuple, parser: Parser) -> None:
         """Close a successful iteration of a repetition.
 
@@ -462,8 +442,14 @@ class TracedContext(ParseContext):
 
     Each operation runs the plain one, then passes ``trace`` one line: the
     operation, the position, and the summary of every registered cell.
-    Built by ``ParseContext(..., trace=callable)``.
+    The plain :class:`ParseContext` carries no tracing check at all.
     """
+
+    def __init__(self, text: str, trace: Callable[[str], None],
+                 cells: Iterable[StateCell] = (),
+                 whitespace: Optional[Parser] = None):
+        super().__init__(text, cells, whitespace)
+        self.trace = trace
 
     def snapshot(self) -> tuple:
         snap = super().snapshot()

@@ -25,7 +25,8 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 from .combinators import DEFAULT_WHITESPACE, AstStack, Whitespace
-from .core import ConfigurationError, ContractViolationError, ParseContext, Parser, ParseResult
+from .core import (ConfigurationError, ContractViolationError, ParseContext, Parser,
+                   ParseResult, TracedContext)
 from .leftrec import check_recursion_annotated
 
 __all__ = [
@@ -199,8 +200,9 @@ def run_parse(grammar: FrozenGrammar, text: str, partial: bool = False,
     Builds a context with fresh cells (adding the AST stack unless the
     grammar supplied its own), consumes leading whitespace, invokes the
     root, and unless ``partial`` demands that the whole input was
-    consumed.  With ``trace``, the context reports every transaction
-    operation to it (:class:`~txpeg.core.TracedContext`).
+    consumed.  With ``trace``, the context is a
+    :class:`~txpeg.core.TracedContext`, which reports every snapshot,
+    restore, diff and merge to it.
 
     Input nested past Python's recursion limit fails with the error
     ``input nests too deeply``, located where the parse had got to.
@@ -208,8 +210,10 @@ def run_parse(grammar: FrozenGrammar, text: str, partial: bool = False,
     cells = [factory() for factory in grammar.cell_factories]
     if AstStack not in {type(c) for c in cells}:
         cells.append(AstStack())
-    ctx = ParseContext(text, cells=cells, whitespace=grammar.whitespace,
-                       trace=trace)
+    if trace is None:
+        ctx = ParseContext(text, cells, grammar.whitespace)
+    else:
+        ctx = TracedContext(text, trace, cells, grammar.whitespace)
     try:
         Whitespace().parse(ctx)
         result = grammar.root_parser.parse(ctx)
@@ -222,12 +226,10 @@ def run_parse(grammar: FrozenGrammar, text: str, partial: bool = False,
         return ParseOutcome(True, ast=values, end_position=ctx.position)
     if result.ok:
         result = ctx.fail(ctx.position, "expected end of input")
-    furthest = ctx.furthest_failure()
-    if furthest is None or result.position > furthest[0]:
-        position, message = result.position, result.message
-    else:
-        position, message = furthest
-    return _failed(ctx, position, message)
+    furthest = ctx.furthest
+    if furthest is None or result.position > furthest.position:
+        furthest = result
+    return _failed(ctx, furthest.position, furthest.message)
 
 
 def _failed(ctx: ParseContext, position: int, message: str) -> ParseOutcome:

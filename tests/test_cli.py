@@ -242,6 +242,18 @@ def test_stdin_bytes_get_universal_newlines(capsys, monkeypatch):
     assert translated == capsys.readouterr().out
 
 
+def test_text_stdin_gets_universal_newlines_too(capsys, monkeypatch):
+    crlf = "fun f(): Int\r\n    val x: Int = 1\r\n"
+    monkeypatch.setattr("sys.stdin", io.StringIO(crlf))
+    assert main(["--grammar", "examply", "--format", "json", "-"]) == 0
+    translated = capsys.readouterr().out
+    monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(crlf.encode()),
+                                                      encoding="utf-8"))
+    assert main(["--grammar", "examply", "--format", "json", "-"]) == 0
+    assert translated == capsys.readouterr().out
+    assert '"span": [\n      0,\n      32\n' in translated
+
+
 @pytest.mark.parametrize("error", [ContractViolationError, ConfigurationError])
 def test_internal_error_exits_four_with_one_line(tmp_path, capsys, monkeypatch, error):
     def broken(*args, **kwargs):

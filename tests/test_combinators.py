@@ -30,7 +30,7 @@ from txpeg.combinators import (
 from txpeg.core import ContractViolationError, ParseContext
 from txpeg.demos.examply import examply_grammar
 from txpeg.demos.smoke import tags_grammar
-from txpeg.grammar import run_parse
+from txpeg.grammar import GrammarDef, run_parse
 from txpeg.states import StackState
 
 
@@ -72,9 +72,28 @@ def test_char_pred_rejects_sentinel_by_default():
     assert ctx.position == 0
 
 
-def test_char_pred_can_accept_sentinel_explicitly():
+def test_char_pred_never_matches_the_sentinel():
+    nul = char_pred(lambda c: c == "\x00", "nul")
     ctx = ctx_for("")
-    assert char_pred(lambda c: c == "\x00", "end of input").parse(ctx).ok
+    assert not nul.parse(ctx).ok
+    assert ctx.position == 0
+    # A NUL inside the input still matches.
+    ctx = ctx_for("\x00")
+    assert nul.parse(ctx).ok
+    assert ctx.position == 1
+    assert not nul.parse(ctx).ok
+
+
+def test_a_scan_stops_before_the_sentinel():
+    line = capture(zero_more(char_pred(lambda c: c != "\n", "non-newline")))
+    grammar = GrammarDef({"top": seq(literal("#"), line)}, "top").freeze()
+    outcome = run_parse(grammar, "#abc")
+    assert (outcome.success, outcome.ast, outcome.end_position) == (True, ["abc"], 4)
+    # A frozen not_ after the scan reads the character where the scan stopped.
+    grammar = GrammarDef({"top": seq(literal("#"), line, not_(literal("x")))},
+                         "top").freeze()
+    outcome = run_parse(grammar, "#abc")
+    assert (outcome.success, outcome.ast, outcome.end_position) == (True, ["abc"], 4)
 
 
 def test_seq_runs_children_in_order():

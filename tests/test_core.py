@@ -159,7 +159,7 @@ def test_foreign_snapshot_rejected():
 
 def test_trace_logs_every_transaction_op():
     lines: list = []
-    ctx = ParseContext("ab", cells=[AStack()], trace=lines.append)
+    ctx = TracedContext("ab", lines.append, cells=[AStack()])
     snap = ctx.snapshot()
     delta = ctx.diff(snap)
     ctx.restore(snap)
@@ -186,7 +186,13 @@ def test_inert_cell_is_never_visited(monkeypatch):
     assert (ctx.position, stack.values(), notes.content) == (0, [], "rewritten")
     ctx.merge(delta)
     assert (ctx.position, stack.values()) == (3, ["x"])
-    assert ctx.unchanged_since(ctx.snapshot())
+    # Nor does the progress check that closes an iteration.
+    step = ctx.snapshot()
+    stack.push("y")
+    stack.pop()
+    notes.content = "again"
+    with pytest.raises(ContractViolationError):
+        ctx.end_iteration(step, step, stack)
     assert ctx.state(CNotes) is notes
 
 
@@ -195,7 +201,9 @@ def test_traced_snapshot_round_trips_like_untraced():
     seen = []
     for trace in (None, lines.append):
         stack, counter = AStack(), BCounter(n=0)
-        ctx = ParseContext("abcdef", cells=[CNotes(), stack, counter], trace=trace)
+        cells = [CNotes(), stack, counter]
+        ctx = (ParseContext("abcdef", cells) if trace is None
+               else TracedContext("abcdef", trace, cells))
         stack.push("keep")
         snap = ctx.snapshot()
         ctx.position = 4
@@ -216,14 +224,15 @@ def test_traced_snapshot_round_trips_like_untraced():
     assert all(line.split()[2] == "CNotes" for line in lines)
 
 
-def test_unchanged_since_catches_progress_only_in_inert_cells():
+def test_an_iteration_that_writes_only_inert_cells_makes_no_progress():
     notes, stack = CNotes(), AStack()
     ctx = ParseContext("ab", cells=[notes, stack])
     snap = ctx.snapshot()
     notes.content = "touched"
-    assert ctx.unchanged_since(snap)
+    with pytest.raises(ContractViolationError):
+        ctx.end_iteration(snap, snap, stack)
     stack.push("x")
-    assert not ctx.unchanged_since(snap)
+    ctx.end_iteration(snap, snap, stack)
 
     # A repetition whose body only writes an inert cell makes no progress.
     def touch(ctx):
@@ -237,7 +246,7 @@ def test_foreign_snapshot_rejected_without_live_cells():
     ctx1 = ParseContext("ab", cells=[CNotes()])
     ctx2 = ParseContext("ab")
     snap = ctx1.snapshot()
-    for op in (ctx2.restore, ctx2.diff, ctx2.unchanged_since):
+    for op in (ctx2.restore, ctx2.diff):
         with pytest.raises(ContractViolationError):
             op(snap)
     with pytest.raises(ContractViolationError):
@@ -326,7 +335,7 @@ def test_restoring_a_snapshot_past_the_trail_end_is_refused():
     inner = ctx.snapshot()
     ctx.restore(outer)
     # ``inner`` was taken after ``outer``; rewinding to ``outer`` ended it.
-    for op in (ctx.restore, ctx.diff, ctx.unchanged_since):
+    for op in (ctx.restore, ctx.diff):
         with pytest.raises(ContractViolationError):
             op(inner)
     assert stack.values() == []
@@ -345,9 +354,6 @@ def test_diff_sees_each_cell_as_it_was_at_the_snapshot():
     assert (stack.values(), counter.get("n")) == ([], 0)
     ctx.merge(delta)
     assert (stack.values(), counter.get("n")) == ([2, 1], 3)
-    assert not ctx.unchanged_since(snap)
-    ctx.restore(snap)
-    assert ctx.unchanged_since(snap)
 
 
 def test_loop_folding_keeps_every_older_snapshot_restorable():

@@ -92,17 +92,18 @@ def test_a_non_ascii_next_character_falls_through_and_still_parses():
     assert child.calls == [0]
 
 
-def test_a_char_pred_that_accepts_nul_still_matches_at_end_of_input():
-    at_end = char_pred(lambda c: c == "\x00", "end of input")
-    grammar = GrammarDef({"top": seq(literal("a"), not_(at_end))}, "top").freeze()
+def test_a_char_pred_that_accepts_nul_never_matches_at_end_of_input():
+    nul = char_pred(lambda c: c == "\x00", "nul")
+    grammar = GrammarDef({"top": seq(literal("a"), not_(nul))}, "top").freeze()
     assert guarded_chars(grammar.rules["top"].children[1]) == {"\x00"}
-    assert not run_parse(grammar, "a").success
+    assert run_parse(grammar, "a").success
+    assert not run_parse(grammar, "a\x00").success
     anything = zero_more(char_pred(lambda c: True, "anything"))
     grammar = GrammarDef({"top": anything}, "top").freeze()
     assert grammar.rules["top"].scan is not None
     outcome = run_parse(grammar, "ab")
     assert outcome.success
-    assert outcome.end_position == 3      # past the sentinel, as unfrozen
+    assert outcome.end_position == 2      # short of the sentinel, as unfrozen
 
 
 def test_a_cyclic_rule_under_not_is_unknown():
