@@ -143,19 +143,60 @@ class Seq(Parser):
 
 class Choice(Parser):
     """First succeeding child wins; no cleanup needed between attempts,
-    failed children have already undone their own work."""
+    failed children have already undone their own work.
+
+    A frozen choice tries, at an ASCII next character, only the children
+    that ``dispatch`` lists for it.  A child left out cannot match there:
+    it would have failed at this position and recorded failures only here
+    (:meth:`~txpeg.core.Parser.first`).  If every child fails, this
+    parser's own failure here replaces those records; if one succeeds, the
+    parse goes on from here, so the next failure it records replaces them.
+    Either way the outcome of the parse is the same.
+    """
+
+    #: ASCII character -> the children that can match there, in their
+    #: order: each that is nullable or has an unknown FIRST set, and each
+    #: whose set holds the character.  Freeze fills it in on its private
+    #: copy; a character it does not list tries every child.  The class's
+    #: empty table is shared and never written.
+    dispatch: dict = {}
 
     def __init__(self, *children: Parser):
         self.children = children
 
     def parse(self, ctx: ParseContext) -> ParseResult:
-        for child in self.children:
+        for child in self.dispatch.get(ctx.text[ctx.position], self.children):
             r = child.parse(ctx)
             if r.ok:
                 return r
         return ctx.fail(ctx.position, "no alternative matched")
 
     first = Parser.children_first
+
+    def specialise(self, nullable, first) -> None:
+        children = self.children
+        sets = tuple(None if nullable(c) else first(c) for c in children)
+        dispatch = {}
+        for picks, chars in _dispatch_plan(sets):
+            alts = tuple([children[i] for i in picks])
+            for ch in chars:
+                dispatch[ch] = alts
+        self.dispatch = dispatch
+
+
+@lru_cache(maxsize=256)
+def _dispatch_plan(sets: tuple) -> tuple:
+    """Group the ASCII characters by the children a choice keeps there,
+    given the children's FIRST sets (None where a child is kept
+    everywhere): ``((indices, characters), ...)``.  Grammars repeat a few
+    choices many times, the keyword alternatives above all."""
+    starts = frozenset().union(*filter(None, sets))
+    # A character no set holds keeps only the children kept everywhere.
+    groups = {tuple(i for i, s in enumerate(sets) if s is None): list(ASCII - starts)}
+    for ch in starts:
+        picks = tuple(i for i, s in enumerate(sets) if s is None or ch in s)
+        groups.setdefault(picks, []).append(ch)
+    return tuple(groups.items())
 
 
 class Opt(Parser):
@@ -303,8 +344,9 @@ class Ahead(Parser):
     def nullable(self, child_nullable) -> bool:
         return True
 
-    def first(self, child_first, nullable) -> frozenset:
-        return frozenset()
+    # Its child's failures may lie past its own entry, so it may be
+    # skipped only where its child would be.
+    first = Parser.children_first
 
 
 class Not(Parser):
@@ -339,8 +381,7 @@ class Not(Parser):
     def nullable(self, child_nullable) -> bool:
         return True
 
-    def first(self, child_first, nullable) -> frozenset:
-        return frozenset()
+    first = Parser.zero_width_first
 
     def specialise(self, nullable, first) -> None:
         child = self.children[0]
@@ -408,14 +449,19 @@ class CharPred(Parser):
 
 
 class Literal(Parser):
-    """Match an exact string."""
+    """Match an exact string.
+
+    A NUL in the string matches a NUL inside the input, never the appended
+    sentinel, so no literal matches past the end of input.
+    """
 
     def __init__(self, string: str):
         self.string = string
 
     def parse(self, ctx: ParseContext) -> ParseResult:
         pos = ctx.position
-        if ctx.text.startswith(self.string, pos):
+        # The end bound keeps the sentinel out of every match.
+        if ctx.text.startswith(self.string, pos, -1):
             ctx.position = pos + len(self.string)
             return SUCCESS
         return ctx.fail(pos, lambda: f"expected {self.string!r}")
@@ -465,8 +511,7 @@ class EndOfInput(Parser):
             return SUCCESS
         return ctx.fail(ctx.position, "expected end of input")
 
-    def first(self, child_first, nullable) -> frozenset:
-        return frozenset()
+    first = Parser.zero_width_first
 
 
 class Word(Literal):
@@ -474,7 +519,7 @@ class Word(Literal):
 
     def parse(self, ctx: ParseContext) -> ParseResult:
         pos = ctx.position
-        if not ctx.text.startswith(self.string, pos):
+        if not ctx.text.startswith(self.string, pos, -1):
             return ctx.fail(pos, lambda: f"expected {self.string!r}")
         ctx.position = pos + len(self.string)
         _skip_whitespace(ctx)
@@ -507,9 +552,11 @@ class Predicate(Parser):
         msg = self.message(ctx) if callable(self.message) else self.message
         return ctx.fail(ctx.position, msg)
 
+    first = Parser.zero_width_first
+
 
 class Perform(Parser):
-    """Run a state-mutating effect and succeed."""
+    """Run a state-mutating effect and succeed; consumes nothing."""
 
     def __init__(self, effect: Callable[[ParseContext], Any]):
         self.effect = effect
@@ -517,6 +564,8 @@ class Perform(Parser):
     def parse(self, ctx: ParseContext) -> ParseResult:
         self.effect(ctx)
         return SUCCESS
+
+    first = Parser.zero_width_first
 
 
 class AndDo(Parser):
@@ -532,6 +581,8 @@ class AndDo(Parser):
             return r
         self.effect(ctx)
         return SUCCESS
+
+    first = Parser.children_first
 
 
 # ---------------------------------------------------------------------------

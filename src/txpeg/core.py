@@ -210,9 +210,18 @@ class Parser:
         with any other character.  ``child_first`` answers the same question
         for a child, and ``nullable`` is :meth:`nullable` worked out over
         the whole graph.  Freeze asks only where it uses the answer, the
-        child of a ``not_``, memoises it, and counts a node met again while
-        its own set is being worked out as unknown.  The default, unknown,
-        is always safe, so a custom parser keeps the plain path.
+        child of a ``not_`` and the children of a ``choice``, memoises it,
+        and counts a node met again while its own set is being worked out
+        as unknown.  The default, unknown, is always safe, so a custom
+        parser keeps the plain path.
+
+        A class that states a set makes this promise, which is what lets
+        a frozen ``not_`` or ``choice`` skip the parser: at an ASCII
+        character outside the set, a parse consumes nothing and records
+        failures (:meth:`ParseContext.fail`) only at its entry position;
+        one that is not nullable fails there.  A parser that looks past its
+        entry without consuming, as ``ahead`` does, must count what it looks
+        at in its set.
         """
         return None
 
@@ -228,6 +237,12 @@ class Parser:
             chars |= got
         return chars
 
+    def zero_width_first(self, child_first, nullable) -> frozenset:
+        """:meth:`first` for a parser that never consumes input and records
+        failures only at its entry: the empty set.  A class adopts it with
+        ``first = Parser.zero_width_first``."""
+        return frozenset()
+
     def char_test(self) -> Optional[Callable[[str], bool]]:
         """A predicate on one character when this parser matches exactly
         one character that satisfies it and does nothing else; else None.
@@ -242,7 +257,9 @@ class Parser:
         Freeze calls it once on every node of its private copy, after the
         recursion check; ``nullable`` and ``first`` answer :meth:`nullable`
         and :meth:`first` for any node.  The outcome of every parse must
-        stay as it would have been.  The default does nothing.
+        stay as it would have been, that is as it is under
+        ``freeze(specialise=False)``, which calls no ``specialise``.  The
+        default does nothing.
         """
 
     def left_children(self, nullable: Callable[["Parser"], bool]) -> tuple:

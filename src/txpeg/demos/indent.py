@@ -112,6 +112,8 @@ class Indent(Parser):
         return ctx.fail(ctx.position,
                         lambda: f"expecting indentation > {old} positions")
 
+    first = Parser.zero_width_first
+
 
 class Dedent(Parser):
     """Leave a block: a shallower line, or the end of the input."""
@@ -124,6 +126,8 @@ class Dedent(Parser):
             return SUCCESS
         return ctx.fail(ctx.position,
                         lambda: f"expecting indentation < {old} positions")
+
+    first = Parser.zero_width_first
 
 
 def _fill_indent_map(ctx: ParseContext) -> None:

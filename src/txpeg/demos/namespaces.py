@@ -159,6 +159,8 @@ class Scoped(Parser):
             types.truncate(size)
         return r
 
+    first = Parser.children_first
+
 
 class ClassDef(Parser):
     """Complete a class definition around its body.
@@ -205,6 +207,8 @@ class ClassDef(Parser):
         types.push(TypeRecord(name, priv))
         enclosing.pop()
         return SUCCESS
+
+    first = Parser.children_first
 
 
 def _inherit_from_superclass(ctx: ParseContext) -> None:

@@ -98,14 +98,18 @@ class GrammarDef:
     whitespace: Optional[Parser] = None
     cells: tuple = ()
 
-    def freeze(self) -> FrozenGrammar:
+    def freeze(self, specialise: bool = True) -> FrozenGrammar:
         """Copy the parser graph, bind every reference, validate recursion.
 
         Unknown rule names and unannotated left-recursive cycles are
         configuration errors.  Each freeze copies the graph, the default
         whitespace parser included when the grammar has none of its own,
-        and specialises the copies; the rule objects passed in are never
-        modified.
+        and specialises the copies: among others, a ``not_`` learns where
+        to skip its child, a ``choice`` which children to try at each
+        ASCII character, and a repetition of a ``char_pred`` to scan.  The
+        rule objects passed in are never modified.  With ``specialise``
+        false the copies keep the plain path, which every specialisation
+        must match outcome for outcome.
         """
         if self.root not in self.rules:
             raise ConfigurationError(f"root rule {self.root!r} is not defined")
@@ -138,9 +142,10 @@ class GrammarDef:
                 copies[id(p)].children = tuple(twin(c) for c in p.children)
         nodes = list(copies.values())
         nullable = check_recursion_annotated(rules, nodes)
-        first = _first_sets(nullable)
-        for p in nodes:
-            p.specialise(nullable, first)
+        if specialise:
+            first = _first_sets(nullable)
+            for p in nodes:
+                p.specialise(nullable, first)
         return FrozenGrammar(rules, self.root, whitespace, tuple(self.cells))
 
 

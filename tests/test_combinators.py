@@ -96,6 +96,33 @@ def test_a_scan_stops_before_the_sentinel():
     assert (outcome.success, outcome.ast, outcome.end_position) == (True, ["abc"], 4)
 
 
+@pytest.mark.parametrize("make", [literal, word])
+def test_a_literal_ending_in_nul_never_matches_the_sentinel(make):
+    nul = make("\x00")
+    grammar = GrammarDef({"top": seq(literal("a"), nul)}, "top").freeze()
+    outcome = run_parse(grammar, "a")
+    assert not outcome.success
+    assert (outcome.end_position, outcome.error.position) == (0, 1)
+    # A frozen not_ or choice after it reads the character it stopped at.
+    for tail in (not_(literal("x")), choice(literal("x"), literal("y"))):
+        grammar = GrammarDef({"top": seq(literal("a"), nul, tail)}, "top").freeze()
+        assert not run_parse(grammar, "a").success
+    ctx = ctx_for("a")
+    assert not seq(literal("a"), make("\x00")).parse(ctx).ok
+    assert ctx.position == 0
+
+
+@pytest.mark.parametrize("make", [literal, word])
+def test_a_nul_inside_the_input_still_matches_a_literal(make):
+    grammar = GrammarDef({"top": seq(literal("a"), make("\x00"), not_(literal("x")))},
+                         "top").freeze()
+    outcome = run_parse(grammar, "a\x00")
+    assert (outcome.success, outcome.end_position) == (True, 2)
+    ctx = ctx_for("a\x00b")
+    assert make("a\x00b").parse(ctx).ok
+    assert ctx.position == 3
+
+
 def test_seq_runs_children_in_order():
     ctx = ctx_for("abcd")
     assert seq(literal("ab"), literal("cd")).parse(ctx).ok

@@ -1,13 +1,13 @@
 """FIRST sets at freeze, and the shortcuts they allow on the frozen copy:
 a ``not_`` that skips a child which cannot start at the next character,
-and a ``zero_more`` or ``one_more`` of a ``char_pred`` that scans in one
-loop."""
+a ``choice`` that tries only the alternatives which can, and a
+``zero_more`` or ``one_more`` of a ``char_pred`` that scans in one loop."""
 
 import pytest
 
 from txpeg.combinators import (
-    DEFAULT_WHITESPACE, char_pred, choice, literal, not_, one_more, opt, seq,
-    zero_more,
+    DEFAULT_WHITESPACE, Choice, ahead, char_pred, choice, literal, not_, one_more,
+    opt, seq, zero_more,
 )
 from txpeg.core import ASCII, SUCCESS, ParseContext, Parser
 from txpeg.demos.examply import KEYWORDS, examply_grammar
@@ -182,3 +182,119 @@ def test_freeze_leaves_the_shared_default_whitespace_alone():
     assert (type(DEFAULT_WHITESPACE), vars(DEFAULT_WHITESPACE),
             type(child), vars(child)) == before
     assert "scan" not in vars(DEFAULT_WHITESPACE)
+
+
+# ---------------------------------------------------------------------------
+# Choice dispatch.
+
+
+def frozen_top(root):
+    return GrammarDef({"top": root}, "top").freeze().root_parser
+
+
+def test_every_dispatch_entry_keeps_the_alternatives_in_order():
+    top = frozen_top(choice(literal("ab"), char_pred(str.isalpha, "letter"),
+                            literal("b"), literal("ac")))
+    ab, letter, b, ac = top.children
+    assert top.dispatch["a"] == (ab, letter, ac)
+    assert top.dispatch["b"] == (letter, b)
+    assert top.dispatch["z"] == (letter,)
+    assert top.dispatch["1"] == ()
+    assert set(top.dispatch) == ASCII
+    for alts in top.dispatch.values():
+        assert list(alts) == sorted(alts, key=top.children.index)
+
+
+def test_nullable_and_unknown_alternatives_are_in_every_entry():
+    unknown = Counting(literal("u"))
+    top = frozen_top(choice(literal("a"), unknown, opt(literal("b")), literal("c")))
+    a, unknown, nullable, c = top.children
+    assert all(unknown in alts and nullable in alts for alts in top.dispatch.values())
+    assert top.dispatch["a"] == (a, unknown, nullable)
+    assert top.dispatch["c"] == (unknown, nullable, c)
+    assert top.dispatch["\x00"] == (unknown, nullable)
+
+
+def test_a_non_ascii_next_character_tries_every_alternative():
+    first = Counting(literal("é"))
+    first.first = lambda child_first, nullable: frozenset()
+    second = Counting(literal("x"))
+    second.first = lambda child_first, nullable: frozenset("x")
+    top = frozen_top(choice(first, second))
+    assert top.dispatch["x"] == (top.children[1],)
+    assert top.dispatch["e"] == ()
+    ctx = ParseContext("é")
+    assert top.parse(ctx) is SUCCESS
+    ctx = ParseContext("ü")
+    r = top.parse(ctx)
+    assert (r.ok, r.position, r.message) == (False, 0, "no alternative matched")
+    assert first.calls == [0, 0] and second.calls == [0]
+
+
+def test_a_choice_whose_alternatives_are_all_skipped_fails_at_its_position():
+    a, b = Counting(literal("a")), Counting(literal("b"))
+    for child, char in ((a, "a"), (b, "b")):
+        child.first = lambda child_first, nullable, char=char: frozenset(char)
+    top = frozen_top(seq(literal("x"), choice(a, b)))
+    ctx = ParseContext("xz")
+    r = top.parse(ctx)
+    assert (r.ok, r.position, r.message) == (False, 1, "no alternative matched")
+    assert ctx.position == 0
+    assert ctx.furthest_failure() == (1, "no alternative matched")
+    assert a.calls == b.calls == []
+    plain = GrammarDef({"top": seq(literal("x"), choice(a, b))}, "top").freeze(specialise=False)
+    ctx = ParseContext("xz")
+    assert not plain.root_parser.parse(ctx).ok
+    assert ctx.furthest_failure() == (1, "no alternative matched")
+    assert a.calls == b.calls == [1]
+
+
+def test_freeze_gives_no_dispatch_table_to_the_shared_choice():
+    alternatives = choice(literal("a"), literal("b"))
+    rules = {"top": seq(alternatives, alternatives)}
+    grammar = GrammarDef(rules, "top").freeze()
+    assert "dispatch" not in vars(alternatives)
+    assert Choice.dispatch == {}
+    twin = grammar.root_parser.children[0]
+    assert twin is not alternatives and twin.dispatch["a"] == (twin.children[0],)
+    assert run_parse(grammar, "ba").success
+    ctx = ParseContext("ba")
+    assert rules["top"].parse(ctx) is SUCCESS and ctx.position == 2
+
+
+def test_the_left_recursive_alternative_of_expr_is_tried_at_every_character():
+    grammar = expr_grammar()
+    alternatives = grammar.rules["expression"].children[0]
+    assert type(alternatives).__name__ == "Choice"
+    recursive, number = alternatives.children
+    assert set(alternatives.dispatch) == ASCII
+    for char, alts in alternatives.dispatch.items():
+        assert alts == ((recursive, number) if char.isdigit() else (recursive,))
+
+
+def test_examply_statements_skip_the_alternatives_that_cannot_start():
+    grammar = examply_grammar()
+    # statement = seq(aligned(), choice(ref(declaration), seq(expression, newline)))
+    alternatives = grammar.rules["statement"].children[1]
+    declaration, expression = alternatives.children
+    assert alternatives.dispatch["1"] == alternatives.dispatch['"'] == (expression,)
+    assert alternatives.dispatch["v"] == (declaration, expression)
+    body = grammar.rules["declaration_body"]
+    assert [alt.name for alt in body.dispatch["v"]] == ["val_decl", "var_decl"]
+    assert [alt.name for alt in body.dispatch["a"]] == ["alias_decl"]
+    assert [alt.name for alt in body.dispatch["c"]] == ["class_decl"]
+    assert body.dispatch["x"] == ()
+
+
+def test_an_ahead_counts_what_it_looks_at_in_its_first_set():
+    # Plain, ``ahead`` records its child's failure at 1, past the entry;
+    # a choice that skipped the first alternative would hide it.
+    root = choice(seq(ahead(seq(literal("a"), literal("b"))), literal("c")),
+                  literal("a"))
+    records = []
+    for specialise in (True, False):
+        grammar = GrammarDef({"top": root}, "top").freeze(specialise=specialise)
+        ctx = ParseContext("ax")
+        assert grammar.root_parser.parse(ctx) is SUCCESS
+        records.append(ctx.furthest_failure())
+    assert records == [(1, "expected 'b'")] * 2
