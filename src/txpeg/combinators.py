@@ -149,9 +149,11 @@ class Choice(Parser):
     that ``dispatch`` lists for it.  A child left out cannot match there:
     it would have failed at this position and recorded failures only here
     (:meth:`~txpeg.core.Parser.first`).  If every child fails, this
-    parser's own failure here replaces those records; if one succeeds, the
-    parse goes on from here, so the next failure it records replaces them.
-    Either way the outcome of the parse is the same.
+    parser's own failure here replaces those records.  If one succeeds,
+    the parse goes on from here or further, and comes back behind here
+    only after recording a failure at or past here, which replaces them,
+    or out of a successful ``ahead``, which drops every record made
+    inside it.  Either way the outcome of the parse is the same.
     """
 
     #: ASCII character -> the children that can match there, in their
@@ -328,16 +330,23 @@ class Until(Parser):
 
 class Ahead(Parser):
     """Succeed iff the child would, consuming nothing and keeping no
-    state changes either way."""
+    state changes either way.
+
+    A success also leaves the furthest-failure record as it found it:
+    the failures the child met on its way are not this parser's, and the
+    parse goes on from the entry, behind them.  A failure keeps them.
+    """
 
     def __init__(self, child: Parser):
         self.children = (child,)
 
     def parse(self, ctx: ParseContext) -> ParseResult:
         snap = ctx.snapshot()
+        furthest = ctx.furthest
         r = self.children[0].parse(ctx)
         if r.ok:
             ctx.restore(snap)
+            ctx.furthest = furthest
             return SUCCESS
         return r
 

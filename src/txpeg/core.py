@@ -221,7 +221,10 @@ class Parser:
         failures (:meth:`ParseContext.fail`) only at its entry position;
         one that is not nullable fails there.  A parser that looks past its
         entry without consuming, as ``ahead`` does, must count what it looks
-        at in its set.
+        at in its set.  And a parser that succeeds behind a position its
+        child reached, as ``ahead`` does, must put ``ctx.furthest`` back as
+        it was at its entry, or a child skipped in there could change what
+        the parse reports.
         """
         return None
 

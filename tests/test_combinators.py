@@ -248,6 +248,17 @@ def test_ahead_propagates_failure():
     assert ctx.position == 0
 
 
+def test_a_successful_ahead_leaves_the_failure_record_as_it_found_it():
+    ctx = ctx_for("ab")
+    ctx.fail(0, "before")
+    # The child records "expected 'x'" at 1 on its way to success.
+    assert ahead(seq(literal("a"), choice(literal("x"), literal("b")))).parse(ctx).ok
+    assert ctx.furthest_failure() == (0, "before")
+    # A failing one keeps its child's failure.
+    assert not ahead(seq(literal("a"), literal("x"))).parse(ctx).ok
+    assert ctx.furthest_failure() == (1, "expected 'x'")
+
+
 def test_not_inverts_and_stays_neutral():
     ctx = ctx_for("ab")
     assert not_(literal("z")).parse(ctx).ok

@@ -298,3 +298,13 @@ def test_an_ahead_counts_what_it_looks_at_in_its_first_set():
         assert grammar.root_parser.parse(ctx) is SUCCESS
         records.append(ctx.furthest_failure())
     assert records == [(1, "expected 'b'")] * 2
+
+
+def test_a_choice_skipped_inside_a_successful_ahead_changes_no_error():
+    # Plain, ``literal("x")`` records a failure at 1 inside the lookahead,
+    # which a frozen choice skips at "b"; the parse then fails at 0.
+    rules = {"top": seq(ahead(seq(literal("a"), choice(literal("x"), literal("b")))),
+                        literal("c"))}
+    for specialise in (True, False):
+        r = run_parse(GrammarDef(rules, "top").freeze(specialise=specialise), "ab")
+        assert (r.success, r.error.position, r.error.message) == (False, 0, "expected 'c'")

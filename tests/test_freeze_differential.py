@@ -6,7 +6,8 @@ with ``specialise=False``, which keeps the plain path of every parser (no
 must agree on every input: success, end position, error position and
 message, and the JSON form of the AST.  The inputs are short token
 sequences and seeded character mutations of the documents that
-``bench/gen.py`` generates.
+``bench/gen.py`` generates.  Small grammars for shapes the bundled ones
+lack get token sequences too.
 """
 
 import json
@@ -21,13 +22,14 @@ from hypothesis import strategies as st
 
 from token_outcomes import TOKENS, join
 from txpeg.cli import ast_to_data
+from txpeg.combinators import ahead, choice, end_of_input, literal, seq, zero_more
 from txpeg.demos.examply import examply_cells, examply_grammar, examply_rules
 from txpeg.demos.expr import expr_grammar, expr_rules
 from txpeg.demos.macro import composed_grammar, composed_rules, macro_grammar, macro_rules
 from txpeg.demos.smoke import (
     RunTally, TagStack, anbncn_grammar, anbncn_rules, tags_grammar, tags_rules,
 )
-from txpeg.grammar import GrammarDef, run_parse
+from txpeg.grammar import GrammarDef, ref, run_parse
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
 import gen  # noqa: E402
@@ -45,6 +47,24 @@ DEFINITIONS = {
                anbncn_grammar),
 }
 
+
+def lookahead_rules() -> dict:
+    """Choices whose alternatives a frozen grammar skips inside a
+    successful ``ahead``, after which the parse may fail behind them."""
+    probe = seq(choice(literal("a"), literal("c")),
+                choice(literal("x"), literal("b"), seq(literal("y"), literal("b"))))
+    item = seq(ahead(ref("probe")), choice(literal("ab;"), literal("cyb;"), literal("cb")))
+    return {
+        "top": seq(zero_more(item), choice(literal("a."), literal(".")), end_of_input()),
+        "probe": probe,
+    }
+
+
+# Small grammars for shapes the bundled ones lack, checked like them.
+SHAPES = {
+    "lookahead": lambda: GrammarDef(lookahead_rules(), "top"),
+}
+
 # The golden token alphabet, indentation, and the other keywords and
 # tokens of the line-oriented grammars; joined as the golden inputs are.
 SOURCE_TOKENS = TOKENS + ("    ", "\t", "var", "alias", "import", "lib.", "String",
@@ -58,13 +78,14 @@ ALPHABETS = {
     "expr": (("1", "23", "-", " ", "(", "x", "\n"), ""),
     "tags": (("<a>", "</a>", "<bc>", "</bc>", "<", "</", ">", "a", " "), ""),
     "anbncn": (("a", "b", "c", "aa", "bb", "cc", " ", "\x00"), ""),
+    "lookahead": (("a", "b", "c", "x", "y", ";", ".", "é"), ""),
 }
 
 
 @lru_cache(maxsize=None)
 def pair(name: str) -> tuple:
     """(specialised, plain) frozen grammars."""
-    define = DEFINITIONS[name][0]
+    define = DEFINITIONS[name][0] if name in DEFINITIONS else SHAPES[name]
     return define().freeze(), define().freeze(specialise=False)
 
 
@@ -91,7 +112,7 @@ def test_each_definition_mirrors_its_bundled_grammar(name):
             bundled.root, set(bundled.rules), bundled.cell_factories)
 
 
-@pytest.mark.parametrize("name", DEFINITIONS)
+@pytest.mark.parametrize("name", [*DEFINITIONS, *SHAPES])
 @settings(derandomize=True, max_examples=150, deadline=None)
 @given(data=st.data())
 def test_token_sequences_parse_alike_specialised_and_plain(name, data):
