@@ -9,15 +9,20 @@ contract during the parse (a ``ContractViolationError`` or
 ``ConfigurationError``), with one ``path: internal error: message`` line
 on stderr.  Input is decoded as strict UTF-8 with universal newlines,
 from a file and from stdin alike.  On success the AST goes to stdout,
-either as an indented tree or as deterministic JSON; the JSON form
-doubles as the fixture format for expected-output files.  Both are
-written with explicit stacks, not recursion, so an AST of any depth
-prints.
+as an indented tree, as deterministic JSON indented by two spaces (the
+fixture format for expected-output files, which grows with the square
+of the nesting depth), or as the same JSON on one line
+(``json-compact``, which grows with the AST).  All are written with
+explicit stacks, not recursion, so an AST of any depth prints.
+
+Each entry of :data:`GRAMMARS` imports its demo module only when it is
+called, so a run loads and compiles just the grammar it parses.
 """
 
 from __future__ import annotations
 
 import argparse
+import importlib
 import json
 import sys
 from itertools import chain, repeat
@@ -26,18 +31,21 @@ from typing import Callable, Optional
 
 from .combinators import AstNode
 from .core import ConfigurationError, ContractViolationError
-from .demos.examply import examply_grammar
-from .demos.expr import expr_grammar
-from .demos.smoke import anbncn_grammar, tags_grammar
 from .grammar import FrozenGrammar, run_parse
 
 __all__ = ["GRAMMARS", "ast_from_data", "ast_to_data", "dump_ast", "main"]
 
+
+def _on_demand(module: str, factory: str) -> Callable[[], FrozenGrammar]:
+    """A grammar factory that imports its demo module when first called."""
+    return lambda: getattr(importlib.import_module(module, __package__), factory)()
+
+
 GRAMMARS: dict = {
-    "examply": examply_grammar,
-    "anbncn": anbncn_grammar,
-    "tags": tags_grammar,
-    "expr": expr_grammar,
+    "examply": _on_demand(".demos.examply", "examply_grammar"),
+    "anbncn": _on_demand(".demos.smoke", "anbncn_grammar"),
+    "tags": _on_demand(".demos.smoke", "tags_grammar"),
+    "expr": _on_demand(".demos.expr", "expr_grammar"),
 }
 
 
@@ -105,8 +113,11 @@ def _tree_lines(value, depth: int, out: list) -> None:
             out.append(f"{pad}{value!r}")
 
 
-def _json_text(data) -> str:
-    """``json.dumps(data, indent=2)``, byte for byte, without recursion."""
+def _json_text(data, pad: str = "  ") -> str:
+    """``json.dumps(data, indent=2)``, or with an empty ``pad``
+    ``json.dumps(data, separators=(",", ":"))``, byte for byte, without
+    recursion."""
+    newline, colon = ("\n", ": ") if pad else ("", ":")
     out: list = []
     # The open containers, outermost first: each one's iterator over its
     # remaining (prefix, value) items, and the text that closes it.
@@ -126,16 +137,17 @@ def _json_text(data) -> str:
                     out.append(prefix + ("{}" if is_dict else "[]"))
                     continue
                 stack.append((items, closer))
-                inner = "\n" + "  " * len(stack)
+                inner = newline + pad * len(stack)
+                outer = inner[:len(inner) - len(pad)]
                 prefixes = chain((inner,), repeat("," + inner))
                 if is_dict:
                     out.append(prefix + "{")
-                    closer = inner[:-2] + "}"
-                    items = ((p + encode_basestring_ascii(k) + ": ", v)
+                    closer = outer + "}"
+                    items = ((p + encode_basestring_ascii(k) + colon, v)
                              for p, (k, v) in zip(prefixes, value.items()))
                 else:
                     out.append(prefix + "[")
-                    closer = inner[:-2] + "]"
+                    closer = outer + "]"
                     items = zip(prefixes, value)
                 break
             else:
@@ -148,9 +160,10 @@ def _json_text(data) -> str:
 
 
 def dump_ast(ast: list, fmt: str) -> str:
-    """Serialize a parse result (a list of top-level values)."""
-    if fmt == "json":
-        return _json_text(ast_to_data(ast)) + "\n"
+    """Serialize a parse result (a list of top-level values) as a
+    ``tree``, indented ``json`` or one-line ``json-compact``."""
+    if fmt in ("json", "json-compact"):
+        return _json_text(ast_to_data(ast), "  " if fmt == "json" else "") + "\n"
     out: list = []
     for value in ast:
         _tree_lines(value, 0, out)
@@ -178,8 +191,8 @@ def main(argv: Optional[list] = None) -> int:
     parser.add_argument("--grammar", required=True, choices=sorted(GRAMMARS),
                         help="which grammar to parse with")
     parser.add_argument("input", help="input file path, or - for stdin")
-    parser.add_argument("--format", choices=("tree", "json"), default="tree",
-                        help="AST output format (default: tree)")
+    parser.add_argument("--format", choices=("tree", "json", "json-compact"),
+                        default="tree", help="AST output format (default: tree)")
     parser.add_argument("--trace-state", action="store_true",
                         help="log state operations to stderr")
     parser.add_argument("--partial", action="store_true",

@@ -14,7 +14,6 @@ speculative parses that fail drop their half-built output for free.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Any, Callable, Optional, Union
 
@@ -26,6 +25,7 @@ from .core import (
     ParseContext,
     ParseResult,
     Parser,
+    Record,
 )
 from .states import MonotonicStack
 
@@ -77,17 +77,19 @@ __all__ = [
 ]
 
 
-@dataclass
-class AstNode:
+class AstNode(Record):
     """A syntax tree node: a kind tag, child values, and a text span.
 
     Children may be nodes, strings, lists or None; ``span`` is the
     half-open [start, end) range of input the node was built from.
     """
 
-    kind: str
-    children: tuple = ()
-    span: Optional[tuple] = None
+    __slots__ = __match_args__ = ("kind", "children", "span")
+
+    def __init__(self, kind: str, children: tuple = (), span: Optional[tuple] = None):
+        self.kind = kind
+        self.children = children
+        self.span = span
 
 
 class AstStack(MonotonicStack):

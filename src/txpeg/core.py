@@ -30,8 +30,8 @@ same operations and reports each one to a ``trace`` callable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Iterable, Optional, Union
+from operator import attrgetter
+from typing import Callable, Iterable, NamedTuple, Optional, Union
 
 __all__ = [
     "ASCII",
@@ -159,8 +159,7 @@ class StateCell:
         return type(self).__name__
 
 
-@dataclass(frozen=True)
-class AggregateDelta:
+class AggregateDelta(NamedTuple):
     """The work done since a snapshot: end position plus a (cell, delta)
     pair for each cell logged on the trail since then; ``registry`` is the
     context's trail, which tags the delta as that context's own."""
@@ -168,6 +167,25 @@ class AggregateDelta:
     end_position: int
     cells: tuple
     registry: list
+
+
+class Record:
+    """A mutable record compared and shown by the fields that
+    ``__match_args__`` names, in order, as a plain dataclass would be:
+    equal only to a record of the same class, and unhashable."""
+
+    __slots__ = ()
+    __match_args__: tuple = ()
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        fields = attrgetter(*self.__match_args__)
+        return fields(self) == fields(other)
+
+    def __repr__(self):
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__match_args__)
+        return f"{type(self).__qualname__}({fields})"
 
 
 class Parser:
@@ -224,7 +242,10 @@ class Parser:
         at in its set.  And a parser that succeeds behind a position its
         child reached, as ``ahead`` does, must put ``ctx.furthest`` back as
         it was at its entry, or a child skipped in there could change what
-        the parse reports.
+        the parse reports.  A skipped parser is not run at all, so a
+        frozen ``not_`` or ``choice`` may pass over one whose plain run
+        would raise, for example a ``ContractViolationError`` from a
+        repetition whose iteration consumes nothing.
         """
         return None
 
@@ -261,8 +282,10 @@ class Parser:
         recursion check; ``nullable`` and ``first`` answer :meth:`nullable`
         and :meth:`first` for any node.  The outcome of every parse must
         stay as it would have been, that is as it is under
-        ``freeze(specialise=False)``, which calls no ``specialise``.  The
-        default does nothing.
+        ``freeze(specialise=False)``, which calls no ``specialise``.  That
+        holds for parses that return: where the plain path raises, the
+        frozen one may skip the parser that raises and return instead
+        (:meth:`first`).  The default does nothing.
         """
 
     def left_children(self, nullable: Callable[["Parser"], bool]) -> tuple:

@@ -19,7 +19,7 @@ crossing a line break under that whitespace convention.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from ..combinators import perform, predicate
 from ..core import SUCCESS, ParseContext, Parser, ParseResult
@@ -40,8 +40,7 @@ __all__ = [
 TAB_WIDTH = 4
 
 
-@dataclass(frozen=True)
-class IndentEntry:
+class IndentEntry(NamedTuple):
     """One line's indentation: expanded width and where it ends."""
 
     count: int

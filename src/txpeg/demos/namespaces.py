@@ -26,8 +26,7 @@ depth of the stack (rerooting, as in Conchon and Filliâtre,
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from ..combinators import ahead, and_do, ast_stack, perform, predicate, seq
 from ..core import SUCCESS, ContractViolationError, ParseContext, Parser, ParseResult
@@ -50,8 +49,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class TypeRecord:
+class TypeRecord(NamedTuple):
     """A visible type: its name and its private classes."""
 
     name: str

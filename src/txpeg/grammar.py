@@ -21,12 +21,11 @@ and column.
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 from .combinators import DEFAULT_WHITESPACE, AstStack, Whitespace
 from .core import (ConfigurationError, ContractViolationError, ParseContext, Parser,
-                   ParseResult, TracedContext)
+                   ParseResult, Record, TracedContext)
 from .leftrec import check_recursion_annotated
 
 __all__ = [
@@ -85,18 +84,21 @@ class FrozenGrammar:
         self.cell_factories = cell_factories
 
 
-@dataclass
-class GrammarDef:
+class GrammarDef(Record):
     """An unfrozen grammar under construction.
 
     ``cells`` lists factories (usually just cell classes) for the state
     the grammar's parsers expect; each parse instantiates them fresh.
     """
 
-    rules: dict
-    root: str
-    whitespace: Optional[Parser] = None
-    cells: tuple = ()
+    __match_args__ = ("rules", "root", "whitespace", "cells")
+
+    def __init__(self, rules: dict, root: str, whitespace: Optional[Parser] = None,
+                 cells: tuple = ()):
+        self.rules = rules
+        self.root = root
+        self.whitespace = whitespace
+        self.cells = cells
 
     def freeze(self, specialise: bool = True) -> FrozenGrammar:
         """Copy the parser graph, bind every reference, validate recursion.
@@ -166,8 +168,7 @@ def _first_sets(nullable: Callable[[Parser], bool]
     return first
 
 
-@dataclass(frozen=True)
-class ParseError:
+class ParseError(NamedTuple):
     """The furthest failure, located for humans: 1-based line and column."""
 
     position: int
@@ -176,8 +177,7 @@ class ParseError:
     message: str
 
 
-@dataclass
-class ParseOutcome:
+class ParseOutcome(Record):
     """What a driver run produced.
 
     On success, ``ast`` holds the final AST stack bottom first (one root
@@ -185,10 +185,14 @@ class ParseOutcome:
     furthest failure.  ``end_position`` is where the parse stopped.
     """
 
-    success: bool
-    ast: Optional[list] = None
-    end_position: int = 0
-    error: Optional[ParseError] = None
+    __match_args__ = ("success", "ast", "end_position", "error")
+
+    def __init__(self, success: bool, ast: Optional[list] = None, end_position: int = 0,
+                 error: Optional[ParseError] = None):
+        self.success = success
+        self.ast = ast
+        self.end_position = end_position
+        self.error = error
 
 
 def line_col(text: str, offset: int) -> tuple[int, int]:

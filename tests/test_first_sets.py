@@ -9,7 +9,7 @@ from txpeg.combinators import (
     DEFAULT_WHITESPACE, Choice, ahead, char_pred, choice, literal, not_, one_more,
     opt, seq, zero_more,
 )
-from txpeg.core import ASCII, SUCCESS, ParseContext, Parser
+from txpeg.core import ASCII, SUCCESS, ContractViolationError, ParseContext, Parser
 from txpeg.demos.examply import KEYWORDS, examply_grammar
 from txpeg.demos.expr import expr_grammar
 from txpeg.demos.macro import composed_grammar
@@ -308,3 +308,17 @@ def test_a_choice_skipped_inside_a_successful_ahead_changes_no_error():
     for specialise in (True, False):
         r = run_parse(GrammarDef(rules, "top").freeze(specialise=specialise), "ab")
         assert (r.success, r.error.position, r.error.message) == (False, 0, "expected 'c'")
+
+
+def test_a_frozen_skip_may_pass_over_a_parser_whose_plain_run_raises():
+    # The seq's FIRST set is {a, b}, so at "c" the frozen choice skips it;
+    # plain, it reaches the one_more, whose first iteration is empty.
+    ab = char_pred(lambda c: c in "ab", "ab")
+    rules = {"top": choice(seq(not_(literal("a")), choice(ref("r1"), literal("b")), ab)),
+             "r1": one_more(opt(ab))}
+    outcome = run_parse(GrammarDef(rules, "top").freeze(), "c")
+    assert not outcome.success
+    assert (outcome.error.position, outcome.error.message) == (0, "no alternative matched")
+    with pytest.raises(ContractViolationError,
+                       match="OneMore iteration succeeded without consuming input"):
+        run_parse(GrammarDef(rules, "top").freeze(specialise=False), "c")
