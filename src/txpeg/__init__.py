@@ -12,8 +12,8 @@ The interesting pieces:
   contract (snapshot and restore, with whole-version diff and merge by
   default), and the furthest-failure record.
 - :mod:`txpeg.states` — ready-made cell strategies: full-copy, persistent
-  stacks, an append-only stack with graftable diffs, a persistent map,
-  and an inert base for derived data.
+  stacks, an append-only stack with graftable diffs, a copy-on-write
+  map, and an inert base for derived data.
 - :mod:`txpeg.combinators` — the combinator set plus AST building.
 - :mod:`txpeg.leftrec` — seed-growing left recursion and the freeze-time
   cycle check.

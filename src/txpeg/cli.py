@@ -231,3 +231,7 @@ def main(argv: Optional[list] = None) -> int:
         return 1
     sys.stdout.write(dump_ast(outcome.ast, config.format))
     return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

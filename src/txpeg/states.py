@@ -15,8 +15,9 @@ default diff and merge, where the delta is the whole current version:
 * :class:`MonotonicStack` is the same structure with a stronger diff: the
   delta is just the elements pushed since the snapshot, so it can be
   grafted onto another stack later.
-* :class:`MapState` is a persistent hash-array-mapped-trie map; versions
-  share structure, and diff/merge treat the content as one unit.
+* :class:`MapState` is a copy-on-write dict: every change swaps in an
+  updated copy, so a snapshot is a reference, a change costs O(size), and
+  diff/merge treat the content as one unit.
 * :class:`InertState` ignores the transaction machinery entirely: it never
   logs, so its content survives backtracking, which is exactly right for
   caches and per-parse indexes, and the context never visits it.
@@ -24,6 +25,7 @@ default diff and merge, where the delta is the whole current version:
 
 from __future__ import annotations
 
+from types import MappingProxyType
 from typing import Any, Iterator, Optional
 
 from .core import ContractViolationError, StateCell
@@ -35,175 +37,6 @@ __all__ = [
     "MonotonicStack",
     "StackState",
 ]
-
-
-# ---------------------------------------------------------------------------
-# Persistent hash map (bitmapped trie).  Standard 32-way layout: five hash
-# bits per level select a slot, occupied slots are packed densely under a
-# bitmap, and full-hash collisions fall back to a small bucket.  All nodes
-# are immutable; updates copy the spine and share the rest.
-
-_BITS = 5
-_MASK = (1 << _BITS) - 1
-_MISSING = object()
-
-
-class _Entry:
-    __slots__ = ("hash", "key", "value")
-
-    def __init__(self, h, key, value):
-        self.hash = h
-        self.key = key
-        self.value = value
-
-
-class _Branch:
-    __slots__ = ("bitmap", "items")
-
-    def __init__(self, bitmap, items):
-        self.bitmap = bitmap
-        self.items = items
-
-
-class _Collision:
-    __slots__ = ("hash", "pairs")
-
-    def __init__(self, h, pairs):
-        self.hash = h
-        self.pairs = pairs
-
-
-_EMPTY_BRANCH = _Branch(0, ())
-
-
-def _assoc(node, shift, entry):
-    """Insert or replace; returns (new node, grew flag)."""
-    if isinstance(node, _Branch):
-        bit = 1 << ((entry.hash >> shift) & _MASK)
-        idx = bin(node.bitmap & (bit - 1)).count("1")
-        if not node.bitmap & bit:
-            items = node.items[:idx] + (entry,) + node.items[idx:]
-            return _Branch(node.bitmap | bit, items), True
-        sub, grew = _assoc(node.items[idx], shift + _BITS, entry)
-        return _Branch(node.bitmap, node.items[:idx] + (sub,) + node.items[idx + 1:]), grew
-    if isinstance(node, _Entry):
-        if node.hash == entry.hash and node.key == entry.key:
-            return entry, False
-        if node.hash == entry.hash:
-            return _Collision(node.hash, ((node.key, node.value), (entry.key, entry.value))), True
-        # Two different hashes: split into a branch one level down.
-        branch, _ = _assoc(_EMPTY_BRANCH, shift, node)
-        return _assoc(branch, shift, entry)
-    # _Collision
-    if entry.hash == node.hash:
-        pairs = tuple(p for p in node.pairs if p[0] != entry.key)
-        grew = len(pairs) == len(node.pairs)
-        return _Collision(node.hash, pairs + ((entry.key, entry.value),)), grew
-    branch = _Branch(1 << ((node.hash >> shift) & _MASK), (node,))
-    return _assoc(branch, shift, entry)
-
-
-def _find(node, shift, h, key):
-    while isinstance(node, _Branch):
-        bit = 1 << ((h >> shift) & _MASK)
-        if not node.bitmap & bit:
-            return _MISSING
-        node = node.items[bin(node.bitmap & (bit - 1)).count("1")]
-        shift += _BITS
-    if isinstance(node, _Entry):
-        return node.value if node.hash == h and node.key == key else _MISSING
-    for k, v in node.pairs:
-        if k == key:
-            return v
-    return _MISSING
-
-
-def _without(node, shift, h, key):
-    """Remove a key; returns the new node, or _MISSING when absent."""
-    if isinstance(node, _Branch):
-        bit = 1 << ((h >> shift) & _MASK)
-        if not node.bitmap & bit:
-            return _MISSING
-        idx = bin(node.bitmap & (bit - 1)).count("1")
-        sub = _without(node.items[idx], shift + _BITS, h, key)
-        if sub is _MISSING:
-            return _MISSING
-        if sub is None:
-            return _Branch(node.bitmap & ~bit, node.items[:idx] + node.items[idx + 1:])
-        return _Branch(node.bitmap, node.items[:idx] + (sub,) + node.items[idx + 1:])
-    if isinstance(node, _Entry):
-        return None if node.hash == h and node.key == key else _MISSING
-    pairs = tuple(p for p in node.pairs if p[0] != key)
-    if len(pairs) == len(node.pairs):
-        return _MISSING
-    if len(pairs) == 1:
-        k, v = pairs[0]
-        return _Entry(node.hash, k, v)
-    return _Collision(node.hash, pairs)
-
-
-class PersistentMap:
-    """An immutable mapping; ``set`` and ``delete`` return new versions."""
-
-    __slots__ = ("_root", "_count")
-
-    def __init__(self, _root=_EMPTY_BRANCH, _count=0):
-        self._root = _root
-        self._count = _count
-
-    def get(self, key, default=None):
-        v = _find(self._root, 0, hash(key), key)
-        return default if v is _MISSING else v
-
-    def set(self, key, value) -> "PersistentMap":
-        root, grew = _assoc(self._root, 0, _Entry(hash(key), key, value))
-        return PersistentMap(root, self._count + (1 if grew else 0))
-
-    def delete(self, key) -> "PersistentMap":
-        root = _without(self._root, 0, hash(key), key)
-        if root is _MISSING:
-            return self
-        return PersistentMap(root if root is not None else _EMPTY_BRANCH, self._count - 1)
-
-    def __contains__(self, key):
-        return _find(self._root, 0, hash(key), key) is not _MISSING
-
-    def __len__(self):
-        return self._count
-
-    def items(self) -> Iterator[tuple]:
-        stack = [self._root]
-        while stack:
-            node = stack.pop()
-            if isinstance(node, _Branch):
-                stack.extend(node.items)
-            elif isinstance(node, _Entry):
-                yield node.key, node.value
-            else:
-                yield from node.pairs
-
-    def __iter__(self):
-        for k, _ in self.items():
-            yield k
-
-    def __eq__(self, other):
-        # Content equality; trie shape may differ with history.
-        if not isinstance(other, PersistentMap):
-            return NotImplemented
-        return self._count == other._count and dict(self.items()) == dict(other.items())
-
-    def __hash__(self):
-        return hash(frozenset(self.items()))
-
-    def __repr__(self):
-        return "PersistentMap({%s})" % ", ".join(f"{k!r}: {v!r}" for k, v in self.items())
-
-
-_EMPTY_MAP = PersistentMap()
-
-
-# ---------------------------------------------------------------------------
-# Cell strategies.
 
 
 class CopyState(StateCell):
@@ -370,33 +203,38 @@ class MonotonicStack(StackState):
 
 
 class MapState(StateCell):
-    """A mapping cell backed by a persistent hash trie.
+    """A mapping cell backed by a copy-on-write dict.
 
-    The cell itself is mutable (``put``/``remove`` swap in a new version)
-    while every version is immutable, so snapshot, diff, restore and merge
-    are all pointer assignments.  Diff captures the whole map; merging
-    replaces the content with that capture.
+    The dict is never changed in place: ``put`` and ``remove`` log the
+    current dict on the trail and swap in an updated copy, so snapshot,
+    diff, restore and merge are all pointer assignments.  Diff captures the
+    whole map; merging replaces the content with that capture.  A lookup
+    is one dict probe, while a change copies the whole map, which suits
+    maps of up to about a thousand entries that are read more than written.
     """
 
     def __init__(self):
-        self._map = _EMPTY_MAP
+        self._map: dict = {}
 
     def get(self, key, default=None):
         return self._map.get(key, default)
 
-    def _swap(self, new: PersistentMap) -> None:
-        if new is not self._map:
-            trail = self._trail
-            if trail is not None:
-                trail.append(self)
-                trail.append(self._map)
-            self._map = new
+    def _swap(self, new: dict) -> None:
+        trail = self._trail
+        if trail is not None:
+            trail.append(self)
+            trail.append(self._map)
+        self._map = new
 
     def put(self, key, value) -> None:
-        self._swap(self._map.set(key, value))
+        self._swap({**self._map, key: value})
 
     def remove(self, key) -> None:
-        self._swap(self._map.delete(key))
+        """Drop ``key``; an absent key changes nothing and logs nothing."""
+        if key in self._map:
+            new = dict(self._map)
+            del new[key]
+            self._swap(new)
 
     def __contains__(self, key):
         return key in self._map
@@ -405,8 +243,9 @@ class MapState(StateCell):
     def size(self) -> int:
         return len(self._map)
 
-    def content(self) -> PersistentMap:
-        return self._map
+    def content(self) -> MappingProxyType:
+        """A read-only view of the current version."""
+        return MappingProxyType(self._map)
 
     def cell_snapshot(self):
         return self._map

@@ -231,6 +231,21 @@ def test_non_utf8_stdin_under_the_c_locale_exits_two_like_a_file():
     assert done.stderr == b"cannot read -: not UTF-8 (byte 0xff at offset 3)\n"
 
 
+@pytest.mark.parametrize("args, text, code, out, err", [
+    (["-"], "<a></a>", 0, "", ""),  # the tags grammar builds no nodes
+    (["--format", "json", "-"], "<a></a>", 0, "[]\n", ""),
+    (["-"], "<a></b>", 1, "", "-:1:6: expected closing tag for 'a'\n"),
+], ids=["tree", "json", "mismatch"])
+def test_python_dash_m_runs_the_cli(args, text, code, out, err):
+    src = str(pathlib.Path(__file__).parent.parent / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-m", "txpeg.cli", "--grammar", "tags", *args],
+        input=text, capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=path), timeout=60)
+    assert (done.returncode, done.stdout, done.stderr) == (code, out, err)
+
+
 def test_stdin_bytes_get_universal_newlines(capsys, monkeypatch):
     crlf = io.TextIOWrapper(io.BytesIO(b"val x: Int = 1\r\nval y: Int = 2\r"),
                             encoding="utf-8")

@@ -6,13 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from txpeg.core import ContractViolationError
+from txpeg.combinators import perform, zero_more
+from txpeg.core import ContractViolationError, ParseContext
 from txpeg.states import (
     CopyState,
     InertState,
     MapState,
     MonotonicStack,
-    PersistentMap,
     StackState,
 )
 from support import simulate_cell_against_model
@@ -162,46 +162,50 @@ def test_map_state_versions_are_independent():
 @given(st.lists(st.tuples(st.sampled_from("abcdefgh"),
                           st.integers(0, 9),
                           st.booleans())))
-def test_persistent_map_matches_dict(ops):
-    pm = PersistentMap()
+def test_map_state_matches_dict(ops):
+    m = MapState()
     ref: dict = {}
     for key, value, deleting in ops:
         if deleting:
-            pm = pm.delete(key)
+            m.remove(key)
             ref.pop(key, None)
         else:
-            pm = pm.set(key, value)
+            m.put(key, value)
             ref[key] = value
-        assert len(pm) == len(ref)
-        assert dict(pm.items()) == ref
+        assert m.size == len(ref)
+        assert dict(m.content()) == ref
     for key in "abcdefgh":
-        assert pm.get(key, "absent") == ref.get(key, "absent")
-        assert (key in pm) == (key in ref)
+        assert m.get(key, "absent") == ref.get(key, "absent")
+        assert (key in m) == (key in ref)
 
 
-def test_persistent_map_handles_hash_collisions():
-    class Clash:
-        def __init__(self, name):
-            self.name = name
-
-        def __hash__(self):
-            return 7
-
-        def __eq__(self, other):
-            return isinstance(other, Clash) and self.name == other.name
-
-    a, b, c = Clash("a"), Clash("b"), Clash("c")
-    pm = PersistentMap().set(a, 1).set(b, 2).set(c, 3)
-    assert pm.get(a) == 1 and pm.get(b) == 2 and pm.get(c) == 3
-    pm2 = pm.delete(b)
-    assert pm2.get(b) is None and pm2.get(a) == 1 and len(pm2) == 2
-    assert pm.get(b) == 2
+def test_map_state_remove_of_an_absent_key_logs_nothing():
+    m = MapState()
+    ctx = ParseContext("", cells=[m])
+    m.put("a", 1)
+    mark = ctx.snapshot()[1]
+    m.remove("b")
+    assert ctx.snapshot()[1] == mark
+    assert m.get("a") == 1 and m.size == 1
 
 
-def test_persistent_map_equality_ignores_history():
-    p1 = PersistentMap().set("a", 1).set("b", 2).delete("b")
-    p2 = PersistentMap().set("a", 1)
-    assert p1 == p2
+def test_a_repetition_that_only_removes_an_absent_key_violates_the_contract():
+    m = MapState()
+    m.put("a", 1)
+    ctx = ParseContext("x", cells=[m])
+    with pytest.raises(ContractViolationError):
+        zero_more(perform(lambda c: m.remove("b"))).parse(ctx)
+
+
+def test_map_state_content_is_read_only():
+    m = MapState()
+    m.put("a", 1)
+    view = m.content()
+    with pytest.raises(TypeError):
+        view["a"] = 2
+    with pytest.raises(TypeError):
+        del view["a"]
+    assert m.get("a") == 1
 
 
 # -- InertState -------------------------------------------------------------
