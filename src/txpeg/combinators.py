@@ -285,8 +285,7 @@ def _scan_run(ctx: ParseContext, scan: Callable[[str], bool],
     """Repeat ``child``, whose :meth:`~txpeg.core.Parser.char_test` is
     ``scan``, in one loop; return the failure the child records where the
     run ends, or None while failures are muted, when none is built."""
-    text, pos = ctx.text, ctx.position
-    end = len(text) - 1         # the sentinel is never scanned
+    text, pos, end = ctx.text, ctx.position, ctx.input_length
     while pos < end and scan(text[pos]):
         pos += 1
     ctx.position = pos
@@ -378,11 +377,11 @@ class Not(Parser):
         snap = ctx.snapshot()
         # The child's failures are this parser's successes; keep them out
         # of the diagnostic record.
-        ctx.mute_failures()
+        ctx.muted += 1
         try:
             r = self.children[0].parse(ctx)
         finally:
-            ctx.unmute_failures()
+            ctx.muted -= 1
         if not r.ok:
             return SUCCESS
         ctx.restore(snap)
@@ -438,7 +437,7 @@ class CharPred(Parser):
 
     def parse(self, ctx: ParseContext) -> ParseResult:
         pos = ctx.position
-        if pos < len(ctx.text) - 1 and self.pred(ctx.text[pos]):
+        if pos < ctx.input_length and self.pred(ctx.text[pos]):
             ctx.position = pos + 1
             return SUCCESS
         return ctx.fail(pos, lambda: f"expected {self!r}")
@@ -507,11 +506,11 @@ def _skip_whitespace(ctx: ParseContext) -> None:
     ws = ctx.whitespace if ctx.whitespace is not None else DEFAULT_WHITESPACE
     # Scanner probing is not diagnostic; it must not claim the
     # furthest-failure record.
-    ctx.mute_failures()
+    ctx.muted += 1
     try:
         ws.parse(ctx)
     finally:
-        ctx.unmute_failures()
+        ctx.muted -= 1
 
 
 class EndOfInput(Parser):

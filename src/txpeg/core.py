@@ -90,7 +90,6 @@ class Failure(ParseResult):
     """
 
     __slots__ = ("position", "_message")
-    ok = False
 
     def __init__(self, position: int, message: Union[str, Callable[[], str]]):
         self.position = position
@@ -310,19 +309,27 @@ class Parser:
 class ParseContext:
     """Everything a parse mutates: text cursor, cells, failure record.
 
+    Its public attributes: ``text``, the input with the sentinel appended;
+    ``position``, the cursor; ``input_length``, the length of the input
+    without the sentinel; ``furthest``, the deepest :class:`Failure` seen;
+    ``muted``, nonzero while failures are kept out of ``furthest``;
+    ``seeds``, the left-recursive calls in flight; and ``whitespace``, the
+    parse-wide whitespace parser, or None for the default.
+
     The cell registry is fixed at construction; cells are looked up by
     their exact class, so a grammar addresses "the indentation stack" as
     ``ctx.state(IndentStack)``.  Registering a cell binds it to the
     context's trail, which every transaction operation walks; the registry
     itself is only for lookup.  The furthest-failure record is
     deliberately outside the transaction: backtracking must not erase the
-    best diagnostic seen so far.  So is ``seeds``, the left-recursive calls
-    in flight (:mod:`txpeg.leftrec`): each removes its own key on exit.
+    best diagnostic seen so far.  So is ``seeds`` (:mod:`txpeg.leftrec`):
+    each call removes its own key on exit.
     """
 
     def __init__(self, text: str, cells: Iterable[StateCell] = (),
                  whitespace: Optional[Parser] = None):
         self.text = text + SENTINEL
+        self.input_length = len(text)
         self.position = 0
         self.whitespace = whitespace
         self._cells = tuple(cells)
@@ -342,13 +349,10 @@ class ParseContext:
         # The furthest failure, never restored.
         self.furthest: Optional[Failure] = None
         self.seeds: dict = {}
-        # Nonzero while failures are muted (mute_failures).
+        # Nonzero while failures are muted: whitespace and inverted
+        # predicates probe with parsers whose failures are expected, and
+        # recording them would bury the real error under scanner noise.
         self.muted = 0
-
-    @property
-    def input_length(self) -> int:
-        """Length of the original input, excluding the sentinel."""
-        return len(self.text) - 1
 
     def state(self, cell_class: type) -> StateCell:
         """Return the registered cell of exactly ``cell_class``."""
@@ -367,18 +371,6 @@ class ParseContext:
         if not self.muted and (self.furthest is None or position >= self.furthest.position):
             self.furthest = failure
         return failure
-
-    def mute_failures(self) -> None:
-        """Pause furthest-failure recording.
-
-        Whitespace skipping and inverted predicates probe the input with
-        parsers whose failures are expected, not diagnostic; recording
-        them would bury the real error under scanner noise.
-        """
-        self.muted += 1
-
-    def unmute_failures(self) -> None:
-        self.muted -= 1
 
     def furthest_failure(self) -> Optional[tuple[int, str]]:
         """The deepest failure seen, as (position, message), if any."""

@@ -15,8 +15,8 @@ default diff and merge, where the delta is the whole current version:
 * :class:`MonotonicStack` is the same structure with a stronger diff: the
   delta is just the elements pushed since the snapshot, so it can be
   grafted onto another stack later.
-* :class:`MapState` is a copy-on-write dict: every change swaps in an
-  updated copy, so a snapshot is a reference, a change costs O(size), and
+* :class:`MapState` is a :class:`CopyState` whose keys are data rather
+  than field names: a lookup is one probe, a change costs O(size), and
   diff/merge treat the content as one unit.
 * :class:`InertState` ignores the transaction machinery entirely: it never
   logs, so its content survives backtracking, which is exactly right for
@@ -54,13 +54,16 @@ class CopyState(StateCell):
     def get(self, name: str, default: Any = None) -> Any:
         return self._fields.get(name, default)
 
-    def set(self, name: str, value: Any) -> None:
-        fields = self._fields
+    def _swap(self, new: dict) -> None:
+        # Every change of content goes through here, logging the old dict.
         trail = self._trail
         if trail is not None:
             trail.append(self)
-            trail.append(fields)
-        self._fields = {**fields, name: value}
+            trail.append(self._fields)
+        self._fields = new
+
+    def set(self, name: str, value: Any) -> None:
+        self._swap({**self._fields, name: value})
 
     def cell_snapshot(self):
         return self._fields
@@ -202,59 +205,43 @@ class MonotonicStack(StackState):
         self._top = top
 
 
-class MapState(StateCell):
-    """A mapping cell backed by a copy-on-write dict.
+class MapState(CopyState):
+    """A mapping cell: a :class:`CopyState` whose keys are data.
 
-    The dict is never changed in place: ``put`` and ``remove`` log the
-    current dict on the trail and swap in an updated copy, so snapshot,
-    diff, restore and merge are all pointer assignments.  Diff captures the
-    whole map; merging replaces the content with that capture.  A lookup
-    is one dict probe, while a change copies the whole map, which suits
-    maps of up to about a thousand entries that are read more than written.
+    ``put`` and ``remove`` swap in an updated copy as ``set`` does, so a
+    lookup is one dict probe and a change copies the whole map: right for
+    maps of up to about a thousand entries, read more than written.
     """
 
     def __init__(self):
-        self._map: dict = {}
+        super().__init__()
 
     def get(self, key, default=None):
-        return self._map.get(key, default)
-
-    def _swap(self, new: dict) -> None:
-        trail = self._trail
-        if trail is not None:
-            trail.append(self)
-            trail.append(self._map)
-        self._map = new
+        return self._fields.get(key, default)
 
     def put(self, key, value) -> None:
-        self._swap({**self._map, key: value})
+        self._swap({**self._fields, key: value})
 
     def remove(self, key) -> None:
         """Drop ``key``; an absent key changes nothing and logs nothing."""
-        if key in self._map:
-            new = dict(self._map)
+        if key in self._fields:
+            new = dict(self._fields)
             del new[key]
             self._swap(new)
 
     def __contains__(self, key):
-        return key in self._map
+        return key in self._fields
 
     @property
     def size(self) -> int:
-        return len(self._map)
+        return len(self._fields)
 
     def content(self) -> MappingProxyType:
         """A read-only view of the current version."""
-        return MappingProxyType(self._map)
-
-    def cell_snapshot(self):
-        return self._map
-
-    def cell_restore(self, snapshot) -> None:
-        self._map = snapshot
+        return MappingProxyType(self._fields)
 
     def summary(self) -> str:
-        return f"{type(self).__name__}(size={len(self._map)})"
+        return f"{type(self).__name__}(size={len(self._fields)})"
 
 
 class InertState(StateCell):

@@ -27,7 +27,7 @@ from txpeg.combinators import (
     word,
     zero_more,
 )
-from txpeg.core import ContractViolationError, ParseContext
+from txpeg.core import ContractViolationError, ParseContext, Parser
 from txpeg.demos.examply import examply_grammar
 from txpeg.demos.smoke import tags_grammar
 from txpeg.grammar import GrammarDef, run_parse
@@ -267,6 +267,25 @@ def test_not_inverts_and_stays_neutral():
     assert not r.ok
     assert ctx.position == 0
     assert ast_stack(ctx).size == 0
+
+
+class Raises(Parser):
+    """A custom parser that breaks the contract every time it runs."""
+
+    def parse(self, ctx):
+        raise ContractViolationError("raised on purpose")
+
+
+def test_the_mute_counter_survives_a_raising_probe():
+    ctx = ctx_for("ab")
+    with pytest.raises(ContractViolationError):
+        not_(Raises()).parse(ctx)
+    assert ctx.muted == 0
+    grammar = GrammarDef({"top": whitespace()}, "top", whitespace=Raises()).freeze()
+    ctx = ParseContext("ab", cells=[AstStack()], whitespace=grammar.whitespace)
+    with pytest.raises(ContractViolationError):
+        grammar.root_parser.parse(ctx)
+    assert ctx.muted == 0
 
 
 def test_until_tries_terminator_first_and_keeps_its_effects():

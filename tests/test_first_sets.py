@@ -142,11 +142,11 @@ def test_one_more_scans_too_and_fails_as_its_char_pred_would():
     # Muted, a run that ends builds no failure; one that never starts
     # still returns the char_pred's own.
     ctx = ParseContext("12y")
-    ctx.mute_failures()
+    ctx.muted += 1
     ctx.fail = lambda position, message: pytest.fail("built a muted failure")
     assert grammar.root_parser.parse(ctx) is SUCCESS
     ctx = ParseContext("y")
-    ctx.mute_failures()
+    ctx.muted += 1
     r = grammar.root_parser.parse(ctx)
     assert (r.ok, r.position, r.message) == (False, 0, "expected digit")
     assert ctx.furthest is None

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from txpeg.combinators import perform, zero_more
-from txpeg.core import ContractViolationError, ParseContext
+from txpeg.core import ContractViolationError, ParseContext, TracedContext
 from txpeg.states import (
     CopyState,
     InertState,
@@ -206,6 +206,31 @@ def test_map_state_content_is_read_only():
     with pytest.raises(TypeError):
         del view["a"]
     assert m.get("a") == 1
+
+
+class Tally(CopyState):
+    pass
+
+
+class Names(MapState):
+    pass
+
+
+def test_the_dict_cells_look_the_same_from_outside():
+    tally, names = Tally(n=0), Names()
+    lines: list = []
+    ctx = TracedContext("", lines.append, cells=[tally, names])
+    ctx.restore(ctx.snapshot())
+    assert lines == ["snapshot pos=0 Tally(n=0) Names(size=0)",
+                     "restore pos=0 Tally(n=0) Names(size=0)"]
+    # One trail entry is two slots: the cell and its prior version.
+    mark = ctx.snapshot()[1]
+    tally.set("n", 1)
+    assert ctx.snapshot()[1] == mark + 2
+    names.put("k", 1)
+    assert ctx.snapshot()[1] == mark + 4
+    with pytest.raises(TypeError):
+        MapState(x=1)
 
 
 # -- InertState -------------------------------------------------------------
