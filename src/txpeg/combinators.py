@@ -14,7 +14,6 @@ speculative parses that fail drop their half-built output for free.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from typing import Any, Callable, Optional, Union
 
 from .core import (
@@ -188,12 +187,10 @@ class Choice(Parser):
         self.dispatch = dispatch
 
 
-@lru_cache(maxsize=256)
 def _dispatch_plan(sets: tuple) -> tuple:
     """Group the ASCII characters by the children a choice keeps there,
     given the children's FIRST sets (None where a child is kept
-    everywhere): ``((indices, characters), ...)``.  Grammars repeat a few
-    choices many times, the keyword alternatives above all."""
+    everywhere): ``((indices, characters), ...)``."""
     starts = frozenset().union(*filter(None, sets))
     # A character no set holds keeps only the children kept everywhere.
     groups = {tuple(i for i, s in enumerate(sets) if s is None): list(ASCII - starts)}
@@ -396,25 +393,11 @@ class Not(Parser):
     def specialise(self, nullable, first) -> None:
         child = self.children[0]
         chars = None if nullable(child) else first(child)
-        self.skip_at = frozenset() if chars is None else _outside(chars)
-
-
-@lru_cache(maxsize=256)
-def _outside(chars: frozenset) -> frozenset:
-    # Grammars repeat a few guards many times, the keyword check above all.
-    return ASCII - chars
+        self.skip_at = frozenset() if chars is None else ASCII - chars
 
 
 # ---------------------------------------------------------------------------
 # Terminals.
-
-
-@lru_cache(maxsize=256)
-def _accepted_ascii(pred: Callable[[str], bool]) -> Optional[frozenset]:
-    try:
-        return frozenset(filter(pred, ASCII))
-    except Exception:       # it raises on some character: unknown
-        return None
 
 
 class CharPred(Parser):
@@ -450,9 +433,9 @@ class CharPred(Parser):
 
     def first(self, child_first, nullable) -> Optional[frozenset]:
         try:
-            return _accepted_ascii(self.pred)
-        except TypeError:       # an unhashable predicate object
-            return _accepted_ascii.__wrapped__(self.pred)
+            return frozenset(filter(self.pred, ASCII))
+        except Exception:       # it raises on some character: unknown
+            return None
 
     def char_test(self) -> Callable[[str], bool]:
         return self.pred

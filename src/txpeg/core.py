@@ -191,9 +191,10 @@ class Parser:
     """Base class for parsers.
 
     A parser is an immutable description; all per-parse mutation lives in
-    the context.  ``parse`` must uphold the transaction contract: return
-    ``SUCCESS`` with any effects in place, or a :class:`Failure` with the
-    position and every cell exactly as they were at entry.
+    the context, and its attributes never change after construction.
+    ``parse`` must uphold the transaction contract: return ``SUCCESS``
+    with any effects in place, or a :class:`Failure` with the position
+    and every cell exactly as they were at entry.
 
     Sub-parsers live in ``children``: freeze copies the graph through it
     and the left-recursion check walks it.  A class states its own static
@@ -203,6 +204,11 @@ class Parser:
     """
 
     children: tuple = ()
+
+    #: Freeze keeps one copy of the nodes of equal class, attributes and
+    #: children; a class that keys per-parse state by its own identity,
+    #: as ``leftrec`` does, sets this false and keeps a copy per node.
+    shareable: bool = True
 
     def parse(self, ctx: "ParseContext") -> ParseResult:
         raise NotImplementedError

@@ -120,6 +120,10 @@ def _is_visible_type(ctx) -> bool:
     return isinstance(name, str) and is_type(ctx, name)
 
 
+def _not_a_visible_type(ctx) -> str:
+    return f"{ast_stack(ctx).peek()!r} does not name a visible type"
+
+
 def type_name() -> Parser:
     """An identifier that must name a visible type; pushed as a string.
 
@@ -128,10 +132,7 @@ def type_name() -> Parser:
     """
     return seq(_not_keyword(),
                capture(raw_iden()),
-               predicate(
-                   _is_visible_type,
-                   lambda ctx: f"{ast_stack(ctx).peek()!r} does not name a visible type",
-               ),
+               predicate(_is_visible_type, _not_a_visible_type),
                whitespace())
 
 

@@ -232,13 +232,14 @@ def _top_names_a_type(ctx: ParseContext) -> bool:
     return is_type(ctx, name)
 
 
+def _not_a_type(ctx: ParseContext) -> str:
+    return f"{ast_stack(ctx).peek()!r} does not name a type"
+
+
 def class_guard(iden: Parser) -> Parser:
     """Zero-width: an identifier parses here and names a visible type.
 
     The identifier's AST push happens inside the lookahead and is rolled
     back along with the position.
     """
-    return ahead(seq(iden, predicate(
-        _top_names_a_type,
-        lambda ctx: f"{ast_stack(ctx).peek()!r} does not name a type",
-    )))
+    return ahead(seq(iden, predicate(_top_names_a_type, _not_a_type)))

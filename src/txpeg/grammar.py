@@ -109,29 +109,34 @@ class GrammarDef(Record):
         and specialises the copies: among others, a ``not_`` learns where
         to skip its child, a ``choice`` which children to try at each
         ASCII character, and a repetition of a ``char_pred`` to scan.  The
-        rule objects passed in are never modified.  With ``specialise``
-        false the copies keep the plain path, which every specialisation
-        must match outcome for outcome.
+        rule objects passed in are never modified, and two freezes share
+        no node.  Within one freeze, structurally equal subgraphs become
+        one node (:attr:`~txpeg.core.Parser.shareable`).  With
+        ``specialise`` false there is one copy per original node, on the
+        plain path, which sharing and every specialisation must match
+        outcome for outcome.
         """
         if self.root not in self.rules:
             raise ConfigurationError(f"root rule {self.root!r} is not defined")
-        # Copy every reachable node once, memoised by identity, and wire
-        # each copy to the copies of its children.  References resolve by
-        # name, so an original's own target, if it has one, is never used.
+        # Copy every reachable node once per key, and wire each copy to the
+        # copies of its children.  References resolve by name, so an
+        # original's own target, if it has one, is never used.
+        key = _structural_key() if specialise else id
         copies: dict[int, Parser] = {}
-        pending: list[Parser] = []
+        pending: list[tuple[Parser, Parser]] = []
 
         def twin(p: Parser) -> Parser:
-            if id(p) not in copies:
-                copies[id(p)] = copy.copy(p)
-                pending.append(p)
-            return copies[id(p)]
+            k = key(p)
+            if k not in copies:
+                copies[k] = copy.copy(p)
+                pending.append((p, copies[k]))
+            return copies[k]
 
         rules = {name: twin(body) for name, body in self.rules.items()}
         whitespace = twin(DEFAULT_WHITESPACE if self.whitespace is None
                           else self.whitespace)
         while pending:
-            p = pending.pop()
+            p, twin_of_p = pending.pop()
             if isinstance(p, RuleRef):
                 target = self.rules.get(p.name)
                 if target is None:
@@ -139,9 +144,9 @@ class GrammarDef(Record):
                     raise ConfigurationError(
                         f"unresolved reference {p.name!r} (defined rules: {known})"
                     )
-                copies[id(p)].target = twin(target)
+                twin_of_p.target = twin(target)
             elif p.children:
-                copies[id(p)].children = tuple(twin(c) for c in p.children)
+                twin_of_p.children = tuple(twin(c) for c in p.children)
         nodes = list(copies.values())
         nullable = check_recursion_annotated(rules, nodes)
         if specialise:
@@ -149,6 +154,34 @@ class GrammarDef(Record):
             for p in nodes:
                 p.specialise(nullable, first)
         return FrozenGrammar(rules, self.root, whitespace, tuple(self.cells))
+
+
+_BY_VALUE = frozenset({str, int, float, bool, type(None), frozenset})
+
+
+def _structural_key() -> Callable[[Parser], int]:
+    """Hash-consing keys for one freeze, interned as small ints: the
+    class, each other attribute by value if its type is in ``_BY_VALUE``
+    and by identity if not, and the children's keys.  A node that is not
+    :attr:`Parser.shareable`, or is met again while its key is being
+    worked out, is keyed by identity, as a negative int."""
+    keys: dict[int, int] = {}
+    interned: dict[tuple, int] = {}
+
+    def key(p: Parser) -> int:
+        k = keys.get(id(p))
+        if k is None:
+            keys[id(p)] = k = -id(p)
+            if type(p).shareable:
+                parts = [type(p), *map(key, p.children)]
+                for name, v in vars(p).items():
+                    if name != "children":
+                        parts.append((name, type(v), v) if type(v) in _BY_VALUE
+                                     else (name, id(v)))
+                k = keys[id(p)] = interned.setdefault(tuple(parts), len(interned))
+        return k
+
+    return key
 
 
 def _first_sets(nullable: Callable[[Parser], bool]

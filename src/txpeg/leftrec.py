@@ -44,6 +44,8 @@ _BLOCKED = object()
 class LeftRec(Parser):
     """Allow the wrapped parser to invoke itself at its own position."""
 
+    shareable = False       # its seeds are keyed by its identity
+
     def __init__(self, child: Parser):
         self.children = (child,)
 
@@ -138,9 +140,10 @@ def check_recursion_annotated(rules: dict[str, Parser],
     worked out on the way.
     """
     is_nullable = _nullability(nodes)
-    names = {}
+    # Rules with equal bodies share one node, so a node has every name.
+    names: dict[int, list] = {}
     for name, body in rules.items():
-        names.setdefault(id(body), name)
+        names.setdefault(id(body), []).append(name)
 
     WHITE, GRAY, BLACK = 0, 1, 2
     color = {id(p): WHITE for p in nodes}
@@ -161,7 +164,7 @@ def check_recursion_annotated(rules: dict[str, Parser],
                     # Every cycle passes through a reference, hence a rule
                     # body: name the cycle by those.
                     path = [p for p, _ in stack]
-                    cycle = [names[id(p)] for p in path[path.index(child):]
+                    cycle = ["/".join(names[id(p)]) for p in path[path.index(child):]
                              if id(p) in names]
                     raise ConfigurationError(
                         "left-recursive cycle without a leftrec annotation: "

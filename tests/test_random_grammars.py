@@ -1,0 +1,181 @@
+"""Random grammars parse alike frozen as usual and frozen plain.
+
+Every freeze-time rewrite, the sharing of equal subgraphs and each
+class's ``specialise``, must leave the outcome of every parse as it is
+under ``freeze(specialise=False)``.  The bundled grammars check that in
+``test_freeze_differential.py``; here each Hypothesis example seeds the
+drawing of a small grammar of ``literal``, ``char_pred``, ``seq``,
+``choice``, ``ahead``, ``not_``, ``opt``, ``zero_more``, ``one_more``,
+``capture``, ``leftrec`` and rule references, nested up to four deep, and
+of short inputs over a small alphabet; every rule is tried as the root.
+The leaves come from a small shared pool, and a rule may repeat an
+earlier rule's body, so equal subtrees and equal rule bodies recur and the
+shared graph differs from the plain one.
+
+Three things excuse a pair: a grammar whose left recursion is not
+annotated fails both freezes alike; an input on which the plain run
+raises ``ContractViolationError`` is skipped, since a frozen grammar may
+skip the parser that raises (:meth:`txpeg.core.Parser.first`); and so is
+one whose plain run takes more than ``BUDGET`` transaction operations,
+as nested left recursion can take exponential time.  The frozen run does
+a subset of the plain run's work, so it needs no budget of its own.
+"""
+
+import json
+import random
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from txpeg.cli import ast_to_data
+from txpeg.combinators import (
+    ahead, capture, char_pred, choice, literal, not_, one_more, opt, seq, zero_more,
+)
+from txpeg.core import ConfigurationError, ContractViolationError
+from txpeg.grammar import FrozenGrammar, GrammarDef, ref, run_parse
+from txpeg.leftrec import leftrec
+
+
+def _is_a(c: str) -> bool:
+    return c == "a"
+
+
+NAMES = ("r0", "r1", "r2")
+LITERALS = ("a", "b", "ab", "ba")
+PREDICATES = ((_is_a, "'a'"), (str.isalpha, "letter"), (str.isdigit, "digit"))
+LEAVES = ([("literal", s) for s in LITERALS]
+          + [("char_pred", i) for i in range(len(PREDICATES))]
+          + [("ref", name) for name in NAMES])
+UNARY = {"ahead": ahead, "not_": not_, "opt": opt, "zero_more": zero_more,
+         "one_more": one_more, "leftrec": leftrec}
+NARY = {"seq": seq, "choice": choice}
+TOKENS = ("a", "b", "ab", "1", "é")
+INPUTS = 6                  # per grammar and root
+BUDGET = 2000               # transaction operations per plain run
+
+
+def random_spec(rng: random.Random, depth: int) -> tuple:
+    """A parser description nested at most ``depth`` deep, as tuples."""
+    pick = rng.randrange(4) if depth else 0
+    if pick == 0:
+        return rng.choice(LEAVES)
+    if pick == 1:
+        return (rng.choice(sorted(NARY)),
+                tuple(random_spec(rng, depth - 1) for _ in range(rng.randint(2, 3))))
+    if pick == 2:
+        return rng.choice(sorted(UNARY)), random_spec(rng, depth - 1)
+    return "capture", (random_spec(rng, depth - 1), rng.choice(LITERALS))
+
+
+def random_rule(rng: random.Random) -> tuple:
+    """A rule body: a random description, or one of the shapes behind
+    past differences.  Those are a left-recursive call of a rule, and a
+    successful lookahead over a choice, with more to parse behind it."""
+    pick = rng.randrange(3)
+    if pick == 0:
+        return random_spec(rng, 4)
+    if pick == 1:
+        call = ("seq", (("ref", rng.choice(NAMES)), random_spec(rng, 2)))
+        return "leftrec", ("choice", (call, random_spec(rng, 2)))
+    probe = ("seq", (rng.choice(LEAVES),
+                     ("choice", (random_spec(rng, 1), random_spec(rng, 1)))))
+    return "seq", (("ahead", probe), random_spec(rng, 1))
+
+
+def random_grammar(rng: random.Random) -> dict:
+    """Rule name -> description; each rule after the first may take the
+    body of an earlier one."""
+    specs: dict = {}
+    for i, name in enumerate(NAMES):
+        reuse = rng.randint(0, i)
+        specs[name] = specs[NAMES[reuse]] if reuse < i else random_rule(rng)
+    return specs
+
+
+def build(spec):
+    """Fresh parser objects for a description: equal descriptions give
+    equal subgraphs, never the same objects."""
+    kind, arg = spec
+    if kind == "literal":
+        return literal(arg)
+    if kind == "char_pred":
+        return char_pred(*PREDICATES[arg])
+    if kind == "ref":
+        return ref(arg)
+    if kind == "capture":
+        # A capture that can match empty would push on every iteration of
+        # a repetition around it and never end, so it ends with a literal.
+        return capture(seq(build(arg[0]), literal(arg[1])))
+    if kind in NARY:
+        return NARY[kind](*map(build, arg))
+    return UNARY[kind](build(arg))
+
+
+def freeze_both(specs: dict):
+    """(frozen, plain) grammars of fresh objects, or None when both
+    freezes refuse the grammar."""
+    frozen = []
+    for specialise in (True, False):
+        rules = {name: build(spec) for name, spec in specs.items()}
+        try:
+            frozen.append(GrammarDef(rules, NAMES[0]).freeze(specialise=specialise))
+        except ConfigurationError:
+            frozen.append(None)
+    if None in frozen:
+        assert frozen == [None, None], specs
+        return None
+    return frozen
+
+
+class OverBudget(Exception):
+    pass
+
+
+def outcome(grammar, text: str, budget=None) -> tuple:
+    trace = None
+    if budget is not None:
+        ops = iter(range(budget))
+
+        def trace(line):
+            if next(ops, None) is None:
+                raise OverBudget
+    r = run_parse(grammar, text, trace=trace)
+    error = None if r.error is None else (r.error.position, r.error.message)
+    ast = None if r.ast is None else json.dumps(ast_to_data(r.ast))
+    return r.success, r.end_position, error, ast
+
+
+def rooted(grammar, root: str) -> FrozenGrammar:
+    return FrozenGrammar(grammar.rules, root, grammar.whitespace, grammar.cell_factories)
+
+
+@settings(derandomize=True, database=None, max_examples=600, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_random_grammars_parse_alike_frozen_and_plain(seed):
+    rng = random.Random(seed)
+    specs = random_grammar(rng)
+    grammars = freeze_both(specs)
+    if grammars is None:
+        return
+    for root in NAMES:
+        frozen, plain = (rooted(g, root) for g in grammars)
+        for _ in range(INPUTS):
+            text = "".join(rng.choice(TOKENS) for _ in range(rng.randrange(6)))
+            try:
+                want = outcome(plain, text, BUDGET)
+            except (ContractViolationError, OverBudget):
+                continue
+            assert outcome(frozen, text) == want, (specs, root, text)
+
+
+def test_a_successful_lookahead_keeps_no_failure_a_skipped_choice_would_record():
+    # Plain, the choice tries ``b`` at offset 1 before ``a`` matches; frozen,
+    # it skips ``b`` there.  Either way the error is where ``b`` fails, at 0.
+    specs = {name: ("seq", (("ahead", ("seq", (("literal", "a"),
+                                              ("choice", (("literal", "b"),
+                                                          ("literal", "a")))))),
+                            ("literal", "b")))
+             for name in NAMES}
+    frozen, plain = freeze_both(specs)
+    assert outcome(frozen, "aa") == outcome(plain, "aa") == (
+        False, 0, (0, "expected 'b'"), None)
