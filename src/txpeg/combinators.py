@@ -20,7 +20,6 @@ from .core import (
     ASCII,
     SUCCESS,
     ContractViolationError,
-    Failure,
     ParseContext,
     ParseResult,
     Parser,
@@ -229,13 +228,25 @@ class ZeroMore(Parser):
     def parse(self, ctx: ParseContext) -> ParseResult:
         child = self.children[0]
         if self.scan is not None:
-            _scan_run(ctx, self.scan, child)
+            pos = _scan_run(ctx, self.scan)
+            if not ctx.muted:
+                # A default, not a closure: a captured ``child`` would cost
+                # a cell on every call, the non-scanning path's included.
+                ctx.fail(pos, lambda child=child: f"expected {child!r}")
             return SUCCESS
         entry = step = ctx.snapshot()
         while child.parse(ctx).ok:
             ctx.end_iteration(entry, step, self)
             step = ctx.snapshot()
         return SUCCESS
+
+    def skip(self, ctx: ParseContext) -> None:
+        # Muted, a scan builds nothing and its outcome is ignored, so the
+        # scan alone does the whole skip.
+        if self.scan is None:
+            Parser.skip(self, ctx)
+        else:
+            _scan_run(ctx, self.scan)
 
     def nullable(self, child_nullable) -> bool:
         return True
@@ -258,11 +269,12 @@ class OneMore(Parser):
         child = self.children[0]
         if self.scan is not None:
             start = ctx.position
-            failure = _scan_run(ctx, self.scan, child)
-            if ctx.position > start:
-                return SUCCESS
-            # Muted, nothing was built: the child fails here as it would.
-            return child.parse(ctx) if failure is None else failure
+            pos = _scan_run(ctx, self.scan)
+            if ctx.muted:
+                # Nothing is built: the child fails here as it would.
+                return SUCCESS if pos > start else child.parse(ctx)
+            failure = ctx.fail(pos, lambda child=child: f"expected {child!r}")
+            return SUCCESS if pos > start else failure
         entry = step = ctx.snapshot()
         r = child.parse(ctx)
         if not r.ok:
@@ -275,20 +287,20 @@ class OneMore(Parser):
 
     first = Parser.children_first
     specialise = ZeroMore.specialise
+    # A scan that matches nothing fails, which a skip ignores.
+    skip = ZeroMore.skip
 
 
-def _scan_run(ctx: ParseContext, scan: Callable[[str], bool],
-              child: Parser) -> Optional[Failure]:
-    """Repeat ``child``, whose :meth:`~txpeg.core.Parser.char_test` is
-    ``scan``, in one loop; return the failure the child records where the
-    run ends, or None while failures are muted, when none is built."""
+def _scan_run(ctx: ParseContext, scan: Callable[[str], bool]) -> int:
+    """Move the position past the characters that satisfy ``scan``, the
+    repeated child's :meth:`~txpeg.core.Parser.char_test`, in one loop;
+    return the position where the run ends.  The caller records the
+    child's failure there."""
     text, pos, end = ctx.text, ctx.position, ctx.input_length
     while pos < end and scan(text[pos]):
         pos += 1
     ctx.position = pos
-    if ctx.muted:
-        return None
-    return ctx.fail(pos, lambda: f"expected {child!r}")
+    return pos
 
 
 class Until(Parser):
@@ -474,26 +486,17 @@ DEFAULT_WHITESPACE: Parser
 
 
 class Whitespace(Parser):
-    """Invoke the parse-wide whitespace parser (or the default).
+    """Skip the parse-wide whitespace parser (or the default), through its
+    :meth:`~txpeg.core.Parser.skip`.
 
     Whitespace is expected to always succeed; a failing custom whitespace
     parser is treated as matching nothing.
     """
 
     def parse(self, ctx: ParseContext) -> ParseResult:
-        _skip_whitespace(ctx)
+        ws = ctx.whitespace
+        (DEFAULT_WHITESPACE if ws is None else ws).skip(ctx)
         return SUCCESS
-
-
-def _skip_whitespace(ctx: ParseContext) -> None:
-    ws = ctx.whitespace if ctx.whitespace is not None else DEFAULT_WHITESPACE
-    # Scanner probing is not diagnostic; it must not claim the
-    # furthest-failure record.
-    ctx.muted += 1
-    try:
-        ws.parse(ctx)
-    finally:
-        ctx.muted -= 1
 
 
 class EndOfInput(Parser):
@@ -515,7 +518,8 @@ class Word(Literal):
         if not ctx.text.startswith(self.string, pos, -1):
             return ctx.fail(pos, lambda: f"expected {self.string!r}")
         ctx.position = pos + len(self.string)
-        _skip_whitespace(ctx)
+        ws = ctx.whitespace
+        (DEFAULT_WHITESPACE if ws is None else ws).skip(ctx)
         return SUCCESS
 
     def __repr__(self):

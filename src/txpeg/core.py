@@ -200,7 +200,8 @@ class Parser:
     and the left-recursion check walks it.  A class states its own static
     behaviour by overriding :meth:`nullable`, :meth:`left_children`,
     :meth:`first` and :meth:`char_test`, and may adapt its frozen copy to
-    those facts in :meth:`specialise`.
+    those facts in :meth:`specialise`.  How it is skipped as the
+    parse-wide whitespace is its :meth:`skip`.
     """
 
     children: tuple = ()
@@ -292,6 +293,21 @@ class Parser:
         frozen one may skip the parser that raises and return instead
         (:meth:`first`).  The default does nothing.
         """
+
+    def skip(self, ctx: "ParseContext") -> None:
+        """Run as the parse-wide whitespace: muted, with the outcome ignored.
+
+        Scanner probing is not diagnostic, so it must not claim the
+        furthest-failure record.  A class whose parse while muted builds
+        nothing overrides this with the bare work, as a frozen
+        ``zero_more`` or ``one_more`` of a ``char_pred`` does with its
+        scan.
+        """
+        ctx.muted += 1
+        try:
+            self.parse(ctx)
+        finally:
+            ctx.muted -= 1
 
     def left_children(self, nullable: Callable[["Parser"], bool]) -> tuple:
         """The children this parser can invoke at its own entry position;

@@ -60,8 +60,8 @@ from .namespaces import (
     TypeStack,
     anon_class_inherit,
     class_def,
-    class_guard,
     is_type,
+    names_a_type,
     new_type,
     scoped,
 )
@@ -222,7 +222,7 @@ def examply_rules() -> dict:
                                   until(ref("declaration"), dedent()))),
         "expression": choice(ref("ctor_call"), ref("func_call"),
                              int_token(), string_token(), ref("iden_ref")),
-        "ctor_call": build(seq(class_guard(iden_token()), iden_token(),
+        "ctor_call": build(seq(iden_token(), names_a_type(),
                                arg_list, opt_value(ref("ctor_body"))),
                            3, node("ctor")),
         "ctor_body": scoped(seq(anon_class_inherit(), ref("decl_block"))),

@@ -8,8 +8,8 @@ The combinators here keep that stack transactional while carving out
 scopes: :func:`new_type` (an ``and_do`` effect) registers names introduced
 by classes and aliases, :func:`scoped` drops the types a code block
 introduced, :func:`class_def` rebuilds the defining class's record from
-everything its body (and superclass) pushed, and :func:`class_guard`
-peeks ahead to steer the grammar by whether an identifier names a type.
+everything its body (and superclass) pushed, and :func:`names_a_type`
+steers the grammar by whether the identifier just parsed names a type.
 Only the two that need state from before their child runs are classes.
 
 Lookups go through a name index that sits beside the stack: for each
@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from typing import NamedTuple, Optional
 
-from ..combinators import ahead, and_do, ast_stack, perform, predicate, seq
+from ..combinators import and_do, ast_stack, perform, predicate
 from ..core import SUCCESS, ContractViolationError, ParseContext, Parser, ParseResult
 from ..states import MonotonicStack, StackState
 
@@ -40,9 +40,9 @@ __all__ = [
     "TypeStack",
     "anon_class_inherit",
     "class_def",
-    "class_guard",
     "inherit",
     "is_type",
+    "names_a_type",
     "new_type",
     "priv_of",
     "scoped",
@@ -236,10 +236,12 @@ def _not_a_type(ctx: ParseContext) -> str:
     return f"{ast_stack(ctx).peek()!r} does not name a type"
 
 
-def class_guard(iden: Parser) -> Parser:
-    """Zero-width: an identifier parses here and names a visible type.
+def names_a_type() -> Parser:
+    """Zero-width: the identifier on top of the AST stack names a visible
+    type.
 
-    The identifier's AST push happens inside the lookahead and is rolled
-    back along with the position.
+    Placed right after the parser that pushed the identifier, it checks
+    the name that was just parsed, so the grammar steers by it without
+    parsing the identifier twice.
     """
-    return ahead(seq(iden, predicate(_top_names_a_type, _not_a_type)))
+    return predicate(_top_names_a_type, _not_a_type)

@@ -27,7 +27,7 @@ from txpeg.combinators import (
     word,
     zero_more,
 )
-from txpeg.core import ContractViolationError, ParseContext, Parser
+from txpeg.core import ContractViolationError, ParseContext, Parser, TracedContext
 from txpeg.demos.examply import examply_grammar
 from txpeg.demos.smoke import tags_grammar
 from txpeg.grammar import GrammarDef, run_parse
@@ -284,6 +284,67 @@ def test_the_mute_counter_survives_a_raising_probe():
     grammar = GrammarDef({"top": whitespace()}, "top", whitespace=Raises()).freeze()
     ctx = ParseContext("ab", cells=[AstStack()], whitespace=grammar.whitespace)
     with pytest.raises(ContractViolationError):
+        grammar.root_parser.parse(ctx)
+    assert ctx.muted == 0
+
+
+@pytest.mark.parametrize("repeat", [zero_more, one_more])
+def test_a_frozen_scanning_whitespace_is_skipped_by_its_scan_alone(repeat):
+    # The scan runs unmuted and builds no failure: the skip ignores its
+    # outcome, so muting it would change nothing.
+    mutes = []
+    ctx = None
+
+    def blank(c):
+        if ctx is not None:
+            mutes.append(ctx.muted)
+        return c in " \t"
+
+    top = seq(whitespace(), word("a"), literal(";"))
+    grammar = GrammarDef({"top": top}, "top",
+                         whitespace=repeat(char_pred(blank, "blank"))).freeze()
+    ops = []
+    ctx = TracedContext(" \ta \t;", ops.append, cells=[AstStack()],
+                        whitespace=grammar.whitespace)
+    fail = ctx.fail
+    failures = []
+
+    def spy(position, message):
+        failures.append(position)
+        return fail(position, message)
+
+    ctx.fail = spy
+    assert grammar.whitespace.scan is blank
+    assert grammar.root_parser.parse(ctx).ok
+    assert ctx.position == 6
+    assert failures == []
+    # The only transaction operation is the sequence's own snapshot.
+    assert [line.split()[0] for line in ops] == ["snapshot"]
+    assert mutes and set(mutes) == {0}
+
+
+def test_a_custom_whitespace_still_runs_muted():
+    mutes = []
+
+    def note(ctx):
+        mutes.append(ctx.muted)
+        return True
+
+    # No char_test: the whitespace parser runs muted, failures and all.
+    grammar = GrammarDef({"top": word("a")}, "top",
+                         whitespace=seq(predicate(note), literal("#"))).freeze()
+    ctx = ParseContext("ab", cells=[AstStack()], whitespace=grammar.whitespace)
+    assert grammar.root_parser.parse(ctx).ok
+    assert ctx.position == 1
+    assert mutes == [1]
+    assert ctx.furthest_failure() is None
+
+    def boom(ctx):
+        raise ValueError("raised on purpose")
+
+    grammar = GrammarDef({"top": word("a")}, "top", whitespace=predicate(boom)).freeze()
+    ctx = ParseContext("ab", cells=[AstStack()], whitespace=grammar.whitespace)
+    with pytest.raises(ValueError):
         grammar.root_parser.parse(ctx)
     assert ctx.muted == 0
 

@@ -1,14 +1,16 @@
-"""A frozen ``zero_more``/``one_more`` of a ``char_pred`` scans in one loop;
-these grammars must parse every input exactly as their unfrozen parser
-objects do, which call the ``char_pred`` once per character."""
+"""A frozen ``zero_more``/``one_more`` of a ``char_pred`` scans in one loop,
+and is skipped as the parse-wide whitespace by that loop alone; these
+grammars must parse every input exactly as their unfrozen parser objects
+do, which call the ``char_pred`` once per character and skip whitespace
+muted."""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from txpeg.combinators import (
-    AstStack, capture, char_pred, choice, literal, not_, one_more, seq, word,
-    zero_more,
+    AstStack, capture, char_pred, choice, literal, not_, one_more, opt, seq,
+    whitespace, word, zero_more,
 )
 from txpeg.core import ParseContext
 from txpeg.grammar import GrammarDef
@@ -50,6 +52,47 @@ def test_the_frozen_scan_matches_the_unfrozen_parsers(name, text):
     root, ws = GRAMMARS[name]
     frozen = GrammarDef({"top": root}, "top", whitespace=ws).freeze()
     assert outcome(frozen.root_parser, text, frozen.whitespace) == outcome(root, text, ws)
+
+
+blank_or_tab = char_pred(lambda c: c in " \t", "blank")
+comment = seq(literal("#"), zero_more(not_newline))
+tokens = one_more(choice(word("a"), word("b"), word(";")))
+
+# Grammars that skip whitespace through ``word`` and ``whitespace()``:
+# name -> (root parser, whitespace parser or None for the default).  The
+# first four whitespace parsers scan once frozen; the comment-style ones
+# do not, and run muted.
+SKIPPING = {
+    "default whitespace": (seq(whitespace(), tokens, literal(".")), None),
+    "scanning zero_more": (seq(capture(one_more(letter)), whitespace(), opt(word(";")),
+                               capture(zero_more(letter))), zero_more(blank_or_tab)),
+    "scanning one_more": (seq(whitespace(), not_(seq(word("a"), literal("b"))), tokens),
+                          one_more(char_pred(str.isspace, "space"))),
+    # Nothing records a failure after the last skip.
+    "ending in a skip": (seq(opt(literal("b")), word("a")), zero_more(blank_or_tab)),
+    "comment style": (seq(whitespace(), tokens, capture(zero_more(letter))),
+                      zero_more(choice(one_more(blank_or_tab), comment, literal("\n")))),
+    "comment style, under not_": (seq(not_(seq(word("a"), word("b"), literal(";"))), tokens),
+                                  one_more(choice(blank_or_tab, comment))),
+}
+
+
+@pytest.mark.parametrize("name", SKIPPING)
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(text=st.text(alphabet="ab #;.\n\x00\t\u00a0\u00e9", max_size=10))
+def test_a_frozen_whitespace_skip_matches_the_unfrozen_parsers(name, text):
+    root, ws = SKIPPING[name]
+    frozen = GrammarDef({"top": root}, "top", whitespace=ws).freeze()
+    assert outcome(frozen.root_parser, text, frozen.whitespace) == outcome(root, text, ws)
+
+
+def test_the_skipping_grammars_take_both_paths():
+    scans = {name: GrammarDef({"top": root}, "top", whitespace=ws).freeze().whitespace.scan
+             is not None for name, (root, ws) in SKIPPING.items()}
+    assert scans == {"default whitespace": True, "scanning zero_more": True,
+                     "scanning one_more": True, "ending in a skip": True,
+                     "comment style": False,
+                     "comment style, under not_": False}
 
 
 def test_every_grammar_above_scans_once_frozen():
