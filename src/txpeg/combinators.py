@@ -178,25 +178,15 @@ class Choice(Parser):
     def specialise(self, nullable, first) -> None:
         children = self.children
         sets = tuple(None if nullable(c) else first(c) for c in children)
-        dispatch = {}
-        for picks, chars in _dispatch_plan(sets):
-            alts = tuple([children[i] for i in picks])
-            for ch in chars:
-                dispatch[ch] = alts
+        # A character no set holds keeps only the children kept everywhere;
+        # characters that keep the same children share one tuple.
+        everywhere = tuple(c for c, s in zip(children, sets) if s is None)
+        dispatch = dict.fromkeys(ASCII, everywhere)
+        shared = {}
+        for ch in frozenset().union(*filter(None, sets)):
+            alts = tuple(c for c, s in zip(children, sets) if s is None or ch in s)
+            dispatch[ch] = shared.setdefault(alts, alts)
         self.dispatch = dispatch
-
-
-def _dispatch_plan(sets: tuple) -> tuple:
-    """Group the ASCII characters by the children a choice keeps there,
-    given the children's FIRST sets (None where a child is kept
-    everywhere): ``((indices, characters), ...)``."""
-    starts = frozenset().union(*filter(None, sets))
-    # A character no set holds keeps only the children kept everywhere.
-    groups = {tuple(i for i, s in enumerate(sets) if s is None): list(ASCII - starts)}
-    for ch in starts:
-        picks = tuple(i for i, s in enumerate(sets) if s is None or ch in s)
-        groups.setdefault(picks, []).append(ch)
-    return tuple(groups.items())
 
 
 class Opt(Parser):
@@ -395,7 +385,7 @@ class Not(Parser):
             return SUCCESS
         ctx.restore(snap)
         child = self.children[0]
-        return ctx.fail(ctx.position, lambda: f"unexpected {child!r}")
+        return ctx.fail(ctx.position, lambda child=child: f"unexpected {child!r}")
 
     def nullable(self, child_nullable) -> bool:
         return True
@@ -435,7 +425,7 @@ class CharPred(Parser):
         if pos < ctx.input_length and self.pred(ctx.text[pos]):
             ctx.position = pos + 1
             return SUCCESS
-        return ctx.fail(pos, lambda: f"expected {self!r}")
+        return ctx.fail(pos, lambda self=self: f"expected {self!r}")
 
     def __repr__(self):
         return self.label if self.label else "char_pred"
@@ -469,7 +459,7 @@ class Literal(Parser):
         if ctx.text.startswith(self.string, pos, -1):
             ctx.position = pos + len(self.string)
             return SUCCESS
-        return ctx.fail(pos, lambda: f"expected {self.string!r}")
+        return ctx.fail(pos, lambda s=self.string: f"expected {s!r}")
 
     def __repr__(self):
         return f"literal({self.string!r})"
@@ -516,7 +506,7 @@ class Word(Literal):
     def parse(self, ctx: ParseContext) -> ParseResult:
         pos = ctx.position
         if not ctx.text.startswith(self.string, pos, -1):
-            return ctx.fail(pos, lambda: f"expected {self.string!r}")
+            return ctx.fail(pos, lambda s=self.string: f"expected {s!r}")
         ctx.position = pos + len(self.string)
         ws = ctx.whitespace
         (DEFAULT_WHITESPACE if ws is None else ws).skip(ctx)

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 from ..combinators import (
     AstNode,
-    ast_stack,
     build,
     capture,
     char_pred,
@@ -36,7 +35,6 @@ from ..combinators import (
     one_more,
     opt,
     opt_value,
-    predicate,
     seq,
     until,
     whitespace,
@@ -60,7 +58,6 @@ from .namespaces import (
     TypeStack,
     anon_class_inherit,
     class_def,
-    is_type,
     names_a_type,
     new_type,
     scoped,
@@ -115,25 +112,13 @@ def iden_token() -> Parser:
     return seq(_not_keyword(), capture(raw_iden()), whitespace())
 
 
-def _is_visible_type(ctx) -> bool:
-    name = ast_stack(ctx).peek()
-    return isinstance(name, str) and is_type(ctx, name)
-
-
-def _not_a_visible_type(ctx) -> str:
-    return f"{ast_stack(ctx).peek()!r} does not name a visible type"
-
-
 def type_name() -> Parser:
     """An identifier that must name a visible type; pushed as a string.
 
     Visibility is checked before the trailing whitespace is consumed so a
     failure points at the identifier, not at the next token.
     """
-    return seq(_not_keyword(),
-               capture(raw_iden()),
-               predicate(_is_visible_type, _not_a_visible_type),
-               whitespace())
+    return seq(_not_keyword(), capture(raw_iden()), names_a_type(), whitespace())
 
 
 def _token(p: Parser) -> Parser:

@@ -109,7 +109,7 @@ class Indent(Parser):
             stack.push(new)
             return SUCCESS
         return ctx.fail(ctx.position,
-                        lambda: f"expecting indentation > {old} positions")
+                        lambda old=old: f"expecting indentation > {old} positions")
 
     first = Parser.zero_width_first
 
@@ -124,7 +124,7 @@ class Dedent(Parser):
             stack.pop()
             return SUCCESS
         return ctx.fail(ctx.position,
-                        lambda: f"expecting indentation < {old} positions")
+                        lambda old=old: f"expecting indentation < {old} positions")
 
     first = Parser.zero_width_first
 

@@ -9,8 +9,10 @@ scopes: :func:`new_type` (an ``and_do`` effect) registers names introduced
 by classes and aliases, :func:`scoped` drops the types a code block
 introduced, :func:`class_def` rebuilds the defining class's record from
 everything its body (and superclass) pushed, and :func:`names_a_type`
-steers the grammar by whether the identifier just parsed names a type.
-Only the two that need state from before their child runs are classes.
+checks whether the identifier just parsed names a visible type.  It is
+the one type check: examply's ``type_name`` requires it, and its
+``ctor_call`` steers by it.  Only the two that need state from before
+their child runs are classes.
 
 Lookups go through a name index that sits beside the stack: for each
 name, the records that bear it on one stack version, topmost first.  The
@@ -233,7 +235,7 @@ def _top_names_a_type(ctx: ParseContext) -> bool:
 
 
 def _not_a_type(ctx: ParseContext) -> str:
-    return f"{ast_stack(ctx).peek()!r} does not name a type"
+    return f"{ast_stack(ctx).peek()!r} does not name a visible type"
 
 
 def names_a_type() -> Parser:

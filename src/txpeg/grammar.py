@@ -23,7 +23,7 @@ from __future__ import annotations
 import copy
 from typing import Callable, NamedTuple, Optional
 
-from .combinators import DEFAULT_WHITESPACE, AstStack, Whitespace
+from .combinators import DEFAULT_WHITESPACE, AstStack
 from .core import (ConfigurationError, ContractViolationError, ParseContext, Parser,
                    ParseResult, Record, TracedContext)
 from .leftrec import check_recursion_annotated
@@ -75,7 +75,7 @@ class FrozenGrammar:
     or of the default one.
     """
 
-    def __init__(self, rules: dict, root: str, whitespace: Optional[Parser],
+    def __init__(self, rules: dict, root: str, whitespace: Parser,
                  cell_factories: tuple):
         self.rules = rules
         self.root = root
@@ -257,7 +257,7 @@ def run_parse(grammar: FrozenGrammar, text: str, partial: bool = False,
     else:
         ctx = TracedContext(text, trace, cells, grammar.whitespace)
     try:
-        Whitespace().parse(ctx)
+        grammar.whitespace.skip(ctx)
         result = grammar.root_parser.parse(ctx)
     except RecursionError:
         return _failed(ctx, ctx.position, "input nests too deeply")

@@ -216,9 +216,6 @@ class MapState(CopyState):
     def __init__(self):
         super().__init__()
 
-    def get(self, key, default=None):
-        return self._fields.get(key, default)
-
     def put(self, key, value) -> None:
         self._swap({**self._fields, key: value})
 

@@ -1,7 +1,11 @@
 """Combinator behavior: matching, backtracking, AST effects, guards."""
 
+import importlib
+import pkgutil
+
 import pytest
 
+import txpeg
 from txpeg.combinators import (
     AstNode,
     AstStack,
@@ -533,3 +537,29 @@ def test_trail_does_not_grow_with_the_number_of_items(monkeypatch, grammar, item
     many = _trail_lengths_per_iteration(monkeypatch, g, text(200))
     assert len(many) > len(few) > 0
     assert max(many) == max(few)
+
+
+def _parser_classes():
+    """Every ``Parser`` subclass that txpeg and its demos define."""
+    for info in pkgutil.walk_packages(txpeg.__path__, "txpeg."):
+        importlib.import_module(info.name)
+    found, todo = set(), [Parser]
+    while todo:
+        for sub in todo.pop().__subclasses__():
+            if sub not in found:
+                found.add(sub)
+                todo.append(sub)
+    return sorted((c for c in found if c.__module__.startswith("txpeg.")),
+                  key=lambda c: (c.__module__, c.__qualname__))
+
+
+def test_no_parse_method_allocates_a_closure_cell():
+    # A variable that a failure-message lambda closes over becomes a cell,
+    # made on every call, the success path included; a default argument
+    # is bound only when the lambda is made.
+    classes = _parser_classes()
+    assert {"Literal", "Word", "CharPred", "Not", "Indent", "Dedent"} <= {
+        c.__name__ for c in classes}
+    assert [(c.__qualname__, c.__dict__["parse"].__code__.co_cellvars)
+            for c in classes
+            if "parse" in c.__dict__ and c.__dict__["parse"].__code__.co_cellvars] == []

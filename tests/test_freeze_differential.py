@@ -7,7 +7,9 @@ must agree on every input: success, end position, error position and
 message, and the JSON form of the AST.  The inputs are short token
 sequences and seeded character mutations of the documents that
 ``bench/gen.py`` generates.  Small grammars for shapes the bundled ones
-lack get token sequences too.
+lack get token sequences too.  The accepted documents are also checked as
+valid programs: their spans nest inside the input, and their ASTs
+round-trip through the CLI's JSON data.
 """
 
 import json
@@ -21,8 +23,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from token_outcomes import TOKENS, join
-from txpeg.cli import ast_to_data
-from txpeg.combinators import ahead, choice, end_of_input, literal, seq, zero_more
+from txpeg.cli import ast_from_data, ast_to_data
+from txpeg.combinators import AstNode, ahead, choice, end_of_input, literal, seq, zero_more
 from txpeg.demos.examply import examply_cells, examply_grammar, examply_rules
 from txpeg.demos.expr import expr_grammar, expr_rules
 from txpeg.demos.macro import composed_grammar, composed_rules, macro_grammar, macro_rules
@@ -166,6 +168,31 @@ def test_every_generated_document_parses_alike_and_as_generated():
     assert {name for name, text, _ in DOCUMENTS if text} == set(DEFINITIONS)
     for name, text, accepted in DOCUMENTS:
         assert assert_same(name, text) == accepted, (name, text)
+
+
+def _spans(values, outer: tuple):
+    """(span, enclosing span) of every node among ``values``, each node's
+    enclosing span being its nearest ancestor node's, or ``outer``."""
+    todo = [(v, outer) for v in values]
+    while todo:
+        value, enclosing = todo.pop()
+        if isinstance(value, AstNode):
+            yield value.span, enclosing
+            todo += [(c, value.span) for c in value.children]
+        elif isinstance(value, (list, tuple)):
+            todo += [(c, enclosing) for c in value]
+
+
+@pytest.mark.parametrize("doc", [d for d in DOCUMENTS if d[2]],
+                         ids=lambda d: f"{d[0]}-{len(d[1])}")
+def test_accepted_documents_have_nested_spans_and_round_trip(doc):
+    name, text, _ = doc
+    ast = run_parse(pair(name)[0], text).ast
+    spans = list(_spans(ast, (0, len(text))))
+    for span, (start, end) in spans:
+        assert span is not None and start <= span[0] <= span[1] <= end, (span, start, end)
+    assert spans or name in ("tags", "anbncn")     # these two build no nodes
+    assert ast_from_data(ast_to_data(ast)) == ast
 
 
 @settings(derandomize=True, max_examples=400, deadline=None)

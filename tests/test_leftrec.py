@@ -13,6 +13,7 @@ from txpeg.combinators import (
     collect,
     literal,
     node,
+    not_,
     one_more,
     opt,
     seq,
@@ -252,3 +253,33 @@ def test_inner_unguarded_cycle_still_detected():
     with pytest.raises(ConfigurationError) as info:
         GrammarDef(rules, "outer").freeze()
     assert "inner" in str(info.value)
+
+
+def _mutual_growth_grammar():
+    # r0 and r2 are one rule under two names; r1 calls both inside its own
+    # growth rounds.
+    r0 = r2 = leftrec(choice(
+        seq(ref("r1"), capture(seq(capture(seq(ref("r1"), literal("ab"))), literal("ab")))),
+        choice(choice(ref("r0"), literal("a"), char_pred(lambda c: c == "a")),
+               char_pred(str.isalpha), char_pred(str.isdigit)),
+    ))
+    r1 = leftrec(choice(
+        seq(ref("r0"), not_(ref("r2")), literal("ab"), char_pred(str.isdigit)),
+        char_pred(str.isalpha),
+    ))
+    return GrammarDef({"r0": r0, "r1": r1, "r2": r2}, "r2").freeze()
+
+
+def _snapshots(grammar, text):
+    lines = []
+    run_parse(grammar, text, trace=lines.append)
+    return sum(line.startswith("snapshot ") for line in lines)
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "mutually left-recursive rules that call each other inside their growth "
+    "rounds take work exponential in the input (CHANGES.md, FOUND: on "
+    "LeftRec.parse): 31, 139, 571 and 2,299 snapshots on a, ab, aba, abab"))
+def test_mutual_left_recursion_grows_at_most_linearly():
+    grammar = _mutual_growth_grammar()
+    assert _snapshots(grammar, "abab") <= 3 * _snapshots(grammar, "ab")
