@@ -593,6 +593,10 @@ class Capture(Parser):
     first = Parser.children_first
 
 
+def _gather(*values) -> list:
+    return list(values)
+
+
 class Collect(Parser):
     """Gather everything the child pushed into one list, oldest first."""
 
@@ -605,7 +609,7 @@ class Collect(Parser):
         r = self.children[0].parse(ctx)
         if not r.ok:
             return r
-        ast.push(ast.take_above(depth))
+        ast.replace_above(depth, _gather)
         return SUCCESS
 
     first = Parser.children_first
@@ -631,15 +635,14 @@ class Build(Parser):
         r = self.children[0].parse(ctx)
         if not r.ok:
             return r
-        if ast.size - depth < self.arity:
+        size = ast.size
+        if size - depth < self.arity:
             raise ContractViolationError(
-                f"build needs {self.arity} values but the child pushed {ast.size - depth}"
+                f"build needs {self.arity} values but the child pushed {size - depth}"
             )
-        values = ast.take_above(ast.size - self.arity)
-        made = self.make(*values)
+        made = ast.replace_above(size - self.arity, self.make)
         if isinstance(made, AstNode) and made.span is None:
             made.span = (start, ctx.position)
-        ast.push(made)
         return SUCCESS
 
     first = Parser.children_first

@@ -11,6 +11,7 @@ follow:
 * :meth:`ParseContext.restore` rewinds to a snapshot,
 * :meth:`ParseContext.diff` packages the work done since a snapshot,
 * :meth:`ParseContext.merge` replays such a package later,
+* :meth:`ParseContext.retract` packages that work and rewinds it at once,
 * :meth:`ParseContext.end_iteration` closes one step of a repetition.
 
 The context keeps one undo trail, the append-only change log of
@@ -21,11 +22,12 @@ position and the trail's length, and a restore pops the trail back to
 that length, handing each popped version back to its cell, so cells that
 nobody touched are never visited.  Repetitions fold each finished
 iteration's entries into one per cell, which keeps the trail as long as
-the nesting is deep, not as the input is long.  Diff and merge walk the
-same trail: a delta carries one entry per cell logged since its snapshot,
-and a cell that never logs (an :class:`~txpeg.states.InertState`) is never
-visited by any of these operations.  A :class:`TracedContext` runs the
-same operations and reports each one to a ``trace`` callable.
+the nesting is deep, not as the input is long.  Diff, merge and retract
+walk the same trail: a delta carries one entry per cell logged since its
+snapshot, and a retract hands each such cell its version at the snapshot
+directly.  A cell that never logs (an :class:`~txpeg.states.InertState`)
+is never visited by any of these operations.  A :class:`TracedContext`
+runs the same operations and reports each one to a ``trace`` callable.
 """
 
 from __future__ import annotations
@@ -127,7 +129,9 @@ class StateCell:
     log their own changes, so a cell that subclasses one of them and
     changes its content only through the inherited mutators needs nothing
     more.  A change that is not logged survives backtracking, and a cell
-    that never logs is never visited by the context.
+    that never logs is never visited by the context.  A retract hands
+    ``cell_restore`` the oldest version logged since a snapshot, skipping
+    the ones in between, so it must reinstate any version from any state.
     """
 
     #: The trail of the context the cell is registered with; None while the
@@ -450,6 +454,19 @@ class ParseContext:
         cells = tuple((cell, cell.cell_diff(prior)) for cell, prior in first)
         return AggregateDelta(self.position, cells, self._trail)
 
+    def retract(self, snap: tuple) -> AggregateDelta:
+        """``d = diff(snap); restore(snap); return d``, in one trail walk:
+        each logged cell is handed its version at the mark directly."""
+        mark = self._mark(snap)
+        first = self._first_entries(mark).values()
+        cells = tuple((cell, cell.cell_diff(prior)) for cell, prior in first)
+        delta = AggregateDelta(self.position, cells, self._trail)
+        for cell, prior in first:
+            cell.cell_restore(prior)
+        del self._trail[mark:]
+        self.position = snap[0]
+        return delta
+
     def merge(self, delta: AggregateDelta) -> None:
         if delta.registry is not self._trail:
             raise ContractViolationError("delta belongs to a different context")
@@ -525,6 +542,12 @@ class TracedContext(ParseContext):
     def merge(self, delta: AggregateDelta) -> None:
         super().merge(delta)
         self._emit("merge")
+
+    def retract(self, snap: tuple) -> AggregateDelta:
+        # The composition itself, so a trace shows its diff and restore.
+        delta = self.diff(snap)
+        self.restore(snap)
+        return delta
 
     def _emit(self, op: str) -> None:
         cells = " ".join(c.summary() for c in self._cells)

@@ -168,10 +168,10 @@ class ClassDef(Parser):
     At entry the AST stack holds the superclass option on top and the
     class name below it, and the TypeStack top is the class's own empty
     record.  The body runs with the superclass's private classes made
-    visible; afterwards everything pushed since entry — inherited plus
-    body-introduced — is taken off the stack as the class's private-class
-    list, and the placeholder record is replaced by the finished one.
-    Every change goes through the stack's own mutators, hence the trail.
+    visible; afterwards the placeholder and everything pushed since entry
+    — inherited plus body-introduced, the class's private classes — are
+    replaced by the finished record in one change.  Every change goes
+    through the stack's own mutators, hence the trail.
 
     Inheriting from a class whose body we are inside is rejected here,
     before any state is touched.
@@ -202,13 +202,15 @@ class ClassDef(Parser):
             types.truncate(size)
             enclosing.pop()
             return r
-        priv = tuple(types.take_above(size))
-        types.pop()
-        types.push(TypeRecord(name, priv))
+        types.replace_above(size - 1, _finish_class)
         enclosing.pop()
         return SUCCESS
 
     first = Parser.children_first
+
+
+def _finish_class(placeholder: TypeRecord, *priv: TypeRecord) -> TypeRecord:
+    return TypeRecord(placeholder.name, priv)
 
 
 def _inherit_from_superclass(ctx: ParseContext) -> None:

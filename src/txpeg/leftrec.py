@@ -6,10 +6,12 @@ that run.  It then re-runs the body repeatedly, letting each left-recursive
 re-entry consume the current seed (merge the delta, jump to its end), and
 keeps the run as the new seed while the end position still grows.  Seeds
 are ordinary aggregate deltas, so AST effects replay along with the
-position.  The calls in flight are keyed by (parser id, position) in the
-plain dict ``ParseContext.seeds``, which needs no trail: a call adds its
-key on entry and deletes it on every exit, so the map follows the call
-stack, and no snapshot taken inside a call outlives it.
+position; one :meth:`~txpeg.core.ParseContext.retract` packages and
+rewinds each run in a single walk of its trail entries.  The calls in
+flight are keyed by (parser id, position) in the plain dict
+``ParseContext.seeds``, which needs no trail: a call adds its key on
+entry and deletes it on every exit, so the map follows the call stack,
+and no snapshot taken inside a call outlives it.
 
 The companion :func:`check_recursion_annotated` runs at grammar freeze:
 any cycle of invocations that can come back to the same parser at the same
@@ -68,17 +70,17 @@ class LeftRec(Parser):
             r = body.parse(ctx)
             if not r.ok:
                 return r
-            best = ctx.diff(entry_snap)
+            # Every way out of the loop leaves the context at entry_snap:
+            # a failed body rewinds itself, and retract rewinds the rest.
+            best = ctx.retract(entry_snap)
             while True:
-                ctx.restore(entry_snap)
                 seeds[key] = best
                 if not body.parse(ctx).ok:
                     break
-                grown = ctx.diff(entry_snap)
+                grown = ctx.retract(entry_snap)
                 if grown.end_position <= best.end_position:
                     break
                 best = grown
-            ctx.restore(entry_snap)
             ctx.merge(best)
             return SUCCESS
         finally:

@@ -26,7 +26,7 @@ default diff and merge, where the delta is the whole current version:
 from __future__ import annotations
 
 from types import MappingProxyType
-from typing import Any, Iterator, Optional
+from typing import Any, Callable, Iterator, Optional
 
 from .core import ContractViolationError, StateCell
 
@@ -184,6 +184,19 @@ class MonotonicStack(StackState):
             self._set_top(node)
         out.reverse()
         return out
+
+    def replace_above(self, size: int, make: Callable[..., Any]) -> Any:
+        """Replace everything above ``size`` entries with ``make(*values)``,
+        values bottom to top, as one logged change; returns the new top."""
+        out: list = []
+        node = self._top
+        while node is not None and node.depth > size:
+            out.append(node.value)
+            node = node.below
+        out.reverse()
+        made = make(*out)
+        self._set_top(_Node(made, node))
+        return made
 
     def cell_diff(self, snapshot):
         out, node = [], self._top

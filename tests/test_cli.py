@@ -170,6 +170,22 @@ def test_trace_state_logs_operations_only_when_asked(tmp_path, capsys):
     assert "restore pos=" in err
 
 
+def test_trace_state_of_a_left_recursive_chain_is_pinned(tmp_path, capsys):
+    # A traced growth round shows its retract as a diff and then a restore.
+    path = write(tmp_path, "1 - 2-3 -4")
+    assert main(["--grammar", "expr", "--trace-state", path]) == 0
+    ops = [line.split(" ", 2)[:2] for line in capsys.readouterr().err.splitlines()]
+    assert [" ".join(op) for op in ops] == [
+        "snapshot pos=0", "snapshot pos=0", "restore pos=0", "snapshot pos=0",
+        "diff pos=2", "restore pos=0", "snapshot pos=0", "merge pos=2",
+        "snapshot pos=4", "diff pos=5", "restore pos=0", "snapshot pos=0",
+        "merge pos=5", "snapshot pos=6", "diff pos=8", "restore pos=0",
+        "snapshot pos=0", "merge pos=8", "snapshot pos=9", "diff pos=10",
+        "restore pos=0", "snapshot pos=0", "merge pos=10", "restore pos=0",
+        "snapshot pos=0", "diff pos=2", "restore pos=0", "merge pos=10",
+    ]
+
+
 def test_dump_ast_handles_every_leaf_shape():
     from txpeg.combinators import AstNode
 

@@ -457,8 +457,29 @@ def test_build_makes_node_with_span():
 def test_build_arity_violation_raises():
     ctx = ctx_for("1")
     p = build(capture(literal("1")), 2, node("Pair"))
-    with pytest.raises(ContractViolationError):
+    with pytest.raises(ContractViolationError,
+                       match="build needs 2 values but the child pushed 1"):
         p.parse(ctx)
+
+
+def test_build_and_collect_log_their_replacement_as_one_change():
+    # A snapshot's second field is the trail length; one trail entry is two
+    # slots, the cell and its prior version.
+    three = seq(capture(literal("a")), capture(literal("b")), capture(literal("c")))
+    cases = [
+        (build(three, 2, node("Pair")), [AstNode("Pair", ("b", "c"), (0, 3)), "a", "below"]),
+        (collect(three), [["a", "b", "c"], "below"]),
+    ]
+    for replacing, stacked in cases:
+        ctx = ctx_for("abc")
+        ast_stack(ctx).push("below")
+        snap = ctx.snapshot()
+        assert three.parse(ctx).ok
+        pushed = ctx.snapshot()[1] - snap[1]
+        ctx.restore(snap)
+        assert replacing.parse(ctx).ok
+        assert ctx.snapshot()[1] - snap[1] == pushed + 2
+        assert ast_stack(ctx).values() == stacked
 
 
 def test_build_failure_propagates_cleanly():

@@ -3,6 +3,8 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from txpeg.combinators import (
     build,
@@ -29,7 +31,7 @@ from txpeg.core import (
 )
 from txpeg.grammar import GrammarDef, ref, run_parse
 from txpeg.leftrec import leftrec
-from txpeg.states import CopyState, InertState, MonotonicStack, StackState
+from txpeg.states import CopyState, InertState, MapState, MonotonicStack, StackState
 from support import enumerate_logs
 
 
@@ -487,3 +489,120 @@ def test_merging_a_seed_keeps_what_the_body_did_before_recursing():
     out = run_parse(grammar, "1-2-3")
     assert out.success
     assert seen == [True]
+
+
+# -- retract: diff then restore, in one walk ---------------------------------
+
+class RFields(CopyState):
+    pass
+
+
+class RPlain(StackState):
+    pass
+
+
+class RGraft(MonotonicStack):
+    pass
+
+
+class RNames(MapState):
+    pass
+
+
+def _retract_ctx():
+    return ParseContext("abcdefgh", cells=[RFields(n=0), RPlain(), RGraft(),
+                                           RNames(), Tally(), CNotes()])
+
+
+def _apply(ctx, ops, floor):
+    """Run ``ops`` on every strategy, never popping ``RGraft`` below
+    ``floor`` entries (the precondition of its graftable diff)."""
+    fields, plain, graft, names, tally = (ctx.state(c) for c in
+                                          (RFields, RPlain, RGraft, RNames, Tally))
+    inner = []
+    for op, arg in ops:
+        if op == 0:
+            fields.set("n", arg)
+        elif op == 1:
+            plain.push(arg)
+        elif op == 2:
+            plain.pop()
+        elif op == 3:
+            graft.push(arg)
+        elif op == 4 and graft.size > floor:
+            graft.pop()
+        elif op == 5:
+            graft.replace_above(max(floor, graft.size - arg), lambda *v: v)
+        elif op == 6:
+            names.put(arg % 2, arg)
+        elif op == 7:
+            names.remove(arg % 2)
+        elif op == 8:
+            tally.bump()
+        elif op == 9:
+            ctx.position = 2 * arg
+        elif arg % 2 == 0 or not inner:
+            inner.append(ctx.snapshot())
+        else:
+            ctx.restore(inner.pop())
+
+
+def _contents(ctx):
+    return (ctx.position, ctx.state(RFields).cell_snapshot(),
+            ctx.state(RPlain).values(), ctx.state(RGraft).values(),
+            dict(ctx.state(RNames).content()), ctx.state(Tally).count)
+
+
+_ops = st.lists(st.tuples(st.integers(0, 10), st.integers(0, 3)), max_size=25)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(_ops, _ops)
+def test_retract_is_diff_then_restore(before, during):
+    composed, fused = _retract_ctx(), _retract_ctx()
+    deltas = []
+    for ctx in (composed, fused):
+        _apply(ctx, before, 0)
+        snap = ctx.snapshot()
+        _apply(ctx, during, ctx.state(RGraft).size)
+        if ctx is composed:
+            delta = ctx.diff(snap)
+            ctx.restore(snap)
+        else:
+            delta = ctx.retract(snap)
+        deltas.append(delta)
+    assert _contents(fused) == _contents(composed)
+    assert fused.snapshot()[1] == composed.snapshot()[1]
+    # A StackState delta is a node of its own context: compare the deltas
+    # by what they carry, then by what merging them back leaves.
+    shapes = [(d.end_position, [type(c) for c, _ in d.cells]) for d in deltas]
+    assert shapes[0] == shapes[1]
+    composed.merge(deltas[0])
+    fused.merge(deltas[1])
+    assert _contents(fused) == _contents(composed)
+    assert fused.snapshot()[1] == composed.snapshot()[1]
+
+
+def test_retract_refuses_stale_and_foreign_snapshots():
+    ctx, other = _retract_ctx(), _retract_ctx()
+    snap = ctx.snapshot()
+    ctx.state(Tally).bump()
+    stale = ctx.snapshot()
+    ctx.restore(snap)
+    with pytest.raises(ContractViolationError, match="stale"):
+        ctx.retract(stale)
+    with pytest.raises(ContractViolationError, match="different context"):
+        other.retract(snap)
+    assert ctx.retract(snap).cells == ()
+
+
+def test_traced_retract_reports_its_diff_and_restore():
+    lines: list = []
+    tally = Tally()
+    ctx = TracedContext("ab", lines.append, cells=[tally])
+    snap = ctx.snapshot()
+    ctx.position = 1
+    tally.bump()
+    delta = ctx.retract(snap)
+    assert [line.split()[0] for line in lines] == ["snapshot", "diff", "restore"]
+    assert (delta.end_position, ctx.position, tally.count) == (1, 0, 0)

@@ -233,6 +233,26 @@ def test_class_def_without_superclass_adds_nothing_inherited():
     assert types.at(0) == TypeRecord("B", (TypeRecord("I", ()),))
 
 
+def test_class_def_replaces_placeholder_and_private_classes_in_one_change():
+    # Besides what the body logs: the EnclosingClasses push and pop, and one
+    # TypeStack change; a snapshot's second field is the trail length, two
+    # slots an entry.
+    ctx = _ns_ctx()
+    types = ctx.state(TypeStack)
+    types.push(TypeRecord("B"))
+    ast = ctx.state(AstStack)
+    ast.push("B")
+    ast.push(None)
+    body = new_type(_push_name("I"))
+    snap = ctx.snapshot()
+    assert body.parse(ctx).ok
+    by_body = ctx.snapshot()[1] - snap[1]
+    ctx.restore(snap)
+    assert class_def(body).parse(ctx).ok
+    assert ctx.snapshot()[1] - snap[1] == by_body + 2 * 3
+    assert types.values() == [TypeRecord("B", (TypeRecord("I"),))]
+
+
 def test_class_def_rejects_enclosing_superclass():
     ctx = _ns_ctx()
     types = ctx.state(TypeStack)

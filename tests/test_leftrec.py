@@ -19,9 +19,11 @@ from txpeg.combinators import (
     seq,
     zero_more,
 )
-from txpeg.core import ConfigurationError
+from txpeg.core import ConfigurationError, ParseContext
+from txpeg.demos.expr import expr_grammar
 from txpeg.grammar import GrammarDef, ref, run_parse
 from txpeg.leftrec import leftrec
+from txpeg.states import StackState
 
 from support import fold_left_chain
 
@@ -253,6 +255,31 @@ def test_inner_unguarded_cycle_still_detected():
     with pytest.raises(ConfigurationError) as info:
         GrammarDef(rules, "outer").freeze()
     assert "inner" in str(info.value)
+
+
+def test_each_growth_round_reinstates_the_ast_stack_once(monkeypatch):
+    # Every round after the seed re-runs the body, whose left-recursive
+    # call merges the seed: one merge per round, plus the final replay.
+    # Rewinding a round hands the AST stack its entry version once, not
+    # once per value the round pushed and popped.
+    calls = {"restore": 0, "merge": 0}
+    cell_restore, merge = StackState.cell_restore, ParseContext.merge
+
+    def counted_restore(cell, snapshot):
+        calls["restore"] += 1
+        cell_restore(cell, snapshot)
+
+    def counted_merge(ctx, delta):
+        calls["merge"] += 1
+        merge(ctx, delta)
+
+    monkeypatch.setattr(StackState, "cell_restore", counted_restore)
+    monkeypatch.setattr(ParseContext, "merge", counted_merge)
+    out = run_parse(expr_grammar(), "-".join(map(str, range(41))))
+    assert out.success
+    rounds = calls["merge"] - 1
+    assert rounds == 41
+    assert calls["restore"] <= rounds + 2
 
 
 def _mutual_growth_grammar():
