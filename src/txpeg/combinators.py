@@ -114,7 +114,15 @@ def node(kind: str) -> Callable[..., AstNode]:
 
 
 class Seq(Parser):
-    """Children in order; one failure rewinds the whole sequence."""
+    """Children in order; one failure rewinds the whole sequence.
+
+    A frozen seq splices each child that is itself exactly a seq into its
+    own children, recursively, and so runs the whole flattened run under
+    one snapshot.  The inner snapshot could never matter: an inner seq
+    fails only by failing this one, which returns the same failure and
+    restores to its own, older mark.  A seq already on the splice path,
+    as one that holds itself, stays a plain child.
+    """
 
     def __init__(self, *children: Parser):
         self.children = children
@@ -139,6 +147,16 @@ class Seq(Parser):
             if not nullable(c):
                 return self.children[:i + 1]
         return self.children
+
+    def specialise(self, nullable, first) -> None:
+        def splice(children, path):
+            for c in children:
+                if type(c) is Seq and id(c) not in path:
+                    yield from splice(c.children, path | {id(c)})
+                else:
+                    yield c
+
+        self.children = tuple(splice(self.children, {id(self)}))
 
 
 class Choice(Parser):

@@ -108,7 +108,9 @@ class GrammarDef(Record):
         whitespace parser included when the grammar has none of its own,
         and specialises the copies: among others, a ``not_`` learns where
         to skip its child, a ``choice`` which children to try at each
-        ASCII character, and a repetition of a ``char_pred`` to scan.  The
+        ASCII character, a repetition of a ``char_pred`` to scan, and a
+        ``seq`` splices its ``seq`` children into its own, so a run of
+        sequenced parsers takes one snapshot, not one per level.  The
         rule objects passed in are never modified, and two freezes share
         no node.  Within one freeze, structurally equal subgraphs become
         one node (:attr:`~txpeg.core.Parser.shareable`).  With

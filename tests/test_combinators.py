@@ -236,6 +236,28 @@ def test_repetition_with_state_only_progress_is_allowed():
     assert marks.values() == [2, 1]
 
 
+class Endless(Exception):
+    """Raised by an iteration that has run far past any input."""
+
+
+@pytest.mark.xfail(strict=True, raises=Endless, reason=(
+    "an iteration that consumes nothing but pushes a value counts as "
+    "progress, so the repetition never ends (CHANGES.md, FOUND: on "
+    "ParseContext.end_iteration); whether state-only progress is allowed "
+    "needs deciding first"))
+def test_a_zero_width_capture_in_a_repetition_is_refused():
+    calls = [0]
+
+    def count(ctx):
+        calls[0] += 1
+        if calls[0] > 100:
+            raise Endless
+
+    ctx = ctx_for("b")
+    with pytest.raises(ContractViolationError):
+        zero_more(seq(perform(count), capture(opt(literal("a"))))).parse(ctx)
+
+
 def test_ahead_is_state_neutral_on_success():
     marks = Marks()
     ctx = ctx_for("abc", marks)

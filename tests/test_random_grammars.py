@@ -12,6 +12,13 @@ The leaves come from a small shared pool, and a rule may repeat an
 earlier rule's body, so equal subtrees and equal rule bodies recur and the
 shared graph differs from the plain one.
 
+A second arm draws the grammars the same way and then swaps some leaves
+for state: a leaf followed by a push of its last character onto a
+registered ``StackState``, or a leaf preceded by a ``predicate`` on the
+top of that stack.  A rollback that leaves a push behind, or takes back
+too much, then changes what a later test sees or what the cell holds
+when the parse ends, and the arm compares that too.
+
 Three things excuse a pair: a grammar whose left recursion is not
 annotated fails both freezes alike; an input on which the plain run
 raises ``ContractViolationError`` is skipped, since a frozen grammar may
@@ -29,11 +36,13 @@ from hypothesis import strategies as st
 
 from txpeg.cli import ast_to_data
 from txpeg.combinators import (
-    ahead, capture, char_pred, choice, literal, not_, one_more, opt, seq, zero_more,
+    ahead, capture, char_pred, choice, literal, not_, one_more, opt, perform, predicate,
+    seq, zero_more,
 )
 from txpeg.core import ConfigurationError, ContractViolationError
 from txpeg.grammar import FrozenGrammar, GrammarDef, ref, run_parse
 from txpeg.leftrec import leftrec
+from txpeg.states import StackState
 
 
 def _is_a(c: str) -> bool:
@@ -52,6 +61,23 @@ NARY = {"seq": seq, "choice": choice}
 TOKENS = ("a", "b", "ab", "1", "é")
 INPUTS = 6                  # per grammar and root
 BUDGET = 2000               # transaction operations per plain run
+
+
+class Pushed(StackState):
+    """The state arm's cell: the last characters of the leaves that push."""
+
+
+def _push_last(ctx) -> None:
+    ctx.state(Pushed).push(ctx.text[ctx.position - 1])
+
+
+# What the state arm's tests of the top expect; None is an empty cell.
+TOP_VALUES = (None, "a", "b")
+TOPS = {c: (lambda ctx, c=c: ctx.state(Pushed).peek() == c) for c in TOP_VALUES}
+
+
+def _top_message(ctx) -> str:
+    return f"top is {ctx.state(Pushed).peek()!r}"
 
 
 def random_spec(rng: random.Random, depth: int) -> tuple:
@@ -102,6 +128,12 @@ def build(spec):
         return char_pred(*PREDICATES[arg])
     if kind == "ref":
         return ref(arg)
+    if kind == "push":
+        # After consumed input, as a capture, so a repetition of it ends.
+        return seq(build(arg), perform(_push_last))
+    if kind == "top_is":
+        top, leaf = arg
+        return seq(predicate(TOPS[top], _top_message), build(leaf))
     if kind == "capture":
         # A capture that can match empty would push on every iteration of
         # a repetition around it and never end, so it ends with a literal.
@@ -109,6 +141,35 @@ def build(spec):
     if kind in NARY:
         return NARY[kind](*map(build, arg))
     return UNARY[kind](build(arg))
+
+
+def with_state(specs: dict, rng: random.Random) -> dict:
+    """The rules with each ``literal`` and ``char_pred`` leaf, as ``rng``
+    draws, kept, followed by a push of its last character onto
+    :class:`Pushed`, or preceded by a test of the top.  A rule that
+    repeats an earlier body repeats its swap too."""
+    def swap(spec):
+        kind, arg = spec
+        if kind in ("literal", "char_pred"):
+            pick = rng.randrange(3)
+            if pick == 0:
+                return "push", spec
+            if pick == 1:
+                return "top_is", (rng.choice(TOP_VALUES), spec)
+            return spec
+        if kind == "ref":
+            return spec
+        if kind in NARY:
+            return kind, tuple(map(swap, arg))
+        if kind == "capture":
+            return kind, (swap(arg[0]), arg[1])
+        return kind, swap(arg)
+
+    swapped: dict = {}
+    for spec in specs.values():
+        if id(spec) not in swapped:
+            swapped[id(spec)] = swap(spec)
+    return {name: swapped[id(spec)] for name, spec in specs.items()}
 
 
 def freeze_both(specs: dict):
@@ -166,6 +227,35 @@ def test_random_grammars_parse_alike_frozen_and_plain(seed):
             except (ContractViolationError, OverBudget):
                 continue
             assert outcome(frozen, text) == want, (specs, root, text)
+
+
+def state_outcome(grammar, text: str, budget=None) -> tuple:
+    """:func:`outcome`, and what the parse left on its :class:`Pushed`."""
+    cell = Pushed()
+    grammar = FrozenGrammar(grammar.rules, grammar.root, grammar.whitespace,
+                            (lambda: cell,))
+    return outcome(grammar, text, budget), cell.values()
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_random_grammars_with_state_parse_alike_frozen_and_plain(seed):
+    # A push that a failed parser leaves behind, or takes back too far,
+    # changes what a later test of the top sees, or what the parse leaves.
+    rng = random.Random(seed)
+    specs = with_state(random_grammar(rng), rng)
+    grammars = freeze_both(specs)
+    if grammars is None:
+        return
+    for root in NAMES:
+        frozen, plain = (rooted(g, root) for g in grammars)
+        for _ in range(INPUTS):
+            text = "".join(rng.choice(TOKENS) for _ in range(rng.randrange(6)))
+            try:
+                want = state_outcome(plain, text, BUDGET)
+            except (ContractViolationError, OverBudget):
+                continue
+            assert state_outcome(frozen, text) == want, (specs, root, text)
 
 
 def test_a_successful_lookahead_keeps_no_failure_a_skipped_choice_would_record():
