@@ -31,13 +31,11 @@ __all__ = [
     "AstNode",
     "AstStack",
     "Ahead",
-    "AndDo",
     "Build",
     "Capture",
     "CharPred",
     "Choice",
     "Collect",
-    "EndOfInput",
     "Literal",
     "Not",
     "OneMore",
@@ -48,7 +46,6 @@ __all__ = [
     "Seq",
     "Until",
     "Whitespace",
-    "Word",
     "ZeroMore",
     "ahead",
     "and_do",
@@ -507,33 +504,6 @@ class Whitespace(Parser):
         return SUCCESS
 
 
-class EndOfInput(Parser):
-    """Succeed exactly at the end of the input, consuming nothing."""
-
-    def parse(self, ctx: ParseContext) -> ParseResult:
-        if ctx.position >= ctx.input_length:
-            return SUCCESS
-        return ctx.fail(ctx.position, "expected end of input")
-
-    first = Parser.zero_width_first
-
-
-class Word(Literal):
-    """Match a literal, then skip trailing whitespace: a token."""
-
-    def parse(self, ctx: ParseContext) -> ParseResult:
-        pos = ctx.position
-        if not ctx.text.startswith(self.string, pos, -1):
-            return ctx.fail(pos, lambda s=self.string: f"expected {s!r}")
-        ctx.position = pos + len(self.string)
-        ws = ctx.whitespace
-        (DEFAULT_WHITESPACE if ws is None else ws).skip(ctx)
-        return SUCCESS
-
-    def __repr__(self):
-        return f"word({self.string!r})"
-
-
 # ---------------------------------------------------------------------------
 # Semantic actions and conditions.
 
@@ -571,23 +541,6 @@ class Perform(Parser):
         return SUCCESS
 
     first = Parser.zero_width_first
-
-
-class AndDo(Parser):
-    """Run the child; on success, apply an effect as well."""
-
-    def __init__(self, child: Parser, effect: Callable[[ParseContext], Any]):
-        self.children = (child,)
-        self.effect = effect
-
-    def parse(self, ctx: ParseContext) -> ParseResult:
-        r = self.children[0].parse(ctx)
-        if not r.ok:
-            return r
-        self.effect(ctx)
-        return SUCCESS
-
-    first = Parser.children_first
 
 
 # ---------------------------------------------------------------------------
@@ -697,7 +650,8 @@ class OptValue(Parser):
 
 # ---------------------------------------------------------------------------
 # Factory surface.  Grammars read better in lowercase; each name is the
-# class itself, so ``seq(a, b)`` builds a :class:`Seq` with no wrapper call.
+# class itself, so ``seq(a, b)`` builds a :class:`Seq` with no wrapper call,
+# except the three compositions at the end, which build on the classes.
 
 seq = Seq
 choice = Choice
@@ -709,15 +663,32 @@ ahead = Ahead
 not_ = Not
 char_pred = CharPred
 literal = Literal
-word = Word
-end_of_input = EndOfInput
 whitespace = Whitespace
 predicate = Predicate
 perform = Perform
-and_do = AndDo
 capture = Capture
 collect = Collect
 build = Build
 opt_value = OptValue
+
+
+def word(string: str) -> Parser:
+    """Match a literal, then skip trailing whitespace: a token."""
+    return Seq(Literal(string), Whitespace())
+
+
+def and_do(child: Parser, effect: Callable[[ParseContext], Any]) -> Parser:
+    """Run the child; on success, apply an effect as well."""
+    return Seq(child, Perform(effect))
+
+
+def _at_end(ctx: ParseContext) -> bool:
+    return ctx.position >= ctx.input_length
+
+
+def end_of_input() -> Parser:
+    """Succeed exactly at the end of the input, consuming nothing."""
+    return Predicate(_at_end, "expected end of input")
+
 
 DEFAULT_WHITESPACE = ZeroMore(CharPred(str.isspace, "whitespace"))

@@ -173,18 +173,6 @@ class MonotonicStack(StackState):
         if node is not self._top:
             self._set_top(node)
 
-    def take_above(self, size: int) -> list:
-        """Pop everything above ``size`` entries, returned bottom to top."""
-        out: list = []
-        node = self._top
-        while node is not None and node.depth > size:
-            out.append(node.value)
-            node = node.below
-        if node is not self._top:
-            self._set_top(node)
-        out.reverse()
-        return out
-
     def replace_above(self, size: int, make: Callable[..., Any]) -> Any:
         """Replace everything above ``size`` entries with ``make(*values)``,
         values bottom to top, as one logged change; returns the new top."""

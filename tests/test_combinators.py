@@ -391,7 +391,7 @@ def test_until_collects_items_then_terminator():
     p = until(capture(literal("a")), literal(";"))
     assert p.parse(ctx).ok
     assert ctx.position == 3
-    assert ast_stack(ctx).take_above(0) == ["a", "a"]
+    assert ast_stack(ctx).values() == ["a", "a"]
 
 
 def test_until_failure_rewinds_matched_items():
@@ -601,7 +601,7 @@ def test_no_parse_method_allocates_a_closure_cell():
     # made on every call, the success path included; a default argument
     # is bound only when the lambda is made.
     classes = _parser_classes()
-    assert {"Literal", "Word", "CharPred", "Not", "Indent", "Dedent"} <= {
+    assert {"Literal", "CharPred", "Not", "Indent", "Dedent"} <= {
         c.__name__ for c in classes}
     assert [(c.__qualname__, c.__dict__["parse"].__code__.co_cellvars)
             for c in classes

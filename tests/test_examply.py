@@ -133,6 +133,8 @@ def test_aligned_requires_matching_width():
     assert aligned().parse(ctx).ok
     ctx.position = 8          # mid-token is never aligned
     assert not aligned().parse(ctx).ok
+    ctx.position = ctx.input_length
+    assert aligned().parse(ctx).ok
 
 
 # ---------------------------------------------------------------------------
@@ -308,7 +310,7 @@ _type_ops = st.one_of(
     st.tuples(st.just("push"), st.sampled_from(_NAMES), st.integers(0, 99)),
     st.tuples(st.just("pop")),
     st.tuples(st.just("truncate"), st.integers(0, 8)),
-    st.tuples(st.just("take_above"), st.integers(0, 8)),
+    st.tuples(st.just("replace_above"), st.integers(0, 8), st.sampled_from(_NAMES)),
     st.tuples(st.just("snapshot")),
     st.tuples(st.just("restore"), st.integers(0, 7)),
     st.tuples(st.just("diff_restore_merge"),
@@ -333,8 +335,10 @@ def test_type_index_matches_a_scan_of_the_stack(ops):
             types.pop()
         elif op == "truncate":
             types.truncate(args[0])
-        elif op == "take_above":
-            types.take_above(args[0])
+        elif op == "replace_above":
+            # As a class definition folds its private records into its own.
+            size, name = args
+            types.replace_above(size, lambda *records: TypeRecord(name, records))
         elif op == "snapshot":
             held.append(ctx.snapshot())
         elif op == "restore" and held:

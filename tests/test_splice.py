@@ -91,6 +91,13 @@ def test_tags_takes_one_snapshot_per_run_of_sequenced_parsers():
     assert _trace_counts(plain, text) == {"snapshot": 24, "restore": 4}
 
 
+def test_examply_declarations_splice_their_effects_into_the_declaration():
+    # ``new_type(iden_token())`` is an ``and_do``, a seq ending in a perform,
+    # so it splices into the class and import declarations.
+    assert _trace_counts(examply_grammar(), "class A\nimport p.C\n") == {
+        "snapshot": 18, "restore": 3}
+
+
 @pytest.mark.parametrize("specialise", [True, False], ids=["frozen", "plain"])
 def test_a_seq_that_holds_itself_freezes_and_reports_as_plain(specialise):
     s = seq(literal("a"))

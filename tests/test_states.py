@@ -127,7 +127,8 @@ def test_monotonic_helpers():
     assert s.at(0) == "c"
     assert s.at(2) == "a"
     assert s.at(5) is None
-    assert s.take_above(1) == ["b", "c"]
+    assert s.values() == ["c", "b", "a"]
+    s.truncate(1)
     assert s.values() == ["a"]
     s.push("z")
     s.truncate(1)
