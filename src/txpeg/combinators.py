@@ -39,7 +39,6 @@ __all__ = [
     "Literal",
     "Not",
     "OneMore",
-    "Opt",
     "OptValue",
     "Perform",
     "Predicate",
@@ -204,22 +203,6 @@ class Choice(Parser):
         self.dispatch = dispatch
 
 
-class Opt(Parser):
-    """Try the child; succeed either way."""
-
-    def __init__(self, child: Parser):
-        self.children = (child,)
-
-    def parse(self, ctx: ParseContext) -> ParseResult:
-        self.children[0].parse(ctx)
-        return SUCCESS
-
-    def nullable(self, child_nullable) -> bool:
-        return True
-
-    first = Parser.children_first
-
-
 class ZeroMore(Parser):
     """Repeat the child until it fails; always succeeds."""
 
@@ -263,7 +246,7 @@ class ZeroMore(Parser):
 
 
 class OneMore(Parser):
-    """Like :class:`ZeroMore` but the first iteration must succeed."""
+    """The child once, then :class:`ZeroMore`'s loop: ``e+`` is ``e e*``."""
 
     scan: Optional[Callable[[str], bool]] = None
 
@@ -280,15 +263,8 @@ class OneMore(Parser):
                 return SUCCESS if pos > start else child.parse(ctx)
             failure = ctx.fail(pos, lambda child=child: f"expected {child!r}")
             return SUCCESS if pos > start else failure
-        entry = step = ctx.snapshot()
         r = child.parse(ctx)
-        if not r.ok:
-            return r
-        while True:
-            ctx.end_iteration(entry, step, self)
-            step = ctx.snapshot()
-            if not child.parse(ctx).ok:
-                return SUCCESS
+        return ZeroMore.parse(self, ctx) if r.ok else r
 
     first = Parser.children_first
     specialise = ZeroMore.specialise
@@ -651,11 +627,10 @@ class OptValue(Parser):
 # ---------------------------------------------------------------------------
 # Factory surface.  Grammars read better in lowercase; each name is the
 # class itself, so ``seq(a, b)`` builds a :class:`Seq` with no wrapper call,
-# except the three compositions at the end, which build on the classes.
+# except the four compositions at the end, which build on the classes.
 
 seq = Seq
 choice = Choice
-opt = Opt
 zero_more = ZeroMore
 one_more = OneMore
 until = Until
@@ -670,6 +645,16 @@ capture = Capture
 collect = Collect
 build = Build
 opt_value = OptValue
+
+
+def _nothing(ctx: ParseContext) -> None:
+    pass
+
+
+def opt(child: Parser) -> Parser:
+    """Try the child; succeed either way: ``e?`` is ``e / ε``, with ε a
+    ``perform`` that does nothing, which freeze shares among all opts."""
+    return Choice(child, Perform(_nothing))
 
 
 def word(string: str) -> Parser:

@@ -7,7 +7,7 @@ import pytest
 
 from txpeg.combinators import (
     DEFAULT_WHITESPACE, Choice, ahead, char_pred, choice, literal, not_, one_more,
-    opt, seq, zero_more,
+    opt, predicate, seq, zero_more,
 )
 from txpeg.core import ASCII, SUCCESS, ContractViolationError, ParseContext, Parser
 from txpeg.demos.examply import KEYWORDS, examply_grammar
@@ -213,6 +213,23 @@ def test_nullable_and_unknown_alternatives_are_in_every_entry():
     assert top.dispatch["a"] == (a, unknown, nullable)
     assert top.dispatch["c"] == (unknown, nullable, c)
     assert top.dispatch["\x00"] == (unknown, nullable)
+
+
+def test_a_frozen_opt_does_not_call_a_child_that_cannot_start():
+    # opt(e) is choice(e, <empty>): frozen, it dispatches on e's FIRST set.
+    calls = []
+
+    def counting(ctx):
+        calls.append(ctx.position)
+        return True
+
+    root = opt(seq(predicate(counting), literal("x")))
+    for specialise, called in ((True, []), (False, [0])):
+        calls.clear()
+        grammar = GrammarDef({"top": root}, "top").freeze(specialise=specialise)
+        ctx = ParseContext("y")
+        assert grammar.root_parser.parse(ctx) is SUCCESS and ctx.position == 0
+        assert calls == called
 
 
 def test_a_non_ascii_next_character_tries_every_alternative():

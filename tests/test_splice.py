@@ -87,15 +87,24 @@ def test_tags_takes_one_snapshot_per_run_of_sequenced_parsers():
     # they take no snapshot of their own.
     text = "<a><b></b></a>"
     assert _trace_counts(tags_grammar(), text) == {"snapshot": 7, "restore": 2}
+    # A plain one_more snapshots only from its second iteration on.
     plain = GrammarDef(tags_rules(), "element", cells=(TagStack,)).freeze(specialise=False)
-    assert _trace_counts(plain, text) == {"snapshot": 24, "restore": 4}
+    assert _trace_counts(plain, text) == {"snapshot": 18, "restore": 4}
 
 
 def test_examply_declarations_splice_their_effects_into_the_declaration():
     # ``new_type(iden_token())`` is an ``and_do``, a seq ending in a perform,
-    # so it splices into the class and import declarations.
+    # so it splices into the class and import declarations.  The import's
+    # package prefix is a one_more, which snapshots after its first match.
     assert _trace_counts(examply_grammar(), "class A\nimport p.C\n") == {
-        "snapshot": 18, "restore": 3}
+        "snapshot": 17, "restore": 3}
+
+
+def test_an_opt_takes_no_snapshot_where_its_child_cannot_start():
+    # An opt is a choice with an empty last alternative, so at ")" the
+    # parameter and argument lists do not try their first items.
+    assert _trace_counts(examply_grammar(), "fun f()\n    f()\n") == {
+        "snapshot": 28, "restore": 8}
 
 
 @pytest.mark.parametrize("specialise", [True, False], ids=["frozen", "plain"])
