@@ -91,8 +91,11 @@ class AstStack(MonotonicStack):
 
     Parsers push onto it and only ever pop what they pushed themselves,
     which keeps its diffs graftable: exactly what left recursion and
-    memoizing features need to replay build effects.
+    memoizing features need to replay build effects.  It is output, so it
+    does not steer: a push is no progress for a repetition.
     """
+
+    steers = False
 
 
 def ast_stack(ctx: ParseContext) -> AstStack:

@@ -132,11 +132,24 @@ class StateCell:
     that never logs is never visited by the context.  A retract hands
     ``cell_restore`` the oldest version logged since a snapshot, skipping
     the ones in between, so it must reinstate any version from any state.
+
+    A context joins each cell it registers through :meth:`bind`; an
+    override that logs must call ``super().bind(ctx)``.
+
+    ``steers`` says whether the content steers the parse: an iteration of a
+    repetition that consumes nothing must change a cell that steers.  Output
+    such as the AST stack does not; a repetition must not count its depth.
     """
 
     #: The trail of the context the cell is registered with; None while the
     #: cell stands alone, when mutations are not logged.
     _trail: Optional[list] = None
+
+    steers = True
+
+    def bind(self, ctx: ParseContext) -> None:
+        """Join ``ctx``: log each change on its trail from now on."""
+        self._trail = ctx._trail
 
     def record(self) -> None:
         """Log the current version on the context's trail, before a change."""
@@ -345,11 +358,11 @@ class ParseContext:
     The cell registry is fixed at construction; cells are looked up by
     their exact class, so a grammar addresses "the indentation stack" as
     ``ctx.state(IndentStack)``.  Registering a cell binds it to the
-    context's trail, which every transaction operation walks; the registry
-    itself is only for lookup.  The furthest-failure record is
-    deliberately outside the transaction: backtracking must not erase the
-    best diagnostic seen so far.  So is ``seeds`` (:mod:`txpeg.leftrec`):
-    each call removes its own key on exit.
+    context (:meth:`StateCell.bind`), by default to the trail that every
+    transaction operation walks; the registry itself is only for lookup.
+    The furthest-failure record is deliberately outside the transaction:
+    backtracking must not erase the best diagnostic seen so far.  So is
+    ``seeds`` (:mod:`txpeg.leftrec`): each call removes its own key on exit.
     """
 
     def __init__(self, text: str, cells: Iterable[StateCell] = (),
@@ -369,9 +382,6 @@ class ParseContext:
             if t in self._by_type:
                 raise ConfigurationError(f"duplicate state cell class {t.__name__}")
             self._by_type[t] = cell
-        # Each cell logs its changes on this context's trail from now on.
-        for cell in self._cells:
-            cell._trail = self._trail
         # The furthest failure, never restored.
         self.furthest: Optional[Failure] = None
         self.seeds: dict = {}
@@ -379,6 +389,8 @@ class ParseContext:
         # predicates probe with parsers whose failures are expected, and
         # recording them would bury the real error under scanner noise.
         self.muted = 0
+        for cell in self._cells:
+            cell.bind(self)
 
     def state(self, cell_class: type) -> StateCell:
         """Return the registered cell of exactly ``cell_class``."""
@@ -476,7 +488,7 @@ class ParseContext:
         self.position = delta.end_position
 
     def _unchanged_after(self, mark: int) -> bool:
-        return not any(cell.cell_snapshot() != prior
+        return not any(cell.steers and cell.cell_snapshot() != prior
                        for cell, prior in self._first_entries(mark).values())
 
     def end_iteration(self, entry: tuple, step: tuple, parser: Parser) -> None:
@@ -484,18 +496,19 @@ class ParseContext:
 
         ``entry`` is the repetition's snapshot from before its first
         iteration, ``step`` the one from before this iteration.  An
-        iteration that moved neither the position nor any logged cell would
-        repeat forever, so it raises ContractViolationError.  Otherwise the
-        iteration's trail entries are folded into the entries kept since
-        ``entry``, keeping the first (oldest) version of each cell: restoring
-        ``entry`` or anything older needs nothing else, and the trail stays
-        within one entry per logged cell per running repetition.
+        iteration that moved neither the position nor any cell that steers
+        would repeat forever, so it raises ContractViolationError.
+        Otherwise the iteration's trail entries are folded into the entries
+        kept since ``entry``, keeping the first (oldest) version of each
+        cell: restoring ``entry`` or anything older needs nothing else, and
+        the trail stays within one entry per logged cell per running
+        repetition.
         """
         position, mark, trail = step
         if self.position == position and self._unchanged_after(mark):
             raise ContractViolationError(
                 f"{parser!r} iteration succeeded without consuming input "
-                f"or changing state at position {position}"
+                f"or changing a cell that steers at position {position}"
             )
         if len(trail) > mark:
             held = set(map(id, trail[entry[1]:mark:2]))

@@ -47,7 +47,6 @@ from .indent import (
     IndentMap,
     IndentStack,
     aligned,
-    build_indent_map,
     dedent,
     indent,
     newline,
@@ -170,8 +169,7 @@ def examply_rules() -> dict:
     pkg_prefix = capture(one_more(seq(raw_iden(), literal("."))))
 
     return {
-        "program": seq(build_indent_map(),
-                       until(ref("statement"), end_of_input())),
+        "program": until(ref("statement"), end_of_input()),
         "statement": seq(aligned(),
                          choice(ref("declaration"),
                                 seq(ref("expression"), newline()))),

@@ -2,8 +2,8 @@
 
 Two cells cooperate.  :class:`IndentMap` is inert, derived data: a per-line
 table of indentation widths (tabs expanded to stops at multiples of 4) and
-of the offset where each line's indentation ends, filled once at parse
-start by :func:`build_indent_map`, a ``perform`` effect.
+of the offset where each line's indentation ends, which the cell builds
+from the input when a context binds it, so any rule can start a parse.
 :class:`IndentStack` is live state: the indentation widths of the
 enclosing blocks, pushed by :func:`indent` and popped by :func:`dedent`
 (parser classes, each a check and an effect in one step), and therefore
@@ -21,7 +21,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from typing import NamedTuple
 
-from ..combinators import perform, predicate
+from ..combinators import predicate
 from ..core import SUCCESS, ParseContext, Parser, ParseResult
 from ..states import InertState, StackState
 
@@ -30,7 +30,6 @@ __all__ = [
     "IndentMap",
     "IndentStack",
     "aligned",
-    "build_indent_map",
     "build_indent_table",
     "dedent",
     "indent",
@@ -70,15 +69,18 @@ def build_indent_table(text: str) -> tuple[list[IndentEntry], list[int]]:
 
 
 class IndentMap(InertState):
-    """Line-number → :class:`IndentEntry`, built once, read-only after.
+    """Line-number → :class:`IndentEntry`, built on binding, read-only after.
 
     Inert on purpose: the table is a pure function of the input, so
-    backtracking has nothing to undo.
+    backtracking has nothing to undo and the cell needs no trail.
     """
 
     def __init__(self):
         self.entries: list[IndentEntry] = []
         self._starts: list[int] = []
+
+    def bind(self, ctx: ParseContext) -> None:
+        self.build(ctx.text)
 
     def build(self, text: str) -> None:
         self.entries, self._starts = build_indent_table(text)
@@ -127,15 +129,6 @@ class Dedent(Parser):
                         lambda old=old: f"expecting indentation < {old} positions")
 
     first = Parser.zero_width_first
-
-
-def _fill_indent_map(ctx: ParseContext) -> None:
-    ctx.state(IndentMap).build(ctx.text)
-
-
-def build_indent_map() -> Parser:
-    """Fill the indentation map from the whole input; never moves."""
-    return perform(_fill_indent_map)
 
 
 indent = Indent

@@ -240,12 +240,9 @@ class Endless(Exception):
     """Raised by an iteration that has run far past any input."""
 
 
-@pytest.mark.xfail(strict=True, raises=Endless, reason=(
-    "an iteration that consumes nothing but pushes a value counts as "
-    "progress, so the repetition never ends (CHANGES.md, FOUND: on "
-    "ParseContext.end_iteration); whether state-only progress is allowed "
-    "needs deciding first"))
 def test_a_zero_width_capture_in_a_repetition_is_refused():
+    # A push onto the AST stack is output, not progress: the stack does not
+    # steer, so the empty iteration is refused rather than repeated.
     calls = [0]
 
     def count(ctx):
@@ -256,6 +253,16 @@ def test_a_zero_width_capture_in_a_repetition_is_refused():
     ctx = ctx_for("b")
     with pytest.raises(ContractViolationError):
         zero_more(seq(perform(count), capture(opt(literal("a"))))).parse(ctx)
+
+
+@pytest.mark.parametrize("specialise", [True, False], ids=["frozen", "plain"])
+@pytest.mark.parametrize("repeat", [zero_more, one_more, lambda p: until(p, literal("c"))],
+                         ids=["zero_more", "one_more", "until"])
+def test_every_repetition_refuses_an_empty_capture_under_both_freezes(repeat, specialise):
+    grammar = GrammarDef({"top": repeat(capture(opt(literal("a"))))}, "top").freeze(
+        specialise=specialise)
+    with pytest.raises(ContractViolationError, match="changing a cell that steers"):
+        run_parse(grammar, "b")
 
 
 def test_ahead_is_state_neutral_on_success():

@@ -7,19 +7,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import token_outcomes
 from support import column_after
 
 from txpeg.combinators import (
     AstNode, AstStack, Capture, Collect, ast_stack, perform, seq,
 )
 from txpeg.core import ContractViolationError, ParseContext
-from txpeg.demos.examply import examply_cells, examply_grammar
+from txpeg.demos.examply import examply_cells, examply_grammar, examply_rules
 from txpeg.demos.indent import (
     IndentEntry,
     IndentMap,
     IndentStack,
     aligned,
-    build_indent_map,
     build_indent_table,
     dedent,
     indent,
@@ -35,7 +35,8 @@ from txpeg.demos.namespaces import (
     priv_of,
     scoped,
 )
-from txpeg.grammar import run_parse
+from txpeg.demos.macro import composed_rules
+from txpeg.grammar import GrammarDef, ParseOutcome, run_parse
 from txpeg.states import StackState
 
 
@@ -78,9 +79,8 @@ def test_entry_lookup_spans_whole_lines():
 
 
 def _indent_ctx(text):
-    ctx = ParseContext(text, cells=[IndentMap(), IndentStack(), AstStack()])
-    build_indent_map().parse(ctx)
-    return ctx
+    # No set-up parse: the context builds the map when it binds the cell.
+    return ParseContext(text, cells=[IndentMap(), IndentStack(), AstStack()])
 
 
 def test_indent_pushes_only_deeper_lines():
@@ -651,3 +651,41 @@ def test_examply_cells_list_every_needed_cell():
                      "EnclosingClasses"}
     types = next(c for c in made if type(c).__name__ == "TypeStack")
     assert [r.name for r in types.values()] == ["String", "Int"]
+
+
+# ---------------------------------------------------------------------------
+# Every rule is a root: no rule depends on another having run first.
+
+
+ROOT_INPUTS = ["val x: Int = 1\n", "fun f()\n    f()\n", "    f()\n", "class A\n",
+               "macro m = a b\n", "", *token_outcomes.inputs()[::157]]
+
+ROOT_RULES = {"examply": examply_rules, "composed": composed_rules}
+
+
+@pytest.mark.parametrize("grammar", sorted(ROOT_RULES))
+def test_every_rule_parses_as_the_root(grammar):
+    rules = ROOT_RULES[grammar]()
+    for name in rules:
+        frozen = GrammarDef(rules, name, cells=examply_cells()).freeze()
+        for text in ROOT_INPUTS:
+            try:
+                outcome = run_parse(frozen, text)
+            except ContractViolationError:
+                # The anonymous class inherits from the constructor's type,
+                # which ctor_call pushed on the AST stack just before; as
+                # the root, the rule finds no name there, by contract.
+                assert name == "ctor_body", (name, text)
+                continue
+            assert isinstance(outcome, ParseOutcome), (name, text)
+
+
+@pytest.mark.parametrize("grammar, root, text", [
+    ("examply", "statement", "val x: Int = 1\n"),
+    ("examply", "stmt_block", "    f()\n"),
+    ("examply", "fun_decl", "fun f()\n    f()\n"),
+    ("composed", "macro_file", "macro m = a b\n"),
+])
+def test_rules_that_read_the_indentation_parse_as_the_root(grammar, root, text):
+    frozen = GrammarDef(ROOT_RULES[grammar](), root, cells=examply_cells()).freeze()
+    assert run_parse(frozen, text).success

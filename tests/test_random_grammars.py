@@ -135,8 +135,10 @@ def build(spec):
         top, leaf = arg
         return seq(predicate(TOPS[top], _top_message), build(leaf))
     if kind == "capture":
-        # A capture that can match empty would push on every iteration of
-        # a repetition around it and never end, so it ends with a literal.
+        # A capture that can match empty inside a repetition is refused
+        # with a ContractViolationError, and only where the repetition
+        # calls it: a frozen choice may skip what a plain one calls, so the
+        # freezes could not be compared.  So a capture ends with a literal.
         return capture(seq(build(arg[0]), literal(arg[1])))
     if kind in NARY:
         return NARY[kind](*map(build, arg))

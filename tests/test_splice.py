@@ -96,15 +96,16 @@ def test_examply_declarations_splice_their_effects_into_the_declaration():
     # ``new_type(iden_token())`` is an ``and_do``, a seq ending in a perform,
     # so it splices into the class and import declarations.  The import's
     # package prefix is a one_more, which snapshots after its first match.
+    # ``program`` is its ``until`` alone, with no seq of its own to snapshot.
     assert _trace_counts(examply_grammar(), "class A\nimport p.C\n") == {
-        "snapshot": 17, "restore": 3}
+        "snapshot": 16, "restore": 3}
 
 
 def test_an_opt_takes_no_snapshot_where_its_child_cannot_start():
     # An opt is a choice with an empty last alternative, so at ")" the
     # parameter and argument lists do not try their first items.
     assert _trace_counts(examply_grammar(), "fun f()\n    f()\n") == {
-        "snapshot": 28, "restore": 8}
+        "snapshot": 27, "restore": 8}
 
 
 @pytest.mark.parametrize("specialise", [True, False], ids=["frozen", "plain"])
