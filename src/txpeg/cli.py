@@ -59,7 +59,7 @@ def ast_to_data(value):
         value, into = stack.pop()
         if isinstance(value, AstNode):
             children: list = []
-            span = list(value.span) if value.span is not None else None
+            span = [value.start, value.end] if value.start is not None else None
             into.append({"kind": value.kind, "span": span, "children": children})
             stack.extend((c, children) for c in reversed(value.children))
         elif isinstance(value, list):
@@ -80,8 +80,7 @@ def ast_from_data(data):
     while stack:
         data, into = stack.pop()
         if isinstance(data, dict):
-            span = tuple(data["span"]) if data["span"] is not None else None
-            node = AstNode(data["kind"], [], span)
+            node = AstNode(data["kind"], [], data["span"])
             nodes.append(node)
             into.append(node)
             stack.extend((c, node.children) for c in reversed(data["children"]))
@@ -102,8 +101,7 @@ def _tree_lines(value, depth: int, out: list) -> None:
         value, depth = stack.pop()
         pad = "  " * depth
         if isinstance(value, AstNode):
-            span = value.span
-            where = f" [{span[0]},{span[1]})" if span is not None else ""
+            where = f" [{value.start},{value.end})" if value.start is not None else ""
             out.append(f"{pad}{value.kind}{where}")
             stack.extend((c, depth + 1) for c in reversed(value.children))
         elif isinstance(value, list):

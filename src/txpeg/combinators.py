@@ -75,15 +75,35 @@ class AstNode(Record):
     """A syntax tree node: a kind tag, child values, and a text span.
 
     Children may be nodes, strings, lists or None; ``span`` is the
-    half-open [start, end) range of input the node was built from.
+    half-open [start, end) range of input the node was built from, or
+    None.  It is stored as two slots, ``start`` and ``end`` (both None
+    for no span), so a node holds no tuple of its own; ``span`` reads them
+    back as a tuple and takes any (start, end) pair, raising
+    :class:`TypeError` for anything else but None.
     """
 
-    __slots__ = __match_args__ = ("kind", "children", "span")
+    __slots__ = ("kind", "children", "start", "end")
+    __match_args__ = ("kind", "children", "span")
 
     def __init__(self, kind: str, children: tuple = (), span: Optional[tuple] = None):
         self.kind = kind
         self.children = children
         self.span = span
+
+    @property
+    def span(self) -> Optional[tuple]:
+        return None if self.start is None else (self.start, self.end)
+
+    @span.setter
+    def span(self, span: Optional[tuple]) -> None:
+        if span is None:
+            self.start = self.end = None
+            return
+        try:
+            self.start, self.end = span
+        except (TypeError, ValueError):
+            raise TypeError(
+                f"a span is a (start, end) pair or None, not {span!r}") from None
 
 
 class AstStack(MonotonicStack):
@@ -591,8 +611,9 @@ class Build(Parser):
                 f"build needs {self.arity} values but the child pushed {size - depth}"
             )
         made = ast.replace_above(size - self.arity, self.make)
-        if isinstance(made, AstNode) and made.span is None:
-            made.span = (start, ctx.position)
+        if isinstance(made, AstNode) and made.start is None:
+            made.start = start
+            made.end = ctx.position
         return SUCCESS
 
     first = Parser.children_first

@@ -1,24 +1,24 @@
 """Significant-whitespace machinery: indentation tracking as parse state.
 
-Two cells cooperate.  :class:`IndentMap` is inert, derived data: a per-line
-table of indentation widths (tabs expanded to stops at multiples of 4) and
-of the offset where each line's indentation ends, which the cell builds
-from the input when a context binds it, so any rule can start a parse.
-:class:`IndentStack` is live state: the indentation widths of the
-enclosing blocks, pushed by :func:`indent` and popped by :func:`dedent`
-(parser classes, each a check and an effect in one step), and therefore
-restored automatically whenever the parse backtracks out of a block.
+Two cells cooperate.  :class:`IndentMap` is inert, derived data: it keeps
+the input, which the cell takes when a context binds it, so any rule can
+start a parse, and reads from that text, for the one line a check asks
+about, the indentation width (tabs expanded to stops at multiples of 4)
+and the offset where the indentation ends.  :class:`IndentStack` is live
+state: the indentation widths of the enclosing blocks, pushed by
+:func:`indent` and popped by :func:`dedent` (parser classes, each a check
+and an effect in one step), and therefore restored automatically whenever
+the parse backtracks out of a block.
 
 The token layer consumes newlines as ordinary whitespace; line structure
-is recovered from the map, not from the character stream.  :func:`newline`
-is a zero-width check that the current position sits at the start of a
-line's content (or at end of input), which is where a position lands after
+is recovered from the text, not from the token stream.  :func:`newline` is
+a zero-width check that the current position sits at the start of a line's
+content (or at end of input), which is where a position lands after
 crossing a line break under that whitespace convention.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from typing import NamedTuple
 
 from ..combinators import predicate
@@ -69,27 +69,47 @@ def build_indent_table(text: str) -> tuple[list[IndentEntry], list[int]]:
 
 
 class IndentMap(InertState):
-    """Line-number → :class:`IndentEntry`, built on binding, read-only after.
+    """The input's indentation, read from the text on demand.
 
-    Inert on purpose: the table is a pure function of the input, so
-    backtracking has nothing to undo and the cell needs no trail.
+    Inert on purpose: the indentation is a pure function of the input, so
+    backtracking has nothing to undo and the cell needs no trail.  The
+    checks below ask :meth:`_width`, which allocates nothing;
+    :meth:`entry_at` gives the same answer as a :class:`IndentEntry`.
     """
 
     def __init__(self):
-        self.entries: list[IndentEntry] = []
-        self._starts: list[int] = []
+        self.text = ""
 
     def bind(self, ctx: ParseContext) -> None:
         self.build(ctx.text)
 
     def build(self, text: str) -> None:
-        self.entries, self._starts = build_indent_table(text)
+        self.text = text
 
-    def line_of(self, offset: int) -> int:
-        return bisect_right(self._starts, offset) - 1
+    def _width(self, offset: int, end: int = -1) -> int:
+        """The indentation width of the line holding ``offset``; but -1 if
+        ``end`` is not negative and that indentation does not end there."""
+        text = self.text
+        i = text.rfind("\n", 0, offset) + 1
+        width = 0
+        while i < len(text):
+            ch = text[i]
+            if ch == " ":
+                width += 1
+            elif ch == "\t":
+                width += TAB_WIDTH - width % TAB_WIDTH
+            else:
+                break
+            i += 1
+        return width if end < 0 or i == end else -1
 
     def entry_at(self, offset: int) -> IndentEntry:
-        return self.entries[self.line_of(offset)]
+        """The indentation of the line holding ``offset``."""
+        text = self.text
+        end = text.rfind("\n", 0, offset) + 1
+        while end < len(text) and text[end] in " \t":
+            end += 1
+        return IndentEntry(self._width(offset), end)
 
 
 class IndentStack(StackState):
@@ -97,7 +117,7 @@ class IndentStack(StackState):
 
 
 def _current_count(ctx: ParseContext) -> int:
-    return ctx.state(IndentMap).entry_at(ctx.position).count
+    return ctx.state(IndentMap)._width(ctx.position)
 
 
 class Indent(Parser):
@@ -138,7 +158,7 @@ dedent = Dedent
 def _at_line_start(ctx: ParseContext) -> bool:
     if ctx.position >= ctx.input_length:
         return True
-    return ctx.state(IndentMap).entry_at(ctx.position).end == ctx.position
+    return ctx.state(IndentMap)._width(ctx.position, ctx.position) >= 0
 
 
 def newline() -> Parser:
@@ -149,10 +169,8 @@ def newline() -> Parser:
 def _is_aligned(ctx: ParseContext) -> bool:
     if ctx.position >= ctx.input_length:
         return True
-    entry = ctx.state(IndentMap).entry_at(ctx.position)
-    if entry.end != ctx.position:
-        return False
-    return entry.count == ctx.state(IndentStack).peek(0)
+    width = ctx.state(IndentMap)._width(ctx.position, ctx.position)
+    return width == ctx.state(IndentStack).peek(0)
 
 
 def aligned() -> Parser:

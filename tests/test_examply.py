@@ -2,6 +2,9 @@
 on top of them."""
 
 import itertools
+import random
+import sys
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -72,10 +75,83 @@ def test_entry_lookup_spans_whole_lines():
     cell = IndentMap()
     cell.build("  ab\n    cd\n")
     for offset in range(0, 5):
-        assert cell.line_of(offset) == 0
+        assert cell.entry_at(offset) == IndentEntry(2, 2)
     for offset in range(5, 12):
-        assert cell.line_of(offset) == 1
-    assert cell.entry_at(7).count == 4
+        assert cell.entry_at(offset) == IndentEntry(4, 9)
+    assert cell.entry_at(12) == IndentEntry(0, 12)
+
+
+def _random_indent_text(rng):
+    # Lines of blanks and "x", some blank or with trailing blanks, an inner
+    # NUL now and then, and a final newline only sometimes.
+    lines = []
+    for _ in range(rng.randrange(1, 8)):
+        line = "".join(rng.choice(" \t") for _ in range(rng.randrange(0, 7)))
+        if rng.random() < 0.7:
+            line += "".join(rng.choice("x x\t\x00") for _ in range(rng.randrange(1, 5)))
+        lines.append(line)
+    return "\n".join(lines) + ("\n" if rng.random() < 0.5 else "")
+
+
+def _table_oracle(parser_name, entries, text, pos, top):
+    # What each check does with the reference table: (ok, stack after).
+    entry = entries[text.count("\n", 0, pos)]
+    at_end = pos >= len(text)
+    if parser_name == "newline":
+        return at_end or entry.end == pos, top
+    if parser_name == "aligned":
+        return at_end or (entry.end == pos and entry.count == (top or 0)), top
+    if parser_name == "indent":
+        ok = entry.count > (top or 0)
+        return ok, entry.count if ok else top
+    ok = at_end or entry.count < (top or 0)
+    return ok, None if ok else top
+
+
+def test_indentation_read_from_the_text_matches_the_reference_table():
+    parsers = {"newline": newline(), "aligned": aligned(),
+               "indent": indent(), "dedent": dedent()}
+    rng = random.Random(24)
+    for _ in range(300):
+        text = _random_indent_text(rng)
+        ctx = _indent_ctx(text)
+        entries, _ = build_indent_table(ctx.text)
+        cell = ctx.state(IndentMap)
+        stack = ctx.state(IndentStack)
+        # Every offset, the sentinel position included.
+        for pos in range(len(text) + 1):
+            line = ctx.text.count("\n", 0, pos)
+            assert cell.entry_at(pos) == entries[line], (text, pos)
+            for top in (None, 1, 2, 4, 5, 8):
+                for name, parser in parsers.items():
+                    while stack.size:
+                        stack.pop()
+                    if top is not None:
+                        stack.push(top)
+                    ctx.position = pos
+                    r = parser.parse(ctx)
+                    want_ok, want_top = _table_oracle(name, entries, text, pos, top)
+                    assert r.ok is want_ok, (name, text, pos, top)
+                    assert ctx.position == pos
+                    if not r.ok:
+                        assert r.position == pos
+                    assert stack.peek() == want_top, (name, text, pos, top)
+
+
+def test_binding_the_indent_map_allocates_no_table():
+    text = "".join(" " * (i % 9) + "\t" * (i % 2) + f"x{i}\n" for i in range(10_000))
+    cell = IndentMap()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        ctx = ParseContext(text, cells=[cell])
+        after = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    # Beyond the context's own copy of the text (the input plus its
+    # sentinel), binding allocates almost nothing: the map keeps that text.
+    assert after - before - sys.getsizeof(ctx.text) < 1024
+    assert cell.text is ctx.text
 
 
 def _indent_ctx(text):

@@ -1,6 +1,7 @@
 """The records txpeg hands out keep the behaviour they had as dataclasses:
 constructors, attributes, equality, hashing and repr text."""
 
+import copy
 import dataclasses
 
 import pytest
@@ -55,6 +56,46 @@ def test_span_and_children_stay_assignable_and_nothing_else_is_added():
         node.extra = 1
     with pytest.raises(TypeError):
         hash(node)
+
+
+def test_a_span_is_two_slots_read_back_as_a_pair():
+    node = AstNode("num", ("1",), (3, 4))
+    assert node.span == (3, 4) and type(node.span) is tuple
+    assert (node.start, node.end) == (3, 4)
+    node.span = None
+    assert node.span is None and node.start is None and node.end is None
+    assert node == AstNode("num", ("1",))
+    node.span = [5, 9]
+    assert node.span == (5, 9) and type(node.span) is tuple
+    assert AstNode("k", (), [0, 1]) == AstNode("k", (), (0, 1))
+
+
+@pytest.mark.parametrize("bad", [(1, 2, 3), (1,), (), 7])
+def test_a_span_that_is_not_a_pair_raises_type_error(bad):
+    node = AstNode("num", (), (3, 4))
+    with pytest.raises(TypeError, match="pair"):
+        node.span = bad
+    assert node.span == (3, 4)
+    with pytest.raises(TypeError):
+        AstNode("num", (), bad)
+
+
+def test_an_ast_node_copies_and_matches_by_its_span():
+    node = AstNode("num", ("1",), (0, 1))
+    twin = copy.copy(node)
+    assert twin == node and twin is not node
+    twin.span = (0, 2)
+    assert node.span == (0, 1)
+    match node:
+        case AstNode(kind, children, span):
+            assert (kind, children, span) == ("num", ("1",), (0, 1))
+        case _:
+            pytest.fail("an AstNode did not match its own pattern")
+    match AstNode("m"):
+        case AstNode("m", (), None):
+            pass
+        case _:
+            pytest.fail("a node without a span did not match span None")
 
 
 def test_parse_error_is_hashable_immutable_and_reads_as_before():
