@@ -15,9 +15,9 @@ The interesting pieces:
   stacks, an append-only stack with graftable diffs, a copy-on-write
   map, and an inert base for derived data.
 - :mod:`txpeg.combinators` — the combinator set plus AST building.
-- :mod:`txpeg.leftrec` — seed-growing left recursion and the freeze-time
-  cycle check.
-- :mod:`txpeg.grammar` — named rule maps, freezing, and the parse driver.
+- :mod:`txpeg.leftrec` — seed-growing left recursion.
+- :mod:`txpeg.grammar` — named rule maps, freezing with its checks of
+  the parser graph, and the parse driver.
 - :mod:`txpeg.demos` — worked grammars: significant indentation,
   parse-time namespaces, equal runs, matched tags, left-associative
   subtraction, and grammar composition.

@@ -3,17 +3,19 @@
 Exit status: 0 when the parse succeeds, 1 when it fails (with a
 ``path:line:col: message`` diagnostic on stderr; input nested past
 Python's recursion limit fails this way too, with the message ``input
-nests too deeply``), 2 for usage errors or an input that cannot be read
-or is not UTF-8, 4 when the grammar or a state cell breaks the library's
-contract during the parse (a ``ContractViolationError`` or
-``ConfigurationError``), with one ``path: internal error: message`` line
-on stderr.  Input is decoded as strict UTF-8 with universal newlines,
-from a file and from stdin alike.  On success the AST goes to stdout,
-as an indented tree, as deterministic JSON indented by two spaces (the
-fixture format for expected-output files, which grows with the square
-of the nesting depth), or as the same JSON on one line
-(``json-compact``, which grows with the AST).  All are written with
-explicit stacks, not recursion, so an AST of any depth prints.
+nests too deeply``), 2 for usage errors, an input that cannot be read
+or is not UTF-8, or an AST that cannot be written (one ``cannot write
+output: reason`` line on stderr), 4 when the grammar or a state cell
+breaks the library's contract during the parse (a
+``ContractViolationError`` or ``ConfigurationError``), with one ``path:
+internal error: message`` line on stderr.  Input is decoded as strict
+UTF-8 with universal newlines, from a file and from stdin alike.  On
+success the AST goes to stdout, as an indented tree, as deterministic
+JSON indented by two spaces (the fixture format for expected-output
+files, which grows with the square of the nesting depth), or as the
+same JSON on one line (``json-compact``, which grows with the AST).
+All are written with explicit stacks, not recursion, so an AST of any
+depth prints.
 
 Each entry of :data:`GRAMMARS` imports its demo module only when it is
 called, so a run loads and compiles just the grammar it parses.
@@ -24,6 +26,7 @@ from __future__ import annotations
 import argparse
 import importlib
 import json
+import os
 import sys
 from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii
@@ -227,8 +230,26 @@ def main(argv: Optional[list] = None) -> int:
         print(f"{config.input}:{err.line}:{err.column}: {err.message}",
               file=sys.stderr)
         return 1
-    sys.stdout.write(dump_ast(outcome.ast, config.format))
+    try:
+        sys.stdout.write(dump_ast(outcome.ast, config.format))
+        sys.stdout.flush()
+    except OSError as exc:
+        print(f"cannot write output: {exc.strerror or exc}", file=sys.stderr)
+        _discard_stdout()
+        return 2
     return 0
+
+
+def _discard_stdout() -> None:
+    """Point stdout's descriptor at the null device, so the output still
+    buffered is dropped quietly when the interpreter flushes it at exit."""
+    try:
+        fd = sys.stdout.fileno()
+    except (AttributeError, OSError, ValueError):
+        return
+    null = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(null, fd)
+    os.close(null)
 
 
 if __name__ == "__main__":

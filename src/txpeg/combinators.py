@@ -216,13 +216,14 @@ class Choice(Parser):
         children = self.children
         sets = tuple(None if nullable(c) else first(c) for c in children)
         # A character no set holds keeps only the children kept everywhere;
-        # characters that keep the same children share one tuple.
+        # characters that keep the same children share one tuple, found by
+        # identity, since a parser class may define its own equality.
         everywhere = tuple(c for c, s in zip(children, sets) if s is None)
         dispatch = dict.fromkeys(ASCII, everywhere)
         shared = {}
         for ch in frozenset().union(*filter(None, sets)):
             alts = tuple(c for c, s in zip(children, sets) if s is None or ch in s)
-            dispatch[ch] = shared.setdefault(alts, alts)
+            dispatch[ch] = shared.setdefault(tuple(map(id, alts)), alts)
         self.dispatch = dispatch
 
 

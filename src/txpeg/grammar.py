@@ -3,14 +3,16 @@
 A grammar is a mapping from rule names to parser bodies plus a root name.
 Bodies refer to other rules through :func:`ref` stubs; :meth:`GrammarDef.freeze`
 copies the reachable parser graph, binds each copied stub to the copy of
-its rule, runs the left-recursion check, lets every copied node specialise
-itself (:meth:`~txpeg.core.Parser.specialise`), and returns a
-:class:`FrozenGrammar` ready to parse.  Each freeze copies the graph; the
-rule objects passed in are never modified.  Because composition is
-nothing more than building a new rule map out of existing bodies,
-grammars can be merged or extended without touching the bodies
-themselves, and grammars built from the same rule objects stay
-independent.
+its rule, works out what it needs to know about the copied graph
+(nullability, left calls, FIRST sets), rejects a left-call cycle that
+does not pass through a :class:`~txpeg.leftrec.LeftRec`, lets every
+copied node specialise itself (:meth:`~txpeg.core.Parser.specialise`),
+and returns a :class:`FrozenGrammar` ready to parse.  Each freeze copies
+the graph; the rule objects passed in are never modified.  Because
+composition is nothing more than building a new rule map out of
+existing bodies, grammars can be merged or extended without touching
+the bodies themselves, and grammars built from the same rule objects
+stay independent.
 
 :func:`run_parse` owns the per-parse plumbing: fresh state cells, the AST
 stack, leading whitespace, and the full-match discipline.  Its outcome
@@ -21,12 +23,12 @@ and column.
 from __future__ import annotations
 
 import copy
+from graphlib import CycleError, TopologicalSorter
 from typing import Callable, NamedTuple, Optional
 
 from .combinators import DEFAULT_WHITESPACE, AstStack
 from .core import (ConfigurationError, ContractViolationError, ParseContext, Parser,
                    ParseResult, Record, TracedContext)
-from .leftrec import check_recursion_annotated
 
 __all__ = [
     "FrozenGrammar",
@@ -103,8 +105,9 @@ class GrammarDef(Record):
     def freeze(self, specialise: bool = True) -> FrozenGrammar:
         """Copy the parser graph, bind every reference, validate recursion.
 
-        Unknown rule names and unannotated left-recursive cycles are
-        configuration errors.  Each freeze copies the graph, the default
+        Unknown rule names, a value in the graph that is not a
+        :class:`~txpeg.core.Parser`, and unannotated left-recursive cycles
+        are configuration errors.  Each freeze copies the graph, the default
         whitespace parser included when the grammar has none of its own,
         and specialises the copies: among others, a ``not_`` learns where
         to skip its child, a ``choice`` which children to try at each
@@ -128,7 +131,7 @@ class GrammarDef(Record):
         pending: list[tuple[Parser, Parser]] = []
 
         def twin(p: Parser) -> Parser:
-            k = key(p)
+            k = key(_parser(p))
             if k not in copies:
                 copies[k] = copy.copy(p)
                 pending.append((p, copies[k]))
@@ -150,12 +153,22 @@ class GrammarDef(Record):
             elif p.children:
                 twin_of_p.children = tuple(twin(c) for c in p.children)
         nodes = list(copies.values())
-        nullable = check_recursion_annotated(rules, nodes)
+        nullable = _nullability(nodes)
+        _check_left_calls(rules, nodes, nullable)
         if specialise:
             first = _first_sets(nullable)
             for p in nodes:
                 p.specialise(nullable, first)
         return FrozenGrammar(rules, self.root, whitespace, tuple(self.cells))
+
+
+def _parser(p: Parser) -> Parser:
+    """``p``, once it is known to be a :class:`~txpeg.core.Parser`."""
+    if not isinstance(p, Parser):
+        raise ConfigurationError(
+            f"grammar holds {p!r} of type {type(p).__name__}, not a Parser"
+        )
+    return p
 
 
 _BY_VALUE = frozenset({str, int, float, bool, type(None), frozenset})
@@ -174,7 +187,7 @@ def _structural_key() -> Callable[[Parser], int]:
         k = keys.get(id(p))
         if k is None:
             keys[id(p)] = k = -id(p)
-            if type(p).shareable:
+            if type(_parser(p)).shareable:
                 parts = [type(p), *map(key, p.children)]
                 for name, v in vars(p).items():
                     if name != "children":
@@ -184,6 +197,64 @@ def _structural_key() -> Callable[[Parser], int]:
         return k
 
     return key
+
+
+# The dangerous graph is not every reference cycle: a parser that calls
+# itself only after consuming input unwinds fine.  What must not exist is a
+# cycle in the left-call graph, whose edges connect a parser to the
+# children it can invoke at its own entry position.  Each parser class
+# states both facts the check needs through its own hooks,
+# Parser.nullable and Parser.left_children: sequences contribute edges up
+# to and including their first non-nullable element, LeftRec none at all
+# (so no cycle can pass through one, which is exactly what "annotated"
+# means), everything else all of its children.  Both run over the private
+# copy of the graph that freeze builds, keyed by node identity.
+
+
+def _nullability(nodes: list[Parser]) -> Callable[[Parser], bool]:
+    # Least fixpoint: start from "consumes input" everywhere and grow.
+    nullable = {id(p): False for p in nodes}
+
+    def is_nullable(p: Parser) -> bool:
+        return nullable[id(p)]
+
+    # Freeze lists parents before their children; visiting children first
+    # settles most nodes in the first pass.
+    changed = True
+    while changed:
+        changed = False
+        for p in reversed(nodes):
+            if not nullable[id(p)] and p.nullable(is_nullable):
+                nullable[id(p)] = True
+                changed = True
+    return is_nullable
+
+
+def _check_left_calls(rules: dict[str, Parser], nodes: list[Parser],
+                      nullable: Callable[[Parser], bool]) -> None:
+    """Reject a cycle in the left-call graph of ``nodes``, naming it by
+    the rules of ``rules`` whose bodies it passes through."""
+    # The sorter puts each node before its left children and reports a
+    # cycle in call order, its first node again last.  Given the nodes in
+    # freeze's order and each node's edges in its own order, it reports the
+    # first cycle that a depth-first walk from the first rule's body meets.
+    graph = TopologicalSorter(dict.fromkeys(map(id, nodes), ()))
+    for p in nodes:
+        for c in p.left_children(nullable):
+            graph.add(id(c), id(p))
+    try:
+        graph.prepare()
+    except CycleError as err:
+        # Every cycle passes through a reference, hence a rule body, and
+        # rules with equal bodies share one node, so a node has every name.
+        names: dict[int, list] = {}
+        for name, body in rules.items():
+            names.setdefault(id(body), []).append(name)
+        cycle = ["/".join(names[k]) for k in err.args[1][:-1] if k in names]
+        raise ConfigurationError(
+            "left-recursive cycle without a leftrec annotation: "
+            + " -> ".join(cycle + cycle[:1])
+        ) from None
 
 
 def _first_sets(nullable: Callable[[Parser], bool]

@@ -1,5 +1,6 @@
 """The command-line driver: exit codes, diagnostics, output formats."""
 
+import errno
 import io
 import json
 import os
@@ -344,3 +345,36 @@ def test_mutated_fixtures_exit_cleanly_with_at_most_one_line(tmp_path, capsys):
             assert err.count("\n") <= 1 and "Traceback" not in err, (grammar, mutant, err)
             seen.add(code)
     assert seen == {0, 1, 2}
+
+
+class FullStdout(io.StringIO):
+    """A stdout on a device with no space left."""
+
+    def write(self, text):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
+def test_unwritable_output_exits_two_with_one_line(capsys, monkeypatch):
+    monkeypatch.setattr("sys.stdin", io.StringIO("1-2"))
+    monkeypatch.setattr("sys.stdout", FullStdout())
+    assert main(["--grammar", "expr", "--format", "json", "-"]) == 2
+    assert capsys.readouterr().err == (
+        f"cannot write output: {os.strerror(errno.ENOSPC)}\n")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full here")
+@pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+def test_output_to_a_full_device_exits_two_with_one_line(unbuffered):
+    # Buffered, the write itself succeeds and the flush fails; the output
+    # it keeps must not fail again, or print, when the interpreter exits.
+    src = str(pathlib.Path(__file__).parent.parent / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path, PYTHONUNBUFFERED=unbuffered)
+    with open("/dev/full", "wb") as full:
+        done = subprocess.run(
+            [sys.executable, "-m", "txpeg.cli", "--grammar", "expr", "--format",
+             "json", "-"],
+            input=b"1-2", stdout=full, stderr=subprocess.PIPE, env=env, timeout=60)
+    assert done.returncode == 2
+    lines = done.stderr.decode().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("cannot write output: "), lines

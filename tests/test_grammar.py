@@ -1,6 +1,7 @@
 """Grammar assembly: reference resolution, freezing, and the driver."""
 
 import re
+from dataclasses import dataclass
 
 import pytest
 
@@ -104,6 +105,52 @@ def test_cycle_diagnostic_names_only_rules(rules):
     assert "ref(" not in message
     cycle = message.split(": ", 1)[1].split(" -> ")
     assert set(cycle) == {"a", "b"}
+
+
+@dataclass
+class Text(Parser):
+    """Matches its text.  As a dataclass it compares by value, and so has
+    no hash."""
+
+    text: str
+
+    def parse(self, ctx):
+        if not ctx.text.startswith(self.text, ctx.position):
+            return ctx.fail(ctx.position, f"expected {self.text!r}")
+        ctx.position += len(self.text)
+        return SUCCESS
+
+    def nullable(self, child_nullable) -> bool:
+        return not self.text
+
+
+def test_a_parser_that_compares_by_value_freezes_both_ways():
+    # The choice has a FIRST set to dispatch on, from its captures, and
+    # keeps the Text children at every character, since their sets are
+    # unknown.
+    rules = {"top": seq(
+        choice(Text("ab"), capture(literal("c")), Text("d"), capture(literal("e"))),
+        Text("!"),
+    )}
+    frozen = [GrammarDef(rules, "top").freeze(specialise=s) for s in (True, False)]
+    for text in ["ab!", "c!", "d!", "e!", "x!", "ab", "c", ""]:
+        specialised, plain = (run_parse(g, text) for g in frozen)
+        assert ((specialised.success, specialised.ast, specialised.end_position,
+                 specialised.error)
+                == (plain.success, plain.ast, plain.end_position, plain.error)), text
+    assert run_parse(frozen[0], "c!").ast == ["c"]
+
+
+@pytest.mark.parametrize("specialise", [True, False], ids=["specialised", "plain"])
+@pytest.mark.parametrize("rules, shown", [
+    ({"top": seq(literal("a"), "b")}, "'b' of type str"),
+    ({"top": seq(literal("a"), ref("b")), "b": None}, "None of type NoneType"),
+], ids=["str", "none"])
+def test_a_value_that_is_not_a_parser_is_a_configuration_error(rules, shown,
+                                                              specialise):
+    with pytest.raises(ConfigurationError) as info:
+        GrammarDef(rules, "top").freeze(specialise=specialise)
+    assert str(info.value) == f"grammar holds {shown}, not a Parser"
 
 
 class AnyChar(Parser):

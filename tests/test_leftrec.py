@@ -1,6 +1,7 @@
 """Left recursion: seed growing at parse time, cycle checking at freeze."""
 
 import random
+from dataclasses import dataclass
 
 import pytest
 
@@ -19,7 +20,7 @@ from txpeg.combinators import (
     seq,
     zero_more,
 )
-from txpeg.core import ConfigurationError, ParseContext
+from txpeg.core import ConfigurationError, ParseContext, Parser
 from txpeg.demos.expr import expr_grammar
 from txpeg.grammar import GrammarDef, ref, run_parse
 from txpeg.leftrec import leftrec
@@ -255,6 +256,42 @@ def test_inner_unguarded_cycle_still_detected():
     with pytest.raises(ConfigurationError) as info:
         GrammarDef(rules, "outer").freeze()
     assert "inner" in str(info.value)
+
+
+@pytest.mark.parametrize("specialise", [True, False], ids=["specialised", "plain"])
+def test_a_three_rule_cycle_is_named_in_call_order(specialise):
+    rules = {
+        "a": choice(seq(ref("b"), literal("x")), literal("a")),
+        "b": seq(ref("c"), literal("y")),
+        "c": choice(ref("a"), literal("z")),
+    }
+    with pytest.raises(ConfigurationError) as info:
+        GrammarDef(rules, "a").freeze(specialise=specialise)
+    assert str(info.value) == (
+        "left-recursive cycle without a leftrec annotation: a -> b -> c -> a")
+
+
+@dataclass
+class Pass(Parser):
+    """Runs its one child.  As a dataclass it compares by value, and so
+    has no hash."""
+
+    children: tuple
+
+    def parse(self, ctx):
+        return self.children[0].parse(ctx)
+
+
+@pytest.mark.parametrize("specialise", [True, False], ids=["specialised", "plain"])
+def test_a_cycle_through_a_parser_that_compares_by_value_is_named(specialise):
+    rules = {
+        "a": Pass((ref("b"),)),
+        "b": choice(seq(ref("a"), literal("x")), literal("b")),
+    }
+    with pytest.raises(ConfigurationError) as info:
+        GrammarDef(rules, "a").freeze(specialise=specialise)
+    assert str(info.value) == (
+        "left-recursive cycle without a leftrec annotation: a -> b -> a")
 
 
 def test_each_growth_round_reinstates_the_ast_stack_once(monkeypatch):
