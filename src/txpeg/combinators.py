@@ -190,7 +190,9 @@ class Choice(Parser):
     the parse goes on from here or further, and comes back behind here
     only after recording a failure at or past here, which replaces them,
     or out of a successful ``ahead``, which drops every record made
-    inside it.  Either way the outcome of the parse is the same.
+    inside it.  Either way the outcome of the parse is the same.  At the
+    end of input, which no FIRST set holds, it tries ``at_end``: a child
+    with a known set must consume input, so it would fail there.
     """
 
     #: ASCII character -> the children that can match there, in their
@@ -200,11 +202,20 @@ class Choice(Parser):
     #: empty table is shared and never written.
     dispatch: dict = {}
 
+    #: The children tried at the end of input: those ``dispatch`` lists
+    #: for a character that no FIRST set holds.  None, until freeze fills
+    #: it in, tries every child.
+    at_end: Optional[tuple] = None
+
     def __init__(self, *children: Parser):
         self.children = children
 
     def parse(self, ctx: ParseContext) -> ParseResult:
-        for child in self.dispatch.get(ctx.text[ctx.position], self.children):
+        try:
+            alts = self.dispatch.get(ctx.text[ctx.position], self.children)
+        except IndexError:
+            alts = self.children if self.at_end is None else self.at_end
+        for child in alts:
             r = child.parse(ctx)
             if r.ok:
                 return r
@@ -225,6 +236,7 @@ class Choice(Parser):
             alts = tuple(c for c, s in zip(children, sets) if s is None or ch in s)
             dispatch[ch] = shared.setdefault(tuple(map(id, alts)), alts)
         self.dispatch = dispatch
+        self.at_end = everywhere
 
 
 class ZeroMore(Parser):
@@ -382,12 +394,20 @@ class Not(Parser):
     #: input and its FIRST set is known.
     skip_at: frozenset = frozenset()
 
+    #: Whether the child is not called at the end of input either: freeze
+    #: sets it when the child must consume input, which it cannot do there.
+    skip_at_end: bool = False
+
     def __init__(self, child: Parser):
         self.children = (child,)
 
     def parse(self, ctx: ParseContext) -> ParseResult:
-        if ctx.text[ctx.position] in self.skip_at:
-            return SUCCESS
+        try:
+            if ctx.text[ctx.position] in self.skip_at:
+                return SUCCESS
+        except IndexError:
+            if self.skip_at_end:
+                return SUCCESS
         snap = ctx.snapshot()
         # The child's failures are this parser's successes; keep them out
         # of the diagnostic record.
@@ -409,8 +429,10 @@ class Not(Parser):
 
     def specialise(self, nullable, first) -> None:
         child = self.children[0]
-        chars = None if nullable(child) else first(child)
+        consumes = not nullable(child)
+        chars = first(child) if consumes else None
         self.skip_at = frozenset() if chars is None else ASCII - chars
+        self.skip_at_end = consumes
 
 
 # ---------------------------------------------------------------------------
@@ -420,9 +442,9 @@ class Not(Parser):
 class CharPred(Parser):
     """Match one character satisfying a predicate.
 
-    The appended NUL sentinel is never passed to the predicate, so no
-    predicate matches at end of input; a NUL inside the input is passed
-    like any other character.
+    At the end of input there is no character, so the predicate is not
+    called and the parser fails; a NUL inside the input is passed like any
+    other character.
 
     The predicate must be a pure function of its one character: freeze
     calls it on ``chr(0)`` to ``chr(127)`` to learn the parser's FIRST set
@@ -461,8 +483,9 @@ class CharPred(Parser):
 class Literal(Parser):
     """Match an exact string.
 
-    A NUL in the string matches a NUL inside the input, never the appended
-    sentinel, so no literal matches past the end of input.
+    ``str.startswith`` stops at the end of the input by itself, so no
+    literal matches past it; a NUL in the string matches a NUL inside the
+    input like any other character.
     """
 
     def __init__(self, string: str):
@@ -470,8 +493,7 @@ class Literal(Parser):
 
     def parse(self, ctx: ParseContext) -> ParseResult:
         pos = ctx.position
-        # The end bound keeps the sentinel out of every match.
-        if ctx.text.startswith(self.string, pos, -1):
+        if ctx.text.startswith(self.string, pos):
             ctx.position = pos + len(self.string)
             return SUCCESS
         return ctx.fail(pos, lambda s=self.string: f"expected {s!r}")

@@ -1,11 +1,11 @@
 """Core engine: parse results, state cells, transactions, the parse context.
 
-A parse runs over a :class:`ParseContext` holding the input text, the
-current position, and a fixed registry of mutable state cells.  Every
-parser invocation is transactional: it either succeeds, or it fails having
-restored the position and every cell to their values at its entry.  The
-context offers the aggregate operations that make the discipline cheap to
-follow:
+A parse runs over a :class:`ParseContext` holding the caller's input
+string itself, with no copy and no sentinel, the current position, and a
+fixed registry of mutable state cells.  Every parser invocation is
+transactional: it either succeeds, or it fails having restored the
+position and every cell to their values at its entry.  The context offers
+the aggregate operations that make the discipline cheap to follow:
 
 * :meth:`ParseContext.snapshot` marks the current position and trail,
 * :meth:`ParseContext.restore` rewinds to a snapshot,
@@ -37,7 +37,6 @@ from typing import Callable, Iterable, NamedTuple, Optional, Union
 
 __all__ = [
     "ASCII",
-    "SENTINEL",
     "SUCCESS",
     "AggregateDelta",
     "ConfigurationError",
@@ -50,10 +49,6 @@ __all__ = [
     "Success",
     "TracedContext",
 ]
-
-# One NUL is appended to the input so parsers can inspect text[position]
-# without bounds checks; no other position may sit past it.
-SENTINEL = "\x00"
 
 #: The characters a FIRST set describes (:meth:`Parser.first`).
 ASCII = frozenset(map(chr, range(128)))
@@ -260,15 +255,20 @@ class Parser:
         a frozen ``not_`` or ``choice`` skip the parser: at an ASCII
         character outside the set, a parse consumes nothing and records
         failures (:meth:`ParseContext.fail`) only at its entry position;
-        one that is not nullable fails there.  A parser that looks past its
-        entry without consuming, as ``ahead`` does, must count what it looks
-        at in its set.  And a parser that succeeds behind a position its
-        child reached, as ``ahead`` does, must put ``ctx.furthest`` back as
-        it was at its entry, or a child skipped in there could change what
-        the parse reports.  A skipped parser is not run at all, so a
-        frozen ``not_`` or ``choice`` may pass over one whose plain run
-        would raise, for example a ``ContractViolationError`` from a
-        repetition whose iteration consumes nothing.
+        one that is not nullable fails there.  The promise covers the end
+        of input too, which no set holds: a parser that must consume input
+        fails there, so a frozen ``choice`` or ``not_`` may skip it there.
+        A ``not_`` mutes its child, so it skips any child that must consume
+        at the end, whether its set is known or not.  A parser that looks
+        past its entry without consuming, as ``ahead`` does, must count
+        what it looks at in its set.  And a parser that succeeds behind a
+        position its child reached, as ``ahead`` does, must put
+        ``ctx.furthest`` back as it was at its entry, or a child skipped in
+        there could change what the parse reports.  A skipped parser is not
+        run at all, so a frozen ``not_`` or ``choice`` may pass over one
+        whose plain run would raise, for example a
+        ``ContractViolationError`` from a repetition whose iteration
+        consumes nothing.
         """
         return None
 
@@ -348,12 +348,18 @@ class Parser:
 class ParseContext:
     """Everything a parse mutates: text cursor, cells, failure record.
 
-    Its public attributes: ``text``, the input with the sentinel appended;
-    ``position``, the cursor; ``input_length``, the length of the input
-    without the sentinel; ``furthest``, the deepest :class:`Failure` seen;
+    Its public attributes: ``text``, the caller's string itself, with
+    nothing appended, so a parse holds no copy of its input; ``position``,
+    the cursor, never past the end; ``input_length``, ``len(text)``;
+    ``furthest``, the deepest :class:`Failure` seen;
     ``muted``, nonzero while failures are kept out of ``furthest``;
     ``seeds``, the left-recursive calls in flight; and ``whitespace``, the
     parse-wide whitespace parser, or None for the default.
+
+    No character stands at the end of input: a parser reads ``text`` only
+    below ``input_length``, or through ``str.startswith``, which is bounded
+    by itself.  ``text[position]`` at the end raises :class:`IndexError`.
+    A ``text`` that is not a ``str`` raises :class:`TypeError`.
 
     The cell registry is fixed at construction; cells are looked up by
     their exact class, so a grammar addresses "the indentation stack" as
@@ -367,7 +373,9 @@ class ParseContext:
 
     def __init__(self, text: str, cells: Iterable[StateCell] = (),
                  whitespace: Optional[Parser] = None):
-        self.text = text + SENTINEL
+        if not isinstance(text, str):
+            raise TypeError(f"a parse reads a str, not {type(text).__name__}")
+        self.text = text
         self.input_length = len(text)
         self.position = 0
         self.whitespace = whitespace

@@ -49,9 +49,10 @@ class IndentEntry(NamedTuple):
 def build_indent_table(text: str) -> tuple[list[IndentEntry], list[int]]:
     """Per-line indentation entries plus line start offsets.
 
-    Splits on newline only; every other character, the position sentinel
-    included, belongs to its line.  A line's count is the length of its
-    space/tab prefix after expanding tabs to stops at multiples of
+    ``text`` is the input as the caller passed it, as a context keeps it,
+    with nothing appended.  Splits on newline only; every other character
+    belongs to its line.  A line's count is the length of its space/tab
+    prefix after expanding tabs to stops at multiples of
     :data:`TAB_WIDTH`; its end is the absolute offset just past that prefix.
     """
     entries: list[IndentEntry] = []

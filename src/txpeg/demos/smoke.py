@@ -42,16 +42,23 @@ class RunTally(CopyState):
         super().__init__(n=0)
 
 
+def _push_start(ctx: ParseContext) -> None:
+    ast_stack(ctx).push(ctx.position)
+
+
 def _letter_run(ch: str) -> Parser:
-    return capture(zero_more(char_pred(lambda c, ch=ch: c == ch, f"'{ch}'")))
+    # The run's start goes on the AST stack, not its text: its length is
+    # all that is recalled, and the position gives it.
+    return seq(perform(_push_start),
+               zero_more(char_pred(lambda c, ch=ch: c == ch, f"'{ch}'")))
 
 
 def _store_run(ctx: ParseContext) -> None:
-    ctx.state(RunTally).set("n", len(ast_stack(ctx).pop()))
+    ctx.state(RunTally).set("n", ctx.position - ast_stack(ctx).pop())
 
 
 def _run_matches(ctx: ParseContext) -> bool:
-    return len(ast_stack(ctx).peek()) == ctx.state(RunTally).get("n")
+    return ctx.position - ast_stack(ctx).peek() == ctx.state(RunTally).get("n")
 
 
 def _discard_top(ctx: ParseContext) -> None:
@@ -95,16 +102,12 @@ def _pop_tag(ctx: ParseContext) -> None:
     ctx.state(TagStack).pop()
 
 
-def _upcoming_name(ctx: ParseContext) -> str:
-    text, i = ctx.text, ctx.position
-    j = i
-    while text[j].isalpha():
-        j += 1
-    return text[i:j]
-
-
 def _closing_matches(ctx: ParseContext) -> bool:
-    return _upcoming_name(ctx) == ctx.state(TagStack).peek()
+    # The open name, and then no further letter: the whole closing name.
+    top = ctx.state(TagStack).peek()
+    end = ctx.position + len(top)
+    return (ctx.text.startswith(top, ctx.position)
+            and (end >= ctx.input_length or not ctx.text[end].isalpha()))
 
 
 def tags_rules() -> dict:

@@ -24,7 +24,6 @@ from txpeg.core import (
     ContractViolationError,
     Failure,
     ParseContext,
-    SENTINEL,
     SUCCESS,
     StateCell,
     TracedContext,
@@ -48,17 +47,28 @@ class CNotes(InertState):
         self.content = "built"
 
 
-def test_text_gains_sentinel():
-    ctx = ParseContext("ab")
-    assert ctx.text == "ab" + SENTINEL
+def test_text_is_the_callers_string_itself():
+    text = "".join(["a", "b"])      # built at run time, so not interned
+    ctx = ParseContext(text)
+    assert ctx.text is text
     assert ctx.input_length == 2
     assert ctx.position == 0
 
 
-def test_empty_input_is_just_sentinel():
-    ctx = ParseContext("")
-    assert ctx.text == SENTINEL
+def test_empty_input_is_the_empty_string():
+    text = ""
+    ctx = ParseContext(text)
+    assert ctx.text is text
     assert ctx.input_length == 0
+
+
+@pytest.mark.parametrize("text", [b"ab", bytearray(b"ab"), None, ["a", "b"]])
+def test_a_context_refuses_text_that_is_not_a_str(text):
+    name = type(text).__name__
+    with pytest.raises(TypeError, match=f"not {name}$"):
+        ParseContext(text)
+    with pytest.raises(TypeError, match=f"not {name}$"):
+        TracedContext(text, print)
 
 
 def test_state_lookup_by_class():

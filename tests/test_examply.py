@@ -3,7 +3,6 @@ on top of them."""
 
 import itertools
 import random
-import sys
 import tracemalloc
 
 import pytest
@@ -118,7 +117,7 @@ def test_indentation_read_from_the_text_matches_the_reference_table():
         entries, _ = build_indent_table(ctx.text)
         cell = ctx.state(IndentMap)
         stack = ctx.state(IndentStack)
-        # Every offset, the sentinel position included.
+        # Every offset, the end of input included.
         for pos in range(len(text) + 1):
             line = ctx.text.count("\n", 0, pos)
             assert cell.entry_at(pos) == entries[line], (text, pos)
@@ -148,10 +147,10 @@ def test_binding_the_indent_map_allocates_no_table():
         after = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
-    # Beyond the context's own copy of the text (the input plus its
-    # sentinel), binding allocates almost nothing: the map keeps that text.
-    assert after - before - sys.getsizeof(ctx.text) < 1024
-    assert cell.text is ctx.text
+    # The context keeps the caller's text with no copy, and binding
+    # allocates almost nothing: the map keeps that text.
+    assert after - before < 1024
+    assert cell.text is ctx.text is text
 
 
 def _indent_ctx(text):
@@ -577,7 +576,7 @@ def test_a_near_miss_call_parses_each_argument_list_a_bounded_number_of_times(
 
     def counting(self, ctx):
         # In these inputs only an argument list starts at a "(".
-        if ctx.text[ctx.position] == "(":
+        if ctx.text.startswith("(", ctx.position):
             calls[0] += 1
         return parse(self, ctx)
 

@@ -1,6 +1,9 @@
 """The two classic non-context-free smoke tests: equal letter runs and
 matched tag names."""
 
+import gc
+import tracemalloc
+
 from txpeg.demos.smoke import anbncn_grammar, tags_grammar
 from txpeg.grammar import run_parse
 
@@ -77,3 +80,34 @@ def test_sibling_scopes_do_not_leak():
     # inner element pushed and popped its own name.
     assert run_parse(TAGS, "<out><in></in></out>").success
     assert not run_parse(TAGS, "<out><in></in></in>").success
+
+
+def peak_kib(grammar, text):
+    """The tracemalloc peak of one successful parse of ``text``, in KiB."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        assert run_parse(grammar, text).success
+        return tracemalloc.get_traced_memory()[1] / 1024
+    finally:
+        tracemalloc.stop()
+
+
+def test_a_tag_parse_peaks_by_its_nesting_not_its_length():
+    # A root holding sections of one paragraph each: three deep at most.
+    def tree(elements):
+        return "<doc>" + "<sec><p></p></sec>" * ((elements - 1) // 2) + "</doc>"
+
+    # The state is a tag stack three deep; the parse keeps no copy of the
+    # input, so four times the elements peaks no higher.
+    small, large = peak_kib(TAGS, tree(1_201)), peak_kib(TAGS, tree(5_001))
+    assert abs(large - small) < 1, (small, large)
+
+
+def test_an_equal_runs_parse_peaks_by_its_state_not_its_run_lengths():
+    # Each run is recalled by its length, never by its text.
+    def word(n):
+        return "a" * n + "b" * n + "c" * n
+
+    small, large = peak_kib(ANBNCN, word(250)), peak_kib(ANBNCN, word(4_000))
+    assert abs(large - small) < 1, (small, large)
