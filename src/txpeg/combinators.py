@@ -18,6 +18,7 @@ from typing import Any, Callable, Optional, Union
 
 from .core import (
     ASCII,
+    FAIL,
     SUCCESS,
     ContractViolationError,
     ParseContext,
@@ -252,11 +253,7 @@ class ZeroMore(Parser):
     def parse(self, ctx: ParseContext) -> ParseResult:
         child = self.children[0]
         if self.scan is not None:
-            pos = _scan_run(ctx, self.scan)
-            if not ctx.muted:
-                # A default, not a closure: a captured ``child`` would cost
-                # a cell on every call, the non-scanning path's included.
-                ctx.fail(pos, lambda child=child: f"expected {child!r}")
+            _scan_run(ctx, self.scan, child)
             return SUCCESS
         entry = step = ctx.snapshot()
         while child.parse(ctx).ok:
@@ -292,13 +289,9 @@ class OneMore(Parser):
     def parse(self, ctx: ParseContext) -> ParseResult:
         child = self.children[0]
         if self.scan is not None:
+            # A run of none fails as the child, whose failure the scan recorded.
             start = ctx.position
-            pos = _scan_run(ctx, self.scan)
-            if ctx.muted:
-                # Nothing is built: the child fails here as it would.
-                return SUCCESS if pos > start else child.parse(ctx)
-            failure = ctx.fail(pos, lambda child=child: f"expected {child!r}")
-            return SUCCESS if pos > start else failure
+            return SUCCESS if _scan_run(ctx, self.scan, child) > start else FAIL
         r = child.parse(ctx)
         return ZeroMore.parse(self, ctx) if r.ok else r
 
@@ -308,15 +301,19 @@ class OneMore(Parser):
     skip = ZeroMore.skip
 
 
-def _scan_run(ctx: ParseContext, scan: Callable[[str], bool]) -> int:
+def _scan_run(ctx: ParseContext, scan: Callable[[str], bool],
+              child: Optional[Parser] = None) -> int:
     """Move the position past the characters that satisfy ``scan``, the
     repeated child's :meth:`~txpeg.core.Parser.char_test`, in one loop;
-    return the position where the run ends.  The caller records the
-    child's failure there."""
+    return the position where the run ends, and record ``child``'s failure
+    there, with no call, if it is given."""
     text, pos, end = ctx.text, ctx.position, ctx.input_length
     while pos < end and scan(text[pos]):
         pos += 1
     ctx.position = pos
+    if child is not None and not ctx.muted and pos >= ctx.furthest_at:
+        ctx.furthest_at = pos
+        ctx.furthest_cause = child
     return pos
 
 
@@ -369,11 +366,11 @@ class Ahead(Parser):
 
     def parse(self, ctx: ParseContext) -> ParseResult:
         snap = ctx.snapshot()
-        furthest = ctx.furthest
+        at, cause = ctx.furthest_at, ctx.furthest_cause
         r = self.children[0].parse(ctx)
         if r.ok:
             ctx.restore(snap)
-            ctx.furthest = furthest
+            ctx.furthest_at, ctx.furthest_cause = at, cause
             return SUCCESS
         return r
 
@@ -419,8 +416,10 @@ class Not(Parser):
         if not r.ok:
             return SUCCESS
         ctx.restore(snap)
-        child = self.children[0]
-        return ctx.fail(ctx.position, lambda child=child: f"unexpected {child!r}")
+        return ctx.fail(ctx.position, self)
+
+    def expected(self) -> str:
+        return f"unexpected {self.children[0]!r}"
 
     def nullable(self, child_nullable) -> bool:
         return True
@@ -462,7 +461,7 @@ class CharPred(Parser):
         if pos < ctx.input_length and self.pred(ctx.text[pos]):
             ctx.position = pos + 1
             return SUCCESS
-        return ctx.fail(pos, lambda self=self: f"expected {self!r}")
+        return ctx.fail(pos, self)
 
     def __repr__(self):
         return self.label if self.label else "char_pred"
@@ -496,7 +495,10 @@ class Literal(Parser):
         if ctx.text.startswith(self.string, pos):
             ctx.position = pos + len(self.string)
             return SUCCESS
-        return ctx.fail(pos, lambda s=self.string: f"expected {s!r}")
+        return ctx.fail(pos, self)
+
+    def expected(self) -> str:
+        return f"expected {self.string!r}"
 
     def __repr__(self):
         return f"literal({self.string!r})"
@@ -534,8 +536,8 @@ class Predicate(Parser):
     """Succeed iff a condition on the context holds; consumes nothing.
 
     ``message`` may be a string or a function of the context, called only
-    on failure, while the state that produced the verdict is still in
-    place.
+    for a failure the failure record takes (not muted, at or past it),
+    while the state that produced the verdict is still in place.
     """
 
     def __init__(self, cond: Callable[[ParseContext], bool],
@@ -546,8 +548,10 @@ class Predicate(Parser):
     def parse(self, ctx: ParseContext) -> ParseResult:
         if self.cond(ctx):
             return SUCCESS
-        msg = self.message(ctx) if callable(self.message) else self.message
-        return ctx.fail(ctx.position, msg)
+        if not ctx.would_record(ctx.position):
+            return FAIL
+        msg = self.message
+        return ctx.fail(ctx.position, msg(ctx) if callable(msg) else msg)
 
     first = Parser.zero_width_first
 

@@ -28,6 +28,9 @@ snapshot, and a retract hands each such cell its version at the snapshot
 directly.  A cell that never logs (an :class:`~txpeg.states.InertState`)
 is never visited by any of these operations.  A :class:`TracedContext`
 runs the same operations and reports each one to a ``trace`` callable.
+
+A failure allocates nothing: :meth:`ParseContext.fail` keeps its position
+and cause in two slots of the context and returns the shared :data:`FAIL`.
 """
 
 from __future__ import annotations
@@ -41,6 +44,7 @@ __all__ = [
     "AggregateDelta",
     "ConfigurationError",
     "ContractViolationError",
+    "FAIL",
     "Failure",
     "ParseContext",
     "ParseResult",
@@ -78,12 +82,14 @@ class Success(ParseResult):
 #: The shared success result; parsers return this singleton.
 SUCCESS = Success()
 
+#: The shared failure result, a bare ParseResult (:meth:`ParseContext.fail`).
+FAIL = ParseResult()
+
 
 class Failure(ParseResult):
-    """A failed invocation: where it failed plus a lazily built message.
-
-    Messages are often interpolated from parse state; building them only
-    when someone asks keeps the failure path cheap.
+    """A failure with its own position and lazily built message: what
+    :attr:`ParseContext.furthest` reads, and what a blocked ``leftrec`` call
+    or a custom parser may return unrecorded instead of :data:`FAIL`.
     """
 
     __slots__ = ("position", "_message")
@@ -205,8 +211,8 @@ class Parser:
     A parser is an immutable description; all per-parse mutation lives in
     the context, and its attributes never change after construction.
     ``parse`` must uphold the transaction contract: return ``SUCCESS``
-    with any effects in place, or a :class:`Failure` with the position
-    and every cell exactly as they were at entry.
+    with any effects in place, or ``ctx.fail(position, cause)`` with the
+    position and every cell exactly as they were at entry.
 
     Sub-parsers live in ``children``: freeze copies the graph through it
     and the left-recursion check walks it.  A class states its own static
@@ -262,8 +268,8 @@ class Parser:
         at the end, whether its set is known or not.  A parser that looks
         past its entry without consuming, as ``ahead`` does, must count
         what it looks at in its set.  And a parser that succeeds behind a
-        position its child reached, as ``ahead`` does, must put
-        ``ctx.furthest`` back as it was at its entry, or a child skipped in
+        position its child reached, as ``ahead`` does, must put the
+        failure record back as it was at its entry, or a child skipped in
         there could change what the parse reports.  A skipped parser is not
         run at all, so a frozen ``not_`` or ``choice`` may pass over one
         whose plain run would raise, for example a
@@ -294,8 +300,12 @@ class Parser:
         """A predicate on one character when this parser matches exactly
         one character that satisfies it and does nothing else; else None.
         A frozen ``zero_more`` or ``one_more`` of it then scans with the
-        predicate, with no snapshot, and fails with ``expected <repr>``."""
+        predicate, with no snapshot, and records this parser's failure."""
         return None
+
+    def expected(self) -> str:
+        """The message of a failure this parser is the recorded cause of."""
+        return f"expected {self!r}"
 
     def specialise(self, nullable: Callable[["Parser"], bool],
                    first: Callable[["Parser"], Optional[frozenset]]) -> None:
@@ -351,8 +361,9 @@ class ParseContext:
     Its public attributes: ``text``, the caller's string itself, with
     nothing appended, so a parse holds no copy of its input; ``position``,
     the cursor, never past the end; ``input_length``, ``len(text)``;
-    ``furthest``, the deepest :class:`Failure` seen;
-    ``muted``, nonzero while failures are kept out of ``furthest``;
+    ``furthest_at`` and ``furthest_cause``, the furthest-failure record
+    (:meth:`fail`), and ``furthest``, the same as a read-only :class:`Failure`;
+    ``muted``, nonzero while failures are kept out of the record;
     ``seeds``, the left-recursive calls in flight; and ``whitespace``, the
     parse-wide whitespace parser, or None for the default.
 
@@ -390,8 +401,9 @@ class ParseContext:
             if t in self._by_type:
                 raise ConfigurationError(f"duplicate state cell class {t.__name__}")
             self._by_type[t] = cell
-        # The furthest failure, never restored.
-        self.furthest: Optional[Failure] = None
+        # The furthest failure, never restored: position (-1 for none), cause.
+        self.furthest_at = -1
+        self.furthest_cause = None
         self.seeds: dict = {}
         # Nonzero while failures are muted: whitespace and inverted
         # predicates probe with parsers whose failures are expected, and
@@ -411,17 +423,33 @@ class ParseContext:
 
     # -- failure bookkeeping ------------------------------------------------
 
-    def fail(self, position: int, message: Union[str, Callable[[], str]]) -> Failure:
-        """Build a failure and fold it into the furthest-failure record."""
-        failure = Failure(position, message)
-        if not self.muted and (self.furthest is None or position >= self.furthest.position):
-            self.furthest = failure
-        return failure
+    def fail(self, position: int, cause) -> ParseResult:
+        """Record the failure if :meth:`would_record`; return :data:`FAIL`.  The
+        ``cause`` is a message, a function of no arguments or the failing parser
+        (:meth:`Parser.expected`), built into a message only when it is read."""
+        if not self.muted and position >= self.furthest_at:
+            self.furthest_at = position
+            self.furthest_cause = cause
+        return FAIL
+
+    def would_record(self, position: int) -> bool:
+        """Whether a failure at ``position`` would replace the record now:
+        failures are not muted and it lies at or past the record."""
+        return not self.muted and position >= self.furthest_at
 
     def furthest_failure(self) -> Optional[tuple[int, str]]:
         """The deepest failure seen, as (position, message), if any."""
-        f = self.furthest
-        return None if f is None else (f.position, f.message)
+        cause = self.furthest_cause
+        if isinstance(cause, Parser):
+            cause = cause.expected()
+        elif callable(cause):
+            cause = self.furthest_cause = cause()
+        return None if self.furthest_at < 0 else (self.furthest_at, cause)
+
+    @property
+    def furthest(self) -> Optional[Failure]:
+        """The furthest-failure record as a :class:`Failure`, or None."""
+        return Failure(*found) if (found := self.furthest_failure()) else None
 
     # -- aggregate transactions ---------------------------------------------
     #

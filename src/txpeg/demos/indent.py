@@ -22,7 +22,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from ..combinators import predicate
-from ..core import SUCCESS, ParseContext, Parser, ParseResult
+from ..core import FAIL, SUCCESS, ParseContext, Parser, ParseResult
 from ..states import InertState, StackState
 
 __all__ = [
@@ -131,8 +131,8 @@ class Indent(Parser):
         if new > old:
             stack.push(new)
             return SUCCESS
-        return ctx.fail(ctx.position,
-                        lambda old=old: f"expecting indentation > {old} positions")
+        return (ctx.fail(ctx.position, f"expecting indentation > {old} positions")
+                if ctx.would_record(ctx.position) else FAIL)
 
     first = Parser.zero_width_first
 
@@ -146,8 +146,8 @@ class Dedent(Parser):
         if ctx.position >= ctx.input_length or _current_count(ctx) < old:
             stack.pop()
             return SUCCESS
-        return ctx.fail(ctx.position,
-                        lambda old=old: f"expecting indentation < {old} positions")
+        return (ctx.fail(ctx.position, f"expecting indentation < {old} positions")
+                if ctx.would_record(ctx.position) else FAIL)
 
     first = Parser.zero_width_first
 

@@ -31,7 +31,7 @@ from __future__ import annotations
 from typing import NamedTuple, Optional
 
 from ..combinators import and_do, ast_stack, perform, predicate
-from ..core import SUCCESS, ContractViolationError, ParseContext, Parser, ParseResult
+from ..core import FAIL, SUCCESS, ContractViolationError, ParseContext, Parser, ParseResult
 from ..states import MonotonicStack, StackState
 
 __all__ = [
@@ -188,6 +188,8 @@ class ClassDef(Parser):
         name = _expect_name(ast.at(1), "class definition")
         enclosing = ctx.state(EnclosingClasses)
         if parent is not None and parent in enclosing:
+            if not ctx.would_record(ctx.position):
+                return FAIL
             return ctx.fail(
                 ctx.position,
                 f"class {name!r} cannot inherit from enclosing class {parent!r}",

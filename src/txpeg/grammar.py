@@ -27,8 +27,8 @@ from graphlib import CycleError, TopologicalSorter
 from typing import Callable, NamedTuple, Optional
 
 from .combinators import DEFAULT_WHITESPACE, AstStack
-from .core import (ConfigurationError, ContractViolationError, ParseContext, Parser,
-                   ParseResult, Record, TracedContext)
+from .core import (ConfigurationError, ContractViolationError, Failure, ParseContext,
+                   Parser, ParseResult, Record, TracedContext)
 
 __all__ = [
     "FrozenGrammar",
@@ -340,11 +340,15 @@ def run_parse(grammar: FrozenGrammar, text: str, partial: bool = False,
         values.reverse()
         return ParseOutcome(True, ast=values, end_position=ctx.position)
     if result.ok:
-        result = ctx.fail(ctx.position, "expected end of input")
-    furthest = ctx.furthest
-    if furthest is None or result.position > furthest.position:
-        furthest = result
-    return _failed(ctx, furthest.position, furthest.message)
+        ctx.fail(ctx.position, "expected end of input")
+    elif isinstance(result, Failure) and result.position > ctx.furthest_at:
+        # A failure kept out of the record, such as a blocked leftrec call.
+        return _failed(ctx, result.position, result.message)
+    found = ctx.furthest_failure()
+    if found is None:
+        raise ContractViolationError(
+            f"{grammar.root_parser!r} failed without recording a failure")
+    return _failed(ctx, *found)
 
 
 def _failed(ctx: ParseContext, position: int, message: str) -> ParseOutcome:

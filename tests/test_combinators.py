@@ -52,7 +52,7 @@ def test_literal_matches_exact_string():
     assert ctx.position == 2
     r = literal("zz").parse(ctx)
     assert not r.ok
-    assert r.position == 2
+    assert ctx.furthest_failure() == (2, "expected 'zz'")
     assert ctx.position == 2
 
 
@@ -69,14 +69,14 @@ def test_char_pred_matches_single_char():
     assert not char_pred(str.isdigit, "digit").parse(ctx).ok
 
 
-def test_char_pred_rejects_sentinel_by_default():
+def test_char_pred_rejects_end_of_input_by_default():
     ctx = ctx_for("")
     r = char_pred(str.isdigit, "digit").parse(ctx)
     assert not r.ok
     assert ctx.position == 0
 
 
-def test_char_pred_never_matches_the_sentinel():
+def test_char_pred_never_matches_at_end_of_input():
     nul = char_pred(lambda c: c == "\x00", "nul")
     ctx = ctx_for("")
     assert not nul.parse(ctx).ok
@@ -88,7 +88,7 @@ def test_char_pred_never_matches_the_sentinel():
     assert not nul.parse(ctx).ok
 
 
-def test_a_scan_stops_before_the_sentinel():
+def test_a_scan_stops_at_end_of_input():
     line = capture(zero_more(char_pred(lambda c: c != "\n", "non-newline")))
     grammar = GrammarDef({"top": seq(literal("#"), line)}, "top").freeze()
     outcome = run_parse(grammar, "#abc")
@@ -101,7 +101,7 @@ def test_a_scan_stops_before_the_sentinel():
 
 
 @pytest.mark.parametrize("make", [literal, word])
-def test_a_literal_ending_in_nul_never_matches_the_sentinel(make):
+def test_a_literal_ending_in_nul_never_matches_at_end_of_input(make):
     nul = make("\x00")
     grammar = GrammarDef({"top": seq(literal("a"), nul)}, "top").freeze()
     outcome = run_parse(grammar, "a")
@@ -141,8 +141,8 @@ def test_seq_failure_restores_position_and_cells():
     assert not r.ok
     assert ctx.position == 0
     assert marks.values() == []
-    # The propagated failure points at the failing child, deeper than entry.
-    assert r.position == 2
+    # The recorded failure points at the failing child, deeper than entry.
+    assert ctx.furthest_failure() == (2, "expected 'cd'")
 
 
 def test_choice_takes_first_match():
@@ -156,7 +156,6 @@ def test_choice_failure_sits_at_entry_with_furthest_recorded():
     p = choice(seq(literal("ab"), literal("c")), literal("z"))
     r = p.parse(ctx)
     assert not r.ok
-    assert r.position == 0
     assert ctx.position == 0
     # The deepest child failure is what diagnostics should surface.
     assert ctx.furthest_failure()[0] == 2
@@ -431,7 +430,7 @@ def test_predicate_checks_without_consuming():
     assert ctx.position == 0
     r = predicate(lambda c: False, "wanted something else").parse(ctx)
     assert not r.ok
-    assert r.message == "wanted something else"
+    assert ctx.furthest_failure() == (0, "wanted something else")
 
 
 def test_predicate_message_built_from_context_at_failure():
@@ -439,7 +438,8 @@ def test_predicate_message_built_from_context_at_failure():
     ctx.position = 1
     r = predicate(lambda c: False,
                   lambda c: f"stuck at {c.position}").parse(ctx)
-    assert r.message == "stuck at 1"
+    assert not r.ok
+    assert ctx.furthest_failure() == (1, "stuck at 1")
 
 
 def test_perform_and_and_do():

@@ -1,0 +1,134 @@
+"""The furthest-failure record: failures return the shared ``FAIL`` and
+allocate nothing, and a message built from the parse state is built only
+for a failure that the record takes."""
+
+from pathlib import Path
+
+import pytest
+
+from txpeg.combinators import AstStack, literal, not_, perform, predicate, seq
+from txpeg.core import FAIL, ContractViolationError, Failure, ParseContext, Parser
+from txpeg.demos.examply import examply_cells, examply_rules
+from txpeg.demos.indent import IndentMap, IndentStack, dedent, indent
+from txpeg.demos.smoke import RunTally, TagStack, anbncn_rules, tags_rules
+from txpeg.grammar import GrammarDef, ref, run_parse
+from txpeg.leftrec import leftrec
+from txpeg.states import StackState
+
+FIXTURE = Path(__file__).parent.parent / "fixtures" / "examply" / "accept" / "ctor_anon_body.examply"
+
+# name -> (rules, root, cells, an input the grammar accepts)
+ACCEPTED = {
+    "tags": (tags_rules, "element", (TagStack,), "<a><bc></bc><d><e></e></d></a>"),
+    "anbncn": (anbncn_rules, "balanced", (RunTally,), "aaaabbbbcccc"),
+    "examply": (examply_rules, "program", examply_cells(), FIXTURE.read_text()),
+}
+
+
+@pytest.mark.parametrize("specialise", [True, False], ids=["frozen", "plain"])
+@pytest.mark.parametrize("name", ACCEPTED)
+def test_a_successful_parse_builds_no_failure(name, specialise, monkeypatch):
+    rules, root, cells, text = ACCEPTED[name]
+    grammar = GrammarDef(rules(), root, cells=cells).freeze(specialise=specialise)
+    built = []
+    init = Failure.__init__
+
+    def counting_init(self, position, message):
+        built.append(position)
+        init(self, position, message)
+
+    monkeypatch.setattr(Failure, "__init__", counting_init)
+    assert run_parse(grammar, text).success
+    assert built == []
+    # The count works: reading the record builds one.
+    ctx = ParseContext(text)
+    ctx.fail(0, "x")
+    assert ctx.furthest is not None and built == [0]
+
+
+class Marks(StackState):
+    pass
+
+
+def test_a_predicate_builds_its_message_once_and_only_when_recorded():
+    marks = Marks()
+    calls = []
+
+    def message(ctx):
+        calls.append((ctx.position, marks.values()))
+        return "not here"
+
+    check = seq(perform(lambda c: marks.push("in")), predicate(lambda c: False, message))
+    ctx = ParseContext("ab", cells=[AstStack(), marks])
+    # Muted, by hand or under not_: never called.
+    ctx.muted += 1
+    assert check.parse(ctx) is FAIL
+    ctx.muted -= 1
+    assert not_(check).parse(ctx).ok
+    assert calls == [] and ctx.furthest_failure() is None
+    # Behind the record: never called.
+    ctx.fail(1, "further on")
+    assert check.parse(ctx) is FAIL
+    assert calls == [] and ctx.furthest_failure() == (1, "further on")
+    # Taken by the record: called once, while the seq's push is in place.
+    ctx.position = 1
+    assert check.parse(ctx) is FAIL
+    assert calls == [(1, ["in"])]
+    assert (ctx.position, marks.values()) == (1, [])
+    assert ctx.furthest_failure() == (1, "not here")
+    assert ctx.furthest_failure() == (1, "not here")
+    assert calls == [(1, ["in"])]
+
+
+class Width(int):
+    """A block width that counts how often a message formats it."""
+
+    formatted: list
+
+    def __format__(self, spec):
+        self.formatted.append(int(self))
+        return int.__format__(self, spec)
+
+
+@pytest.mark.parametrize("check, sign", [(indent(), ">"), (dedent(), "<")],
+                         ids=["indent", "dedent"])
+def test_indent_and_dedent_build_their_message_only_when_recorded(check, sign):
+    # Both lines are 4 deep, so neither check passes on either line.
+    ctx = ParseContext("    a\n    b\n", cells=[IndentMap(), IndentStack(), AstStack()])
+    width = Width(4)
+    width.formatted = []
+    ctx.state(IndentStack).push(width)
+    ctx.muted += 1
+    assert check.parse(ctx) is FAIL
+    ctx.muted -= 1
+    assert not_(check).parse(ctx).ok
+    ctx.fail(3, "further on")
+    assert check.parse(ctx) is FAIL
+    assert width.formatted == [] and ctx.furthest_failure() == (3, "further on")
+    ctx.position = 6
+    assert check.parse(ctx) is FAIL
+    assert width.formatted == [4]
+    assert ctx.furthest_failure() == (6, f"expecting indentation {sign} 4 positions")
+    assert ctx.state(IndentStack).peek() == 4 and width.formatted == [4]
+
+
+@pytest.mark.parametrize("specialise", [True, False], ids=["frozen", "plain"])
+def test_a_blocked_left_recursive_call_is_reported_when_nothing_was_recorded(specialise):
+    rules = {"a": leftrec(seq(ref("a"), literal("x")))}
+    grammar = GrammarDef(rules, "a").freeze(specialise=specialise)
+    error = run_parse(grammar, "x").error
+    assert (error.line, error.column, error.message) == (
+        1, 1, "left-recursive invocation blocked")
+
+
+class Unrecorded(Parser):
+    """Returns FAIL without recording its failure, against the protocol."""
+
+    def parse(self, ctx):
+        return FAIL
+
+
+def test_a_parse_that_fails_with_nothing_recorded_raises():
+    grammar = GrammarDef({"top": Unrecorded()}, "top").freeze()
+    with pytest.raises(ContractViolationError, match="without recording a failure"):
+        run_parse(grammar, "x")

@@ -40,9 +40,7 @@ GRAMMARS = {
 def outcome(root, text, whitespace):
     ctx = ParseContext(text, cells=[AstStack()], whitespace=whitespace)
     result = root.parse(ctx)
-    failure = None if result.ok else (result.position, result.message)
-    return (result.ok, ctx.position, failure, ctx.furthest_failure(),
-            ctx.state(AstStack).values())
+    return (result.ok, ctx.position, ctx.furthest_failure(), ctx.state(AstStack).values())
 
 
 @pytest.mark.parametrize("name", GRAMMARS)

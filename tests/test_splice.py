@@ -62,7 +62,7 @@ def test_a_failed_inner_seq_rolls_back_both_levels(specialise):
     ctx = ParseContext("ac", cells=[AstStack(), marks])
     entry = ctx.snapshot()
     r = top.parse(ctx)
-    assert not r.ok and r.position == 1
+    assert not r.ok and ctx.furthest_failure() == (1, "expected 'b'")
     assert ctx.position == 0
     assert ast_stack(ctx).values() == []
     assert marks.values() == []
