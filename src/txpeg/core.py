@@ -22,12 +22,14 @@ position and the trail's length, and a restore pops the trail back to
 that length, handing each popped version back to its cell, so cells that
 nobody touched are never visited.  Repetitions fold each finished
 iteration's entries into one per cell, which keeps the trail as long as
-the nesting is deep, not as the input is long.  Diff, merge and retract
-walk the same trail: a delta carries one entry per cell logged since its
-snapshot, and a retract hands each such cell its version at the snapshot
-directly.  A cell that never logs (an :class:`~txpeg.states.InertState`)
-is never visited by any of these operations.  A :class:`TracedContext`
-runs the same operations and reports each one to a ``trace`` callable.
+the nesting is deep, not as the input is long; once a repetition holds an
+entry for every cell that logs, an iteration's entries are dropped in
+O(1).  Diff, merge and retract walk the same trail: a delta carries one
+entry per cell logged since its snapshot, and a retract hands each such
+cell its version at the snapshot directly.  A cell that never logs (an
+:class:`~txpeg.states.InertState`) is never visited by any of these
+operations.  A :class:`TracedContext` runs the same operations and
+reports each one to a ``trace`` callable.
 
 A failure allocates nothing: :meth:`ParseContext.fail` keeps its position
 and cause in two slots of the context and returns the shared :data:`FAIL`.
@@ -411,6 +413,9 @@ class ParseContext:
         self.muted = 0
         for cell in self._cells:
             cell.bind(self)
+        # The trail length a repetition holds once it has folded in an
+        # entry for every cell that logs here (end_iteration).
+        self._all_held = 2 * sum(c._trail is self._trail for c in self._cells)
 
     def state(self, cell_class: type) -> StateCell:
         """Return the registered cell of exactly ``cell_class``."""
@@ -539,6 +544,12 @@ class ParseContext:
         cell: restoring ``entry`` or anything older needs nothing else, and
         the trail stays within one entry per logged cell per running
         repetition.
+
+        The caller must log nothing between its previous ``end_iteration``
+        and ``step``, or restore what it logged there, so that the trail
+        from ``entry`` to ``step`` holds at most one entry per cell.  When
+        it holds one for every cell that logs here, the fold would keep
+        nothing, and the iteration's entries are dropped in O(1).
         """
         position, mark, trail = step
         if self.position == position and self._unchanged_after(mark):
@@ -546,7 +557,9 @@ class ParseContext:
                 f"{parser!r} iteration succeeded without consuming input "
                 f"or changing a cell that steers at position {position}"
             )
-        if len(trail) > mark:
+        if mark - entry[1] == self._all_held:
+            del trail[mark:]
+        elif len(trail) > mark:
             held = set(map(id, trail[entry[1]:mark:2]))
             kept = []
             for cell, prior in self._entries(mark):

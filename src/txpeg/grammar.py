@@ -233,7 +233,8 @@ def _nullability(nodes: list[Parser]) -> Callable[[Parser], bool]:
 def _check_left_calls(rules: dict[str, Parser], nodes: list[Parser],
                       nullable: Callable[[Parser], bool]) -> None:
     """Reject a cycle in the left-call graph of ``nodes``, naming it by
-    the rules of ``rules`` whose bodies it passes through."""
+    the rules of ``rules`` whose bodies it passes through, or by the reprs
+    of its nodes when it passes through none."""
     # The sorter puts each node before its left children and reports a
     # cycle in call order, its first node again last.  Given the nodes in
     # freeze's order and each node's edges in its own order, it reports the
@@ -245,12 +246,16 @@ def _check_left_calls(rules: dict[str, Parser], nodes: list[Parser],
     try:
         graph.prepare()
     except CycleError as err:
-        # Every cycle passes through a reference, hence a rule body, and
-        # rules with equal bodies share one node, so a node has every name.
+        # Rules with equal bodies share one node, so a node has every name.
+        # A parser that holds itself makes a cycle through no rule body.
         names: dict[int, list] = {}
         for name, body in rules.items():
             names.setdefault(id(body), []).append(name)
-        cycle = ["/".join(names[k]) for k in err.args[1][:-1] if k in names]
+        keys = err.args[1][:-1]
+        cycle = ["/".join(names[k]) for k in keys if k in names]
+        if not cycle:
+            node = {id(p): p for p in nodes}
+            cycle = [repr(node[k]) for k in keys]
         raise ConfigurationError(
             "left-recursive cycle without a leftrec annotation: "
             + " -> ".join(cycle + cycle[:1])

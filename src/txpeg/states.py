@@ -28,7 +28,7 @@ from __future__ import annotations
 from types import MappingProxyType
 from typing import Any, Callable, Iterator, Optional
 
-from .core import ContractViolationError, StateCell
+from .core import ContractViolationError, ParseContext, StateCell
 
 __all__ = [
     "CopyState",
@@ -250,8 +250,13 @@ class InertState(StateCell):
     escape hatches such as logs and caches.  The class never logs on the
     trail, so the context leaves its instances out of snapshots, restores,
     diffs and merges altogether; the no-op methods remain for code that
-    drives a cell directly.
+    drives a cell directly.  Its :meth:`bind` does nothing: it joins no
+    trail, so even :meth:`~txpeg.core.StateCell.record` logs nothing, and
+    the context does not count it among the cells a repetition must hold.
     """
+
+    def bind(self, ctx: ParseContext) -> None:
+        pass
 
     def cell_snapshot(self):
         return None

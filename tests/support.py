@@ -3,12 +3,15 @@
 Everything heavyweight that both the unit tests and the acceptance suite
 need lives here: exhaustive law checking for the log model, the cell
 simulation driver, the random-tree transactionality fuzzer, and the small
-independent oracles (column counter, left-fold expression builder).
+independent oracles (column counter, left-fold expression builder, the
+full fold of a repetition's iteration).
 """
 
 from __future__ import annotations
 
+import collections
 import itertools
+import operator
 import random
 from typing import Callable, Iterable, Sequence
 
@@ -200,6 +203,44 @@ def simulate_cell_against_model(make_cell, mutations, replay, observe,
                 checks += 3
                 runs += 1
     return {"runs": runs, "checks": checks}
+
+
+def full_fold(trail: list, entry_mark: int, mark: int) -> list:
+    """The trail that the full fold of ``ParseContext.end_iteration``
+    leaves, computed on a copy: the entries up to ``mark``, then each
+    iteration entry whose cell holds none from ``entry_mark`` on."""
+    held = set(map(id, trail[entry_mark:mark:2]))
+    kept = []
+    for cell, prior in zip(trail[mark::2], trail[mark + 1::2]):
+        if id(cell) not in held:
+            held.add(id(cell))
+            kept += (cell, prior)
+    return trail[:mark] + kept
+
+
+def check_folds(monkeypatch) -> collections.Counter:
+    """Make every ``ParseContext.end_iteration`` check that it leaves the
+    trail that :func:`full_fold` gives, entry by entry by identity.
+
+    Returns a counter that each call bumps under ``"fast"`` when the
+    iteration's entries were dropped without a walk, else ``"fold"``;
+    ``"trail"`` keeps the longest trail left by any call.
+    """
+    counts: collections.Counter = collections.Counter()
+    end_iteration = ParseContext.end_iteration
+
+    def checked(ctx, entry, step, parser):
+        trail, mark = ctx._trail, step[1]
+        expected = full_fold(trail, entry[1], mark)
+        fast = mark - entry[1] == ctx._all_held
+        end_iteration(ctx, entry, step, parser)
+        assert len(trail) == len(expected), (fast, parser)
+        assert all(map(operator.is_, trail, expected)), (fast, parser)
+        counts["fast" if fast else "fold"] += 1
+        counts["trail"] = max(counts["trail"], len(trail))
+
+    monkeypatch.setattr(ParseContext, "end_iteration", checked)
+    return counts
 
 
 def column_after(prefix: str, tab: int = 4) -> int:

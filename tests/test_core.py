@@ -16,6 +16,7 @@ from txpeg.combinators import (
     one_more,
     perform,
     seq,
+    until,
     word,
     zero_more,
 )
@@ -31,7 +32,7 @@ from txpeg.core import (
 from txpeg.grammar import GrammarDef, ref, run_parse
 from txpeg.leftrec import leftrec
 from txpeg.states import CopyState, InertState, MapState, MonotonicStack, StackState
-from support import enumerate_logs
+from support import check_folds, enumerate_logs
 
 
 class AStack(StackState):
@@ -252,6 +253,45 @@ def test_an_iteration_that_writes_only_inert_cells_makes_no_progress():
 
     with pytest.raises(ContractViolationError):
         zero_more(perform(touch)).parse(ctx)
+
+
+def test_an_inert_cell_joins_no_trail_and_leaves_the_o1_close_in_reach(monkeypatch):
+    notes, stack = CNotes(), AStack()
+    ctx = ParseContext("aaaa", cells=[notes, stack])
+    assert notes._trail is None
+    notes.record()
+    assert ctx.snapshot()[1] == 0
+    counts = check_folds(monkeypatch)
+    item = seq(literal("a"), perform(lambda c: c.state(AStack).push("a")))
+    assert zero_more(item).parse(ctx).ok
+    assert stack.values() == ["a"] * 4
+    # The first iteration folds; each later one finds the stack held.
+    assert (counts["fold"], counts["fast"]) == (1, 3)
+
+
+def test_an_until_whose_terminator_logs_and_fails_keeps_the_trail_bounded(monkeypatch):
+    # The terminator pushes and then fails before each item; its seq
+    # rewinds the push, so no entry of it is left between the iterations.
+    def push(tag):
+        return perform(lambda c: c.state(AStack).push(tag))
+
+    def count(ctx):
+        counter = ctx.state(BCounter)
+        counter.set("n", counter.get("n") + 1)
+
+    loop = until(seq(literal("a"), push("item"), perform(count)),
+                 seq(push("probe"), literal("!")))
+    longest = []
+    for n in (5, 200):
+        counts = check_folds(monkeypatch)
+        ctx = ParseContext("a" * n + "!", cells=[AStack(), BCounter(n=0)])
+        assert loop.parse(ctx).ok
+        assert ctx.state(AStack).values() == ["probe"] + ["item"] * n
+        assert ctx.state(BCounter).get("n") == n
+        assert (counts["fold"], counts["fast"]) == (1, n - 1)
+        longest.append(counts["trail"])
+        monkeypatch.undo()
+    assert longest[0] == longest[1] == 4
 
 
 def test_foreign_snapshot_rejected_without_live_cells():

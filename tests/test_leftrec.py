@@ -294,6 +294,17 @@ def test_a_cycle_through_a_parser_that_compares_by_value_is_named(specialise):
         "left-recursive cycle without a leftrec annotation: a -> b -> a")
 
 
+@pytest.mark.parametrize("specialise", [True, False], ids=["specialised", "plain"])
+def test_a_cycle_through_no_rule_body_is_named_by_its_nodes(specialise):
+    # The seq is its own first child: the cycle passes through no reference.
+    s = seq(literal("x"))
+    s.children = (s, literal("y"))
+    with pytest.raises(ConfigurationError) as info:
+        GrammarDef({"top": choice(s, literal("z"))}, "top").freeze(specialise=specialise)
+    assert str(info.value) == (
+        "left-recursive cycle without a leftrec annotation: Seq -> Seq")
+
+
 def test_each_growth_round_reinstates_the_ast_stack_once(monkeypatch):
     # Every round after the seed re-runs the body, whose left-recursive
     # call merges the seed: one merge per round, plus the final replay.
