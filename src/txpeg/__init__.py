@@ -24,13 +24,7 @@ The interesting pieces:
 """
 
 from .combinators import AstNode, AstStack, ast_stack
-from .core import (
-    ContractViolationError,
-    Failure,
-    ParseContext,
-    Parser,
-    StateCell,
-)
+from .core import ContractViolationError, ParseContext, Parser, StateCell
 from .grammar import (
     ConfigurationError,
     FrozenGrammar,
@@ -49,7 +43,6 @@ __all__ = [
     "ConfigurationError",
     "ContractViolationError",
     "CopyState",
-    "Failure",
     "FrozenGrammar",
     "GrammarDef",
     "InertState",

@@ -16,16 +16,7 @@ from __future__ import annotations
 
 from typing import Any, Callable, Optional, Union
 
-from .core import (
-    ASCII,
-    FAIL,
-    SUCCESS,
-    ContractViolationError,
-    ParseContext,
-    ParseResult,
-    Parser,
-    Record,
-)
+from .core import ASCII, ContractViolationError, ParseContext, Parser, Record
 from .states import MonotonicStack
 
 __all__ = [
@@ -147,14 +138,13 @@ class Seq(Parser):
     def __init__(self, *children: Parser):
         self.children = children
 
-    def parse(self, ctx: ParseContext) -> ParseResult:
+    def parse(self, ctx: ParseContext) -> bool:
         snap = ctx.snapshot()
         for child in self.children:
-            r = child.parse(ctx)
-            if not r.ok:
+            if not child.parse(ctx):
                 ctx.restore(snap)
-                return r
-        return SUCCESS
+                return False
+        return True
 
     def nullable(self, child_nullable) -> bool:
         return all(child_nullable(c) for c in self.children)
@@ -211,15 +201,14 @@ class Choice(Parser):
     def __init__(self, *children: Parser):
         self.children = children
 
-    def parse(self, ctx: ParseContext) -> ParseResult:
+    def parse(self, ctx: ParseContext) -> bool:
         try:
             alts = self.dispatch.get(ctx.text[ctx.position], self.children)
         except IndexError:
             alts = self.children if self.at_end is None else self.at_end
         for child in alts:
-            r = child.parse(ctx)
-            if r.ok:
-                return r
+            if child.parse(ctx):
+                return True
         return ctx.fail(ctx.position, "no alternative matched")
 
     first = Parser.children_first
@@ -250,16 +239,16 @@ class ZeroMore(Parser):
     def __init__(self, child: Parser):
         self.children = (child,)
 
-    def parse(self, ctx: ParseContext) -> ParseResult:
+    def parse(self, ctx: ParseContext) -> bool:
         child = self.children[0]
         if self.scan is not None:
             _scan_run(ctx, self.scan, child)
-            return SUCCESS
+            return True
         entry = step = ctx.snapshot()
-        while child.parse(ctx).ok:
+        while child.parse(ctx):
             ctx.end_iteration(entry, step, self)
             step = ctx.snapshot()
-        return SUCCESS
+        return True
 
     def skip(self, ctx: ParseContext) -> None:
         # Muted, a scan builds nothing and its outcome is ignored, so the
@@ -286,14 +275,13 @@ class OneMore(Parser):
     def __init__(self, child: Parser):
         self.children = (child,)
 
-    def parse(self, ctx: ParseContext) -> ParseResult:
+    def parse(self, ctx: ParseContext) -> bool:
         child = self.children[0]
         if self.scan is not None:
             # A run of none fails as the child, whose failure the scan recorded.
             start = ctx.position
-            return SUCCESS if _scan_run(ctx, self.scan, child) > start else FAIL
-        r = child.parse(ctx)
-        return ZeroMore.parse(self, ctx) if r.ok else r
+            return _scan_run(ctx, self.scan, child) > start
+        return child.parse(ctx) and ZeroMore.parse(self, ctx)
 
     first = Parser.children_first
     specialise = ZeroMore.specialise
@@ -329,17 +317,16 @@ class Until(Parser):
     def __init__(self, item: Parser, terminator: Parser):
         self.children = (item, terminator)
 
-    def parse(self, ctx: ParseContext) -> ParseResult:
+    def parse(self, ctx: ParseContext) -> bool:
         item, terminator = self.children
         entry = ctx.snapshot()
         while True:
-            if terminator.parse(ctx).ok:
-                return SUCCESS
+            if terminator.parse(ctx):
+                return True
             step = ctx.snapshot()
-            r = item.parse(ctx)
-            if not r.ok:
+            if not item.parse(ctx):
                 ctx.restore(entry)
-                return r
+                return False
             ctx.end_iteration(entry, step, self)
 
     def nullable(self, child_nullable) -> bool:
@@ -364,15 +351,14 @@ class Ahead(Parser):
     def __init__(self, child: Parser):
         self.children = (child,)
 
-    def parse(self, ctx: ParseContext) -> ParseResult:
+    def parse(self, ctx: ParseContext) -> bool:
         snap = ctx.snapshot()
         at, cause = ctx.furthest_at, ctx.furthest_cause
-        r = self.children[0].parse(ctx)
-        if r.ok:
-            ctx.restore(snap)
-            ctx.furthest_at, ctx.furthest_cause = at, cause
-            return SUCCESS
-        return r
+        if not self.children[0].parse(ctx):
+            return False
+        ctx.restore(snap)
+        ctx.furthest_at, ctx.furthest_cause = at, cause
+        return True
 
     def nullable(self, child_nullable) -> bool:
         return True
@@ -398,23 +384,23 @@ class Not(Parser):
     def __init__(self, child: Parser):
         self.children = (child,)
 
-    def parse(self, ctx: ParseContext) -> ParseResult:
+    def parse(self, ctx: ParseContext) -> bool:
         try:
             if ctx.text[ctx.position] in self.skip_at:
-                return SUCCESS
+                return True
         except IndexError:
             if self.skip_at_end:
-                return SUCCESS
+                return True
         snap = ctx.snapshot()
         # The child's failures are this parser's successes; keep them out
         # of the diagnostic record.
         ctx.muted += 1
         try:
-            r = self.children[0].parse(ctx)
+            matched = self.children[0].parse(ctx)
         finally:
             ctx.muted -= 1
-        if not r.ok:
-            return SUCCESS
+        if not matched:
+            return True
         ctx.restore(snap)
         return ctx.fail(ctx.position, self)
 
@@ -456,11 +442,11 @@ class CharPred(Parser):
         self.pred = pred
         self.label = label
 
-    def parse(self, ctx: ParseContext) -> ParseResult:
+    def parse(self, ctx: ParseContext) -> bool:
         pos = ctx.position
         if pos < ctx.input_length and self.pred(ctx.text[pos]):
             ctx.position = pos + 1
-            return SUCCESS
+            return True
         return ctx.fail(pos, self)
 
     def __repr__(self):
@@ -490,11 +476,11 @@ class Literal(Parser):
     def __init__(self, string: str):
         self.string = string
 
-    def parse(self, ctx: ParseContext) -> ParseResult:
+    def parse(self, ctx: ParseContext) -> bool:
         pos = ctx.position
         if ctx.text.startswith(self.string, pos):
             ctx.position = pos + len(self.string)
-            return SUCCESS
+            return True
         return ctx.fail(pos, self)
 
     def expected(self) -> str:
@@ -522,10 +508,10 @@ class Whitespace(Parser):
     parser is treated as matching nothing.
     """
 
-    def parse(self, ctx: ParseContext) -> ParseResult:
+    def parse(self, ctx: ParseContext) -> bool:
         ws = ctx.whitespace
         (DEFAULT_WHITESPACE if ws is None else ws).skip(ctx)
-        return SUCCESS
+        return True
 
 
 # ---------------------------------------------------------------------------
@@ -545,11 +531,11 @@ class Predicate(Parser):
         self.cond = cond
         self.message = message
 
-    def parse(self, ctx: ParseContext) -> ParseResult:
+    def parse(self, ctx: ParseContext) -> bool:
         if self.cond(ctx):
-            return SUCCESS
+            return True
         if not ctx.would_record(ctx.position):
-            return FAIL
+            return False
         msg = self.message
         return ctx.fail(ctx.position, msg(ctx) if callable(msg) else msg)
 
@@ -562,9 +548,9 @@ class Perform(Parser):
     def __init__(self, effect: Callable[[ParseContext], Any]):
         self.effect = effect
 
-    def parse(self, ctx: ParseContext) -> ParseResult:
+    def parse(self, ctx: ParseContext) -> bool:
         self.effect(ctx)
-        return SUCCESS
+        return True
 
     first = Parser.zero_width_first
 
@@ -579,13 +565,12 @@ class Capture(Parser):
     def __init__(self, child: Parser):
         self.children = (child,)
 
-    def parse(self, ctx: ParseContext) -> ParseResult:
+    def parse(self, ctx: ParseContext) -> bool:
         start = ctx.position
-        r = self.children[0].parse(ctx)
-        if not r.ok:
-            return r
+        if not self.children[0].parse(ctx):
+            return False
         ast_stack(ctx).push(ctx.text[start:ctx.position])
-        return SUCCESS
+        return True
 
     first = Parser.children_first
 
@@ -600,14 +585,13 @@ class Collect(Parser):
     def __init__(self, child: Parser):
         self.children = (child,)
 
-    def parse(self, ctx: ParseContext) -> ParseResult:
+    def parse(self, ctx: ParseContext) -> bool:
         ast = ast_stack(ctx)
         depth = ast.size
-        r = self.children[0].parse(ctx)
-        if not r.ok:
-            return r
+        if not self.children[0].parse(ctx):
+            return False
         ast.replace_above(depth, _gather)
-        return SUCCESS
+        return True
 
     first = Parser.children_first
 
@@ -625,13 +609,12 @@ class Build(Parser):
         self.arity = arity
         self.make = make
 
-    def parse(self, ctx: ParseContext) -> ParseResult:
+    def parse(self, ctx: ParseContext) -> bool:
         ast = ast_stack(ctx)
         start = ctx.position
         depth = ast.size
-        r = self.children[0].parse(ctx)
-        if not r.ok:
-            return r
+        if not self.children[0].parse(ctx):
+            return False
         size = ast.size
         if size - depth < self.arity:
             raise ContractViolationError(
@@ -641,7 +624,7 @@ class Build(Parser):
         if isinstance(made, AstNode) and made.start is None:
             made.start = start
             made.end = ctx.position
-        return SUCCESS
+        return True
 
     first = Parser.children_first
 
@@ -657,17 +640,14 @@ class OptValue(Parser):
     def __init__(self, child: Parser):
         self.children = (child,)
 
-    def parse(self, ctx: ParseContext) -> ParseResult:
+    def parse(self, ctx: ParseContext) -> bool:
         ast = ast_stack(ctx)
         depth = ast.size
-        if self.children[0].parse(ctx).ok:
-            if ast.size != depth + 1:
-                raise ContractViolationError(
-                    "opt_value child must push exactly one value"
-                )
-            return SUCCESS
-        ast.push(None)
-        return SUCCESS
+        if not self.children[0].parse(ctx):
+            ast.push(None)
+        elif ast.size != depth + 1:
+            raise ContractViolationError("opt_value child must push exactly one value")
+        return True
 
     def nullable(self, child_nullable) -> bool:
         return True

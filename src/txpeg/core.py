@@ -1,4 +1,4 @@
-"""Core engine: parse results, state cells, transactions, the parse context.
+"""Core engine: state cells, transactions, the parse context.
 
 A parse runs over a :class:`ParseContext` holding the caller's input
 string itself, with no copy and no sentinel, the current position, and a
@@ -31,28 +31,25 @@ cell its version at the snapshot directly.  A cell that never logs (an
 operations.  A :class:`TracedContext` runs the same operations and
 reports each one to a ``trace`` callable.
 
-A failure allocates nothing: :meth:`ParseContext.fail` keeps its position
-and cause in two slots of the context and returns the shared :data:`FAIL`.
+A parse returns only ``True`` or ``False``.  A failure allocates nothing:
+:meth:`ParseContext.fail` keeps its position and cause in two slots of the
+context and returns ``False``, and :meth:`ParseContext.furthest_failure`
+is the one reader of that record.
 """
 
 from __future__ import annotations
 
 from operator import attrgetter
-from typing import Callable, Iterable, NamedTuple, Optional, Union
+from typing import Callable, Iterable, NamedTuple, Optional
 
 __all__ = [
     "ASCII",
-    "SUCCESS",
     "AggregateDelta",
     "ConfigurationError",
     "ContractViolationError",
-    "FAIL",
-    "Failure",
     "ParseContext",
-    "ParseResult",
     "Parser",
     "StateCell",
-    "Success",
     "TracedContext",
 ]
 
@@ -66,48 +63,6 @@ class ContractViolationError(Exception):
 
 class ConfigurationError(Exception):
     """A grammar or context was assembled inconsistently."""
-
-
-class ParseResult:
-    __slots__ = ()
-    ok = False
-
-
-class Success(ParseResult):
-    __slots__ = ()
-    ok = True
-
-    def __repr__(self):
-        return "Success"
-
-
-#: The shared success result; parsers return this singleton.
-SUCCESS = Success()
-
-#: The shared failure result, a bare ParseResult (:meth:`ParseContext.fail`).
-FAIL = ParseResult()
-
-
-class Failure(ParseResult):
-    """A failure with its own position and lazily built message: what
-    :attr:`ParseContext.furthest` reads, and what a blocked ``leftrec`` call
-    or a custom parser may return unrecorded instead of :data:`FAIL`.
-    """
-
-    __slots__ = ("position", "_message")
-
-    def __init__(self, position: int, message: Union[str, Callable[[], str]]):
-        self.position = position
-        self._message = message
-
-    @property
-    def message(self) -> str:
-        if callable(self._message):
-            self._message = self._message()
-        return self._message
-
-    def __repr__(self):
-        return f"Failure({self.position}, {self.message!r})"
 
 
 class StateCell:
@@ -212,9 +167,11 @@ class Parser:
 
     A parser is an immutable description; all per-parse mutation lives in
     the context, and its attributes never change after construction.
-    ``parse`` must uphold the transaction contract: return ``SUCCESS``
-    with any effects in place, or ``ctx.fail(position, cause)`` with the
-    position and every cell exactly as they were at entry.
+    ``parse`` must uphold the transaction contract: return ``True`` with
+    any effects in place, or ``ctx.fail(position, cause)``, which is
+    ``False``, with the position and every cell exactly as they were at
+    entry.  The outcome is only that bit: what a failure reports lives in
+    the context (:meth:`ParseContext.fail`).
 
     Sub-parsers live in ``children``: freeze copies the graph through it
     and the left-recursion check walks it.  A class states its own static
@@ -231,7 +188,7 @@ class Parser:
     #: as ``leftrec`` does, sets this false and keeps a copy per node.
     shareable: bool = True
 
-    def parse(self, ctx: "ParseContext") -> ParseResult:
+    def parse(self, ctx: "ParseContext") -> bool:
         raise NotImplementedError
 
     def nullable(self, child_nullable: Callable[["Parser"], bool]) -> bool:
@@ -364,7 +321,7 @@ class ParseContext:
     nothing appended, so a parse holds no copy of its input; ``position``,
     the cursor, never past the end; ``input_length``, ``len(text)``;
     ``furthest_at`` and ``furthest_cause``, the furthest-failure record
-    (:meth:`fail`), and ``furthest``, the same as a read-only :class:`Failure`;
+    (:meth:`fail`), which :meth:`furthest_failure` reads;
     ``muted``, nonzero while failures are kept out of the record;
     ``seeds``, the left-recursive calls in flight; and ``whitespace``, the
     parse-wide whitespace parser, or None for the default.
@@ -428,14 +385,14 @@ class ParseContext:
 
     # -- failure bookkeeping ------------------------------------------------
 
-    def fail(self, position: int, cause) -> ParseResult:
-        """Record the failure if :meth:`would_record`; return :data:`FAIL`.  The
+    def fail(self, position: int, cause) -> bool:
+        """Record the failure if :meth:`would_record`; return ``False``.  The
         ``cause`` is a message, a function of no arguments or the failing parser
         (:meth:`Parser.expected`), built into a message only when it is read."""
         if not self.muted and position >= self.furthest_at:
             self.furthest_at = position
             self.furthest_cause = cause
-        return FAIL
+        return False
 
     def would_record(self, position: int) -> bool:
         """Whether a failure at ``position`` would replace the record now:
@@ -450,11 +407,6 @@ class ParseContext:
         elif callable(cause):
             cause = self.furthest_cause = cause()
         return None if self.furthest_at < 0 else (self.furthest_at, cause)
-
-    @property
-    def furthest(self) -> Optional[Failure]:
-        """The furthest-failure record as a :class:`Failure`, or None."""
-        return Failure(*found) if (found := self.furthest_failure()) else None
 
     # -- aggregate transactions ---------------------------------------------
     #

@@ -22,7 +22,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from ..combinators import predicate
-from ..core import FAIL, SUCCESS, ParseContext, Parser, ParseResult
+from ..core import ParseContext, Parser
 from ..states import InertState, StackState
 
 __all__ = [
@@ -124,15 +124,15 @@ def _current_count(ctx: ParseContext) -> int:
 class Indent(Parser):
     """Enter a block: the current line must be indented past the top."""
 
-    def parse(self, ctx: ParseContext) -> ParseResult:
+    def parse(self, ctx: ParseContext) -> bool:
         new = _current_count(ctx)
         stack = ctx.state(IndentStack)
         old = stack.peek(0)
         if new > old:
             stack.push(new)
-            return SUCCESS
-        return (ctx.fail(ctx.position, f"expecting indentation > {old} positions")
-                if ctx.would_record(ctx.position) else FAIL)
+            return True
+        return ctx.would_record(ctx.position) and ctx.fail(
+            ctx.position, f"expecting indentation > {old} positions")
 
     first = Parser.zero_width_first
 
@@ -140,14 +140,14 @@ class Indent(Parser):
 class Dedent(Parser):
     """Leave a block: a shallower line, or the end of the input."""
 
-    def parse(self, ctx: ParseContext) -> ParseResult:
+    def parse(self, ctx: ParseContext) -> bool:
         stack = ctx.state(IndentStack)
         old = stack.peek(0)
         if ctx.position >= ctx.input_length or _current_count(ctx) < old:
             stack.pop()
-            return SUCCESS
-        return (ctx.fail(ctx.position, f"expecting indentation < {old} positions")
-                if ctx.would_record(ctx.position) else FAIL)
+            return True
+        return ctx.would_record(ctx.position) and ctx.fail(
+            ctx.position, f"expecting indentation < {old} positions")
 
     first = Parser.zero_width_first
 

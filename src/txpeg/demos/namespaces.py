@@ -31,7 +31,7 @@ from __future__ import annotations
 from typing import NamedTuple, Optional
 
 from ..combinators import and_do, ast_stack, perform, predicate
-from ..core import FAIL, SUCCESS, ContractViolationError, ParseContext, Parser, ParseResult
+from ..core import ContractViolationError, ParseContext, Parser
 from ..states import MonotonicStack, StackState
 
 __all__ = [
@@ -151,13 +151,13 @@ class Scoped(Parser):
     def __init__(self, child: Parser):
         self.children = (child,)
 
-    def parse(self, ctx: ParseContext) -> ParseResult:
+    def parse(self, ctx: ParseContext) -> bool:
         types = ctx.state(TypeStack)
         size = types.size
-        r = self.children[0].parse(ctx)
-        if r.ok:
-            types.truncate(size)
-        return r
+        if not self.children[0].parse(ctx):
+            return False
+        types.truncate(size)
+        return True
 
     first = Parser.children_first
 
@@ -180,7 +180,7 @@ class ClassDef(Parser):
     def __init__(self, body: Parser):
         self.children = (body,)
 
-    def parse(self, ctx: ParseContext) -> ParseResult:
+    def parse(self, ctx: ParseContext) -> bool:
         ast = ast_stack(ctx)
         parent: Optional[str] = ast.at(0)
         if parent is not None:
@@ -188,9 +188,7 @@ class ClassDef(Parser):
         name = _expect_name(ast.at(1), "class definition")
         enclosing = ctx.state(EnclosingClasses)
         if parent is not None and parent in enclosing:
-            if not ctx.would_record(ctx.position):
-                return FAIL
-            return ctx.fail(
+            return ctx.would_record(ctx.position) and ctx.fail(
                 ctx.position,
                 f"class {name!r} cannot inherit from enclosing class {parent!r}",
             )
@@ -199,14 +197,13 @@ class ClassDef(Parser):
         enclosing.push(name)
         if parent is not None:
             inherit(ctx, parent)
-        r = self.children[0].parse(ctx)
-        if not r.ok:
+        if not self.children[0].parse(ctx):
             types.truncate(size)
             enclosing.pop()
-            return r
+            return False
         types.replace_above(size - 1, _finish_class)
         enclosing.pop()
-        return SUCCESS
+        return True
 
     first = Parser.children_first
 

@@ -27,8 +27,8 @@ from graphlib import CycleError, TopologicalSorter
 from typing import Callable, NamedTuple, Optional
 
 from .combinators import DEFAULT_WHITESPACE, AstStack
-from .core import (ConfigurationError, ContractViolationError, Failure, ParseContext,
-                   Parser, ParseResult, Record, TracedContext)
+from .core import (ConfigurationError, ContractViolationError, ParseContext, Parser,
+                   Record, TracedContext)
 
 __all__ = [
     "FrozenGrammar",
@@ -44,7 +44,12 @@ __all__ = [
 
 class RuleRef(Parser):
     """A by-name reference to another rule; a stub that freeze copies and
-    binds, leaving this object unbound."""
+    binds, leaving this object unbound.
+
+    Rule-level facts key on references: freeze may share one node among
+    rules with equal bodies, so the frozen graph knows a rule by the
+    references that enter it, and a left-call cycle is named by theirs.
+    """
 
     def __init__(self, name: str):
         self.name = name
@@ -54,7 +59,7 @@ class RuleRef(Parser):
     def children(self) -> tuple:
         return (self.target,) if self.target is not None else ()
 
-    def parse(self, ctx: ParseContext) -> ParseResult:
+    def parse(self, ctx: ParseContext) -> bool:
         if self.target is None:
             raise ContractViolationError(
                 f"reference to rule {self.name!r} invoked before freeze"
@@ -73,8 +78,10 @@ ref = RuleRef
 class FrozenGrammar:
     """A resolved, checked grammar; treat as immutable.
 
-    ``whitespace`` is the frozen copy of the grammar's whitespace parser,
-    or of the default one.
+    ``rules`` maps each rule name to its frozen body, and ``whitespace`` is
+    the frozen copy of the grammar's whitespace parser, or of the default
+    one.  Rules with equal bodies may share one body node, so rule-level
+    facts key on references (:class:`RuleRef`), never on bodies.
     """
 
     def __init__(self, rules: dict, root: str, whitespace: Parser,
@@ -154,7 +161,7 @@ class GrammarDef(Record):
                 twin_of_p.children = tuple(twin(c) for c in p.children)
         nodes = list(copies.values())
         nullable = _nullability(nodes)
-        _check_left_calls(rules, nodes, nullable)
+        _check_left_calls(nodes, nullable)
         if specialise:
             first = _first_sets(nullable)
             for p in nodes:
@@ -230,11 +237,10 @@ def _nullability(nodes: list[Parser]) -> Callable[[Parser], bool]:
     return is_nullable
 
 
-def _check_left_calls(rules: dict[str, Parser], nodes: list[Parser],
-                      nullable: Callable[[Parser], bool]) -> None:
-    """Reject a cycle in the left-call graph of ``nodes``, naming it by
-    the rules of ``rules`` whose bodies it passes through, or by the reprs
-    of its nodes when it passes through none."""
+def _check_left_calls(nodes: list[Parser], nullable: Callable[[Parser], bool]) -> None:
+    """Reject a cycle in the left-call graph of ``nodes``, naming it by the
+    rule each reference on it enters, or by the reprs of its nodes when it
+    passes through no reference."""
     # The sorter puts each node before its left children and reports a
     # cycle in call order, its first node again last.  Given the nodes in
     # freeze's order and each node's edges in its own order, it reports the
@@ -246,16 +252,13 @@ def _check_left_calls(rules: dict[str, Parser], nodes: list[Parser],
     try:
         graph.prepare()
     except CycleError as err:
-        # Rules with equal bodies share one node, so a node has every name.
-        # A parser that holds itself makes a cycle through no rule body.
-        names: dict[int, list] = {}
-        for name, body in rules.items():
-            names.setdefault(id(body), []).append(name)
-        keys = err.args[1][:-1]
-        cycle = ["/".join(names[k]) for k in keys if k in names]
-        if not cycle:
-            node = {id(p): p for p in nodes}
-            cycle = [repr(node[k]) for k in keys]
+        # The name starts at the rule that the cycle's closing reference
+        # enters, the one its first node is in.  A parser that holds
+        # itself makes a cycle through no reference.
+        node = {id(p): p for p in nodes}
+        on_cycle = [node[k] for k in err.args[1][:-1]]
+        names = [p.name for p in on_cycle if isinstance(p, RuleRef)]
+        cycle = (names[-1:] + names[:-1]) or [repr(p) for p in on_cycle]
         raise ConfigurationError(
             "left-recursive cycle without a leftrec annotation: "
             + " -> ".join(cycle + cycle[:1])
@@ -336,19 +339,16 @@ def run_parse(grammar: FrozenGrammar, text: str, partial: bool = False,
         ctx = TracedContext(text, trace, cells, grammar.whitespace)
     try:
         grammar.whitespace.skip(ctx)
-        result = grammar.root_parser.parse(ctx)
+        matched = grammar.root_parser.parse(ctx)
     except RecursionError:
         return _failed(ctx, ctx.position, "input nests too deeply")
-    if result.ok and (partial or ctx.position >= ctx.input_length):
+    if matched and (partial or ctx.position >= ctx.input_length):
         ast = ctx.state(AstStack)
         values = ast.values()
         values.reverse()
         return ParseOutcome(True, ast=values, end_position=ctx.position)
-    if result.ok:
+    if matched:
         ctx.fail(ctx.position, "expected end of input")
-    elif isinstance(result, Failure) and result.position > ctx.furthest_at:
-        # A failure kept out of the record, such as a blocked leftrec call.
-        return _failed(ctx, result.position, result.message)
     found = ctx.furthest_failure()
     if found is None:
         raise ContractViolationError(

@@ -13,6 +13,11 @@ flight are keyed by (parser id, position) in the plain dict
 entry and deletes it on every exit, so the map follows the call stack,
 and no snapshot taken inside a call outlives it.
 
+A re-entry while the seed is still being found is blocked: it fails, and
+records ``left-recursive invocation blocked`` at its position only when
+the furthest-failure record lies behind it, so it never displaces a
+record at or past that position.
+
 Freeze (:mod:`txpeg.grammar`) rejects every cycle of calls that can come
 back to the same parser at the same input position without passing
 through a :class:`LeftRec` node.
@@ -20,7 +25,7 @@ through a :class:`LeftRec` node.
 
 from __future__ import annotations
 
-from .core import SUCCESS, Failure, ParseContext, ParseResult, Parser
+from .core import ParseContext, Parser
 
 __all__ = ["LeftRec", "leftrec"]
 
@@ -36,38 +41,38 @@ class LeftRec(Parser):
     def __init__(self, child: Parser):
         self.children = (child,)
 
-    def parse(self, ctx: ParseContext) -> ParseResult:
+    def parse(self, ctx: ParseContext) -> bool:
         seeds = ctx.seeds
         key = (id(self), ctx.position)
         seed = seeds.get(key)
         if seed is not None:
             if seed is _BLOCKED:
                 # Deliberate control flow, not a diagnosable user error:
-                # bypass the furthest-failure record.
-                return Failure(ctx.position, "left-recursive invocation blocked")
+                # recorded only past every other failure, displacing none.
+                return ctx.furthest_at < ctx.position and ctx.fail(
+                    ctx.position, "left-recursive invocation blocked")
             ctx.merge(seed)
-            return SUCCESS
+            return True
 
         body = self.children[0]
         entry_snap = ctx.snapshot()
         seeds[key] = _BLOCKED
         try:
-            r = body.parse(ctx)
-            if not r.ok:
-                return r
+            if not body.parse(ctx):
+                return False
             # Every way out of the loop leaves the context at entry_snap:
             # a failed body rewinds itself, and retract rewinds the rest.
             best = ctx.retract(entry_snap)
             while True:
                 seeds[key] = best
-                if not body.parse(ctx).ok:
+                if not body.parse(ctx):
                     break
                 grown = ctx.retract(entry_snap)
                 if grown.end_position <= best.end_position:
                     break
                 best = grown
             ctx.merge(best)
-            return SUCCESS
+            return True
         finally:
             del seeds[key]
 

@@ -322,10 +322,10 @@ class Checked(Parser):
         Checked.tally += 1
         if self.neutral:
             Checked.neutral_tally += 1
-        if not r.ok and _observe(ctx) != before:
+        if not r and _observe(ctx) != before:
             raise TransactionViolation(
                 f"failure of {self.children[0]!r} mutated state")
-        if r.ok and self.neutral and _observe(ctx) != before:
+        if r and self.neutral and _observe(ctx) != before:
             raise TransactionViolation(
                 f"lookahead {self.children[0]!r} leaked state")
         return r
@@ -500,7 +500,7 @@ def fuzz_transactionality(trees=10500, max_depth=6, max_input=32,
                            cells=[FuzzCounter(), FuzzStack(), AstStack(),
                                   FuzzMap()])
         r = root.parse(ctx)
-        outcomes["success" if r.ok else "failure"] += 1
+        outcomes["success" if r else "failure"] += 1
     return {
         "trees": trees,
         "checks": Checked.tally,

@@ -48,44 +48,44 @@ def ctx_for(text, *cells):
 
 def test_literal_matches_exact_string():
     ctx = ctx_for("abcd")
-    assert literal("ab").parse(ctx).ok
+    assert literal("ab").parse(ctx)
     assert ctx.position == 2
     r = literal("zz").parse(ctx)
-    assert not r.ok
+    assert not r
     assert ctx.furthest_failure() == (2, "expected 'zz'")
     assert ctx.position == 2
 
 
 def test_empty_literal_matches_anywhere():
     ctx = ctx_for("")
-    assert literal("").parse(ctx).ok
+    assert literal("").parse(ctx)
     assert ctx.position == 0
 
 
 def test_char_pred_matches_single_char():
     ctx = ctx_for("7x")
-    assert char_pred(str.isdigit, "digit").parse(ctx).ok
+    assert char_pred(str.isdigit, "digit").parse(ctx)
     assert ctx.position == 1
-    assert not char_pred(str.isdigit, "digit").parse(ctx).ok
+    assert not char_pred(str.isdigit, "digit").parse(ctx)
 
 
 def test_char_pred_rejects_end_of_input_by_default():
     ctx = ctx_for("")
     r = char_pred(str.isdigit, "digit").parse(ctx)
-    assert not r.ok
+    assert not r
     assert ctx.position == 0
 
 
 def test_char_pred_never_matches_at_end_of_input():
     nul = char_pred(lambda c: c == "\x00", "nul")
     ctx = ctx_for("")
-    assert not nul.parse(ctx).ok
+    assert not nul.parse(ctx)
     assert ctx.position == 0
     # A NUL inside the input still matches.
     ctx = ctx_for("\x00")
-    assert nul.parse(ctx).ok
+    assert nul.parse(ctx)
     assert ctx.position == 1
-    assert not nul.parse(ctx).ok
+    assert not nul.parse(ctx)
 
 
 def test_a_scan_stops_at_end_of_input():
@@ -112,7 +112,7 @@ def test_a_literal_ending_in_nul_never_matches_at_end_of_input(make):
         grammar = GrammarDef({"top": seq(literal("a"), nul, tail)}, "top").freeze()
         assert not run_parse(grammar, "a").success
     ctx = ctx_for("a")
-    assert not seq(literal("a"), make("\x00")).parse(ctx).ok
+    assert not seq(literal("a"), make("\x00")).parse(ctx)
     assert ctx.position == 0
 
 
@@ -123,13 +123,13 @@ def test_a_nul_inside_the_input_still_matches_a_literal(make):
     outcome = run_parse(grammar, "a\x00")
     assert (outcome.success, outcome.end_position) == (True, 2)
     ctx = ctx_for("a\x00b")
-    assert make("a\x00b").parse(ctx).ok
+    assert make("a\x00b").parse(ctx)
     assert ctx.position == 3
 
 
 def test_seq_runs_children_in_order():
     ctx = ctx_for("abcd")
-    assert seq(literal("ab"), literal("cd")).parse(ctx).ok
+    assert seq(literal("ab"), literal("cd")).parse(ctx)
     assert ctx.position == 4
 
 
@@ -138,7 +138,7 @@ def test_seq_failure_restores_position_and_cells():
     ctx = ctx_for("abxx", marks)
     p = seq(and_do(literal("ab"), lambda c: marks.push("got")), literal("cd"))
     r = p.parse(ctx)
-    assert not r.ok
+    assert not r
     assert ctx.position == 0
     assert marks.values() == []
     # The recorded failure points at the failing child, deeper than entry.
@@ -147,7 +147,7 @@ def test_seq_failure_restores_position_and_cells():
 
 def test_choice_takes_first_match():
     ctx = ctx_for("ba")
-    assert choice(literal("a"), literal("b")).parse(ctx).ok
+    assert choice(literal("a"), literal("b")).parse(ctx)
     assert ctx.position == 1
 
 
@@ -155,7 +155,7 @@ def test_choice_failure_sits_at_entry_with_furthest_recorded():
     ctx = ctx_for("abX")
     p = choice(seq(literal("ab"), literal("c")), literal("z"))
     r = p.parse(ctx)
-    assert not r.ok
+    assert not r
     assert ctx.position == 0
     # The deepest child failure is what diagnostics should surface.
     assert ctx.furthest_failure()[0] == 2
@@ -166,32 +166,32 @@ def test_choice_winner_leaves_no_trace_of_losers():
     ctx = ctx_for("b", marks)
     loser = seq(perform(lambda c: marks.push("loser")), literal("a"))
     winner = and_do(literal("b"), lambda c: marks.push("winner"))
-    assert choice(loser, winner).parse(ctx).ok
+    assert choice(loser, winner).parse(ctx)
     assert marks.values() == ["winner"]
 
 
 def test_opt_succeeds_without_match():
     ctx = ctx_for("xyz")
-    assert opt(literal("a")).parse(ctx).ok
+    assert opt(literal("a")).parse(ctx)
     assert ctx.position == 0
-    assert opt(literal("x")).parse(ctx).ok
+    assert opt(literal("x")).parse(ctx)
     assert ctx.position == 1
 
 
 def test_zero_more_consumes_all_matches():
     ctx = ctx_for("aaab")
-    assert zero_more(literal("a")).parse(ctx).ok
+    assert zero_more(literal("a")).parse(ctx)
     assert ctx.position == 3
-    assert zero_more(literal("z")).parse(ctx).ok
+    assert zero_more(literal("z")).parse(ctx)
     assert ctx.position == 3
 
 
 def test_one_more_requires_first_match():
     ctx = ctx_for("baa")
     r = one_more(literal("a")).parse(ctx)
-    assert not r.ok
+    assert not r
     ctx.position = 1
-    assert one_more(literal("a")).parse(ctx).ok
+    assert one_more(literal("a")).parse(ctx)
     assert ctx.position == 3
 
 
@@ -229,7 +229,7 @@ def test_repetition_with_state_only_progress_is_allowed():
         marks.push(stop[0])
 
     p = seq(perform(bounded_push), predicate(lambda c: marks.size < 3))
-    assert zero_more(p).parse(ctx).ok
+    assert zero_more(p).parse(ctx)
     # Each iteration changed a cell, so the guard stays quiet; the final
     # failed iteration rolled its push back.
     assert marks.values() == [2, 1]
@@ -268,7 +268,7 @@ def test_ahead_is_state_neutral_on_success():
     marks = Marks()
     ctx = ctx_for("abc", marks)
     p = ahead(seq(capture(literal("ab")), perform(lambda c: marks.push("x"))))
-    assert p.parse(ctx).ok
+    assert p.parse(ctx)
     assert ctx.position == 0
     assert ast_stack(ctx).size == 0
     assert marks.values() == []
@@ -276,7 +276,7 @@ def test_ahead_is_state_neutral_on_success():
 
 def test_ahead_propagates_failure():
     ctx = ctx_for("abc")
-    assert not ahead(literal("zz")).parse(ctx).ok
+    assert not ahead(literal("zz")).parse(ctx)
     assert ctx.position == 0
 
 
@@ -284,19 +284,19 @@ def test_a_successful_ahead_leaves_the_failure_record_as_it_found_it():
     ctx = ctx_for("ab")
     ctx.fail(0, "before")
     # The child records "expected 'x'" at 1 on its way to success.
-    assert ahead(seq(literal("a"), choice(literal("x"), literal("b")))).parse(ctx).ok
+    assert ahead(seq(literal("a"), choice(literal("x"), literal("b")))).parse(ctx)
     assert ctx.furthest_failure() == (0, "before")
     # A failing one keeps its child's failure.
-    assert not ahead(seq(literal("a"), literal("x"))).parse(ctx).ok
+    assert not ahead(seq(literal("a"), literal("x"))).parse(ctx)
     assert ctx.furthest_failure() == (1, "expected 'x'")
 
 
 def test_not_inverts_and_stays_neutral():
     ctx = ctx_for("ab")
-    assert not_(literal("z")).parse(ctx).ok
+    assert not_(literal("z")).parse(ctx)
     assert ctx.position == 0
     r = not_(capture(literal("a"))).parse(ctx)
-    assert not r.ok
+    assert not r
     assert ctx.position == 0
     assert ast_stack(ctx).size == 0
 
@@ -347,7 +347,7 @@ def test_a_frozen_scanning_whitespace_is_skipped_by_its_scan_alone(repeat):
 
     ctx.fail = spy
     assert grammar.whitespace.scan is blank
-    assert grammar.root_parser.parse(ctx).ok
+    assert grammar.root_parser.parse(ctx)
     assert ctx.position == 6
     assert failures == []
     # The only transaction operation is the sequence's own snapshot.
@@ -366,7 +366,7 @@ def test_a_custom_whitespace_still_runs_muted():
     grammar = GrammarDef({"top": word("a")}, "top",
                          whitespace=seq(predicate(note), literal("#"))).freeze()
     ctx = ParseContext("ab", cells=[AstStack()], whitespace=grammar.whitespace)
-    assert grammar.root_parser.parse(ctx).ok
+    assert grammar.root_parser.parse(ctx)
     assert ctx.position == 1
     assert mutes == [1]
     assert ctx.furthest_failure() is None
@@ -386,7 +386,7 @@ def test_until_tries_terminator_first_and_keeps_its_effects():
     ctx = ctx_for(";", marks)
     term = and_do(literal(";"), lambda c: marks.push("end"))
     p = until(capture(literal("a")), term)
-    assert p.parse(ctx).ok
+    assert p.parse(ctx)
     assert ctx.position == 1
     assert marks.values() == ["end"]
     assert ast_stack(ctx).size == 0
@@ -395,7 +395,7 @@ def test_until_tries_terminator_first_and_keeps_its_effects():
 def test_until_collects_items_then_terminator():
     ctx = ctx_for("aa;")
     p = until(capture(literal("a")), literal(";"))
-    assert p.parse(ctx).ok
+    assert p.parse(ctx)
     assert ctx.position == 3
     assert ast_stack(ctx).values() == ["a", "a"]
 
@@ -405,7 +405,7 @@ def test_until_failure_rewinds_matched_items():
     ctx = ctx_for("aax", marks)
     item = and_do(capture(literal("a")), lambda c: marks.push("i"))
     r = until(item, literal(";")).parse(ctx)
-    assert not r.ok
+    assert not r
     assert ctx.position == 0
     assert ast_stack(ctx).size == 0
     assert marks.values() == []
@@ -413,23 +413,23 @@ def test_until_failure_rewinds_matched_items():
 
 def test_word_skips_trailing_whitespace():
     ctx = ctx_for("val  x")
-    assert word("val").parse(ctx).ok
+    assert word("val").parse(ctx)
     assert ctx.position == 5
 
 
 def test_whitespace_uses_context_override():
     ctx = ParseContext("..a", cells=[AstStack()],
                        whitespace=zero_more(literal(".")))
-    assert whitespace().parse(ctx).ok
+    assert whitespace().parse(ctx)
     assert ctx.position == 2
 
 
 def test_predicate_checks_without_consuming():
     ctx = ctx_for("ab")
-    assert predicate(lambda c: True).parse(ctx).ok
+    assert predicate(lambda c: True).parse(ctx)
     assert ctx.position == 0
     r = predicate(lambda c: False, "wanted something else").parse(ctx)
-    assert not r.ok
+    assert not r
     assert ctx.furthest_failure() == (0, "wanted something else")
 
 
@@ -438,24 +438,24 @@ def test_predicate_message_built_from_context_at_failure():
     ctx.position = 1
     r = predicate(lambda c: False,
                   lambda c: f"stuck at {c.position}").parse(ctx)
-    assert not r.ok
+    assert not r
     assert ctx.furthest_failure() == (1, "stuck at 1")
 
 
 def test_perform_and_and_do():
     marks = Marks()
     ctx = ctx_for("ab", marks)
-    assert perform(lambda c: marks.push(1)).parse(ctx).ok
-    assert and_do(literal("a"), lambda c: marks.push(2)).parse(ctx).ok
+    assert perform(lambda c: marks.push(1)).parse(ctx)
+    assert and_do(literal("a"), lambda c: marks.push(2)).parse(ctx)
     assert marks.values() == [2, 1]
     r = and_do(literal("zz"), lambda c: marks.push(3)).parse(ctx)
-    assert not r.ok
+    assert not r
     assert marks.values() == [2, 1]
 
 
 def test_capture_pushes_matched_text():
     ctx = ctx_for("hello world")
-    assert capture(one_more(char_pred(str.isalpha, "letter"))).parse(ctx).ok
+    assert capture(one_more(char_pred(str.isalpha, "letter"))).parse(ctx)
     assert ast_stack(ctx).peek() == "hello"
 
 
@@ -463,14 +463,14 @@ def test_collect_gathers_in_push_order():
     ctx = ctx_for("ab")
     ast_stack(ctx).push("preexisting")
     p = collect(seq(capture(literal("a")), capture(literal("b"))))
-    assert p.parse(ctx).ok
+    assert p.parse(ctx)
     assert ast_stack(ctx).pop() == ["a", "b"]
     assert ast_stack(ctx).pop() == "preexisting"
 
 
 def test_collect_empty_match_pushes_empty_list():
     ctx = ctx_for("z")
-    assert collect(zero_more(capture(literal("a")))).parse(ctx).ok
+    assert collect(zero_more(capture(literal("a")))).parse(ctx)
     assert ast_stack(ctx).pop() == []
 
 
@@ -478,7 +478,7 @@ def test_build_makes_node_with_span():
     ctx = ctx_for("1-2")
     p = build(seq(capture(literal("1")), literal("-"), capture(literal("2"))),
               2, node("Pair"))
-    assert p.parse(ctx).ok
+    assert p.parse(ctx)
     made = ast_stack(ctx).pop()
     assert made == AstNode("Pair", ("1", "2"), span=(0, 3))
 
@@ -503,10 +503,10 @@ def test_build_and_collect_log_their_replacement_as_one_change():
         ctx = ctx_for("abc")
         ast_stack(ctx).push("below")
         snap = ctx.snapshot()
-        assert three.parse(ctx).ok
+        assert three.parse(ctx)
         pushed = ctx.snapshot()[1] - snap[1]
         ctx.restore(snap)
-        assert replacing.parse(ctx).ok
+        assert replacing.parse(ctx)
         assert ctx.snapshot()[1] - snap[1] == pushed + 2
         assert ast_stack(ctx).values() == stacked
 
@@ -514,16 +514,16 @@ def test_build_and_collect_log_their_replacement_as_one_change():
 def test_build_failure_propagates_cleanly():
     ctx = ctx_for("9")
     p = build(capture(literal("1")), 1, node("One"))
-    assert not p.parse(ctx).ok
+    assert not p.parse(ctx)
     assert ast_stack(ctx).size == 0
 
 
 def test_opt_value_pushes_value_or_none():
     ctx = ctx_for("x")
-    assert opt_value(capture(literal("x"))).parse(ctx).ok
+    assert opt_value(capture(literal("x"))).parse(ctx)
     assert ast_stack(ctx).pop() == "x"
     ctx2 = ctx_for("y")
-    assert opt_value(capture(literal("x"))).parse(ctx2).ok
+    assert opt_value(capture(literal("x"))).parse(ctx2)
     assert ast_stack(ctx2).pop() is None
 
 
@@ -542,7 +542,7 @@ def test_nested_backtracking_restores_deep_state():
         literal("z"),
     )
     outer = choice(inner, literal("aab"))
-    assert outer.parse(ctx).ok
+    assert outer.parse(ctx)
     assert ctx.position == 3
     assert marks.values() == []
 
@@ -552,7 +552,7 @@ def test_word_keeps_whitespace_failures_out_of_the_diagnostic():
     # must not claim the furthest-failure record.
     ws = zero_more(seq(literal("  "), literal("x")))
     ctx = ParseContext("a  y", whitespace=ws)
-    assert word("a").parse(ctx).ok
+    assert word("a").parse(ctx)
     assert ctx.position == 1
     assert ctx.furthest_failure() is None
 

@@ -23,9 +23,7 @@ from txpeg.combinators import (
 from txpeg.core import (
     ConfigurationError,
     ContractViolationError,
-    Failure,
     ParseContext,
-    SUCCESS,
     StateCell,
     TracedContext,
 )
@@ -85,14 +83,6 @@ def test_duplicate_cell_class_rejected():
         ParseContext("x", cells=[AStack(), AStack()])
 
 
-def test_success_is_singleton_truthy_result():
-    assert SUCCESS.ok
-    f = Failure(3, "nope")
-    assert not f.ok
-    assert f.position == 3
-    assert f.message == "nope"
-
-
 def test_failure_message_is_lazy():
     calls = []
 
@@ -100,10 +90,11 @@ def test_failure_message_is_lazy():
         calls.append(1)
         return "built"
 
-    f = Failure(0, build)
+    ctx = ParseContext("x")
+    assert ctx.fail(0, build) is False
     assert not calls
-    assert f.message == "built"
-    assert f.message == "built"
+    assert ctx.furthest_failure() == (0, "built")
+    assert ctx.furthest_failure() == (0, "built")
     assert len(calls) == 1
 
 
@@ -263,7 +254,7 @@ def test_an_inert_cell_joins_no_trail_and_leaves_the_o1_close_in_reach(monkeypat
     assert ctx.snapshot()[1] == 0
     counts = check_folds(monkeypatch)
     item = seq(literal("a"), perform(lambda c: c.state(AStack).push("a")))
-    assert zero_more(item).parse(ctx).ok
+    assert zero_more(item).parse(ctx)
     assert stack.values() == ["a"] * 4
     # The first iteration folds; each later one finds the stack held.
     assert (counts["fold"], counts["fast"]) == (1, 3)
@@ -285,7 +276,7 @@ def test_an_until_whose_terminator_logs_and_fails_keeps_the_trail_bounded(monkey
     for n in (5, 200):
         counts = check_folds(monkeypatch)
         ctx = ParseContext("a" * n + "!", cells=[AStack(), BCounter(n=0)])
-        assert loop.parse(ctx).ok
+        assert loop.parse(ctx)
         assert ctx.state(AStack).values() == ["probe"] + ["item"] * n
         assert ctx.state(BCounter).get("n") == n
         assert (counts["fold"], counts["fast"]) == (1, n - 1)
@@ -419,7 +410,7 @@ def test_loop_folding_keeps_every_older_snapshot_restorable():
         counter.set("n", counter.get("n") + 1)
 
     item = seq(literal("a"), perform(bump))
-    assert zero_more(item).parse(ctx).ok
+    assert zero_more(item).parse(ctx)
     assert (stack.values(), counter.get("n")) == ([4, 3, 2, 1, "before"], 4)
     # Four iterations, folded to one entry per cell.
     assert ctx.snapshot()[1] - outer[1] == 4

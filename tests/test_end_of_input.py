@@ -11,7 +11,7 @@ the plain one, ``freeze(specialise=False)``, at the end as everywhere.
 import pytest
 
 from txpeg.combinators import char_pred, choice, literal, not_, one_more, opt, seq
-from txpeg.core import SUCCESS, ParseContext, Parser
+from txpeg.core import ParseContext, Parser
 from txpeg.demos.smoke import tags_grammar
 from txpeg.grammar import GrammarDef, run_parse
 
@@ -26,7 +26,7 @@ class Unknown(Parser):
     def parse(self, ctx):
         if ctx.text.startswith("u", ctx.position):
             ctx.position += 1
-            return SUCCESS
+            return True
         return ctx.fail(ctx.position, "expected u")
 
     def nullable(self, child_nullable):
@@ -98,7 +98,7 @@ def test_freeze_skips_a_child_that_must_consume_at_the_end_of_input():
 def test_an_unfrozen_parser_at_the_end_of_input_reads_no_character(parser, ok):
     ctx = ParseContext("a")
     ctx.position = 1
-    assert parser.parse(ctx).ok is ok
+    assert parser.parse(ctx) is ok
     assert ctx.position == 1
 
 

@@ -130,9 +130,9 @@ def test_indentation_read_from_the_text_matches_the_reference_table():
                     ctx.position = pos
                     r = parser.parse(ctx)
                     want_ok, want_top = _table_oracle(name, entries, text, pos, top)
-                    assert r.ok is want_ok, (name, text, pos, top)
+                    assert r is want_ok, (name, text, pos, top)
                     assert ctx.position == pos
-                    if not r.ok:
+                    if not r:
                         assert ctx.furthest_failure()[0] == pos
                     assert stack.peek() == want_top, (name, text, pos, top)
 
@@ -161,12 +161,12 @@ def _indent_ctx(text):
 def test_indent_pushes_only_deeper_lines():
     ctx = _indent_ctx("a\n    b\n")
     ctx.position = 6
-    assert indent().parse(ctx).ok
+    assert indent().parse(ctx)
     assert ctx.state(IndentStack).peek() == 4
 
     ctx.position = 0
     r = indent().parse(ctx)
-    assert not r.ok
+    assert not r
     assert "indentation > 4" in fail_msg(ctx)
 
 
@@ -174,17 +174,17 @@ def test_dedent_pops_on_shallower_line_or_eof():
     ctx = _indent_ctx("    a\nb\n")
     ctx.state(IndentStack).push(4)
     ctx.position = 6
-    assert dedent().parse(ctx).ok
+    assert dedent().parse(ctx)
     assert ctx.state(IndentStack).peek() is None
 
     ctx.state(IndentStack).push(4)
     ctx.position = 4
     r = dedent().parse(ctx)
-    assert not r.ok
+    assert not r
     assert "indentation < 4" in fail_msg(ctx)
 
     ctx.position = len("    a\nb\n")
-    assert dedent().parse(ctx).ok
+    assert dedent().parse(ctx)
 
 
 def test_newline_only_at_content_starts():
@@ -192,24 +192,24 @@ def test_newline_only_at_content_starts():
     ok_positions = {0, 5, 7}
     for pos in range(8):
         ctx.position = pos
-        assert newline().parse(ctx).ok is (pos in ok_positions), pos
+        assert newline().parse(ctx) is (pos in ok_positions), pos
 
 
 def test_aligned_requires_matching_width():
     ctx = _indent_ctx("ab\n    cd\n")
     ctx.position = 0
-    assert aligned().parse(ctx).ok
+    assert aligned().parse(ctx)
     ctx.position = 7
     r = aligned().parse(ctx)
-    assert not r.ok
+    assert not r
     assert "indentation = 0" in fail_msg(ctx)
 
     ctx.state(IndentStack).push(4)
-    assert aligned().parse(ctx).ok
+    assert aligned().parse(ctx)
     ctx.position = 8          # mid-token is never aligned
-    assert not aligned().parse(ctx).ok
+    assert not aligned().parse(ctx)
     ctx.position = ctx.input_length
-    assert aligned().parse(ctx).ok
+    assert aligned().parse(ctx)
 
 
 # ---------------------------------------------------------------------------
@@ -240,13 +240,13 @@ def test_new_type_plain_and_alias_modes():
     types = ctx.state(TypeStack)
     types.push(TypeRecord("Foo", (TypeRecord("x"),)))
 
-    assert new_type(_push_name("Plain")).parse(ctx).ok
+    assert new_type(_push_name("Plain")).parse(ctx)
     assert types.peek() == TypeRecord("Plain", ())
 
     # Alias: the child pushes the new name, then the source name; the
     # record carries the source's private list.
     child = seq(_push_name("Bar"), _push_name("Foo"))
-    assert new_type(child, alias=True).parse(ctx).ok
+    assert new_type(child, alias=True).parse(ctx)
     assert types.peek() == TypeRecord("Bar", (TypeRecord("x"),))
 
 
@@ -262,12 +262,12 @@ def test_scoped_truncates_on_success_only():
     types.push(TypeRecord("Keep"))
 
     grows = perform(lambda c: c.state(TypeStack).push(TypeRecord("Tmp")))
-    assert scoped(seq(grows, grows)).parse(ctx).ok
+    assert scoped(seq(grows, grows)).parse(ctx)
     assert types.size == 1 and types.peek() == TypeRecord("Keep")
 
     failing = seq(grows, _fail_parser())
     r = scoped(failing).parse(ctx)
-    assert not r.ok
+    assert not r
     assert types.size == 1 and types.peek() == TypeRecord("Keep")
 
 
@@ -289,7 +289,7 @@ def test_class_def_collects_body_types_as_private():
     ast.push("A")
 
     body = seq(new_type(_push_name("I")), new_type(_push_name("J")))
-    assert class_def(body).parse(ctx).ok
+    assert class_def(body).parse(ctx)
 
     assert types.size == 2
     assert types.at(0) == TypeRecord(
@@ -306,7 +306,7 @@ def test_class_def_without_superclass_adds_nothing_inherited():
     ast.push("B")
     ast.push(None)
 
-    assert class_def(new_type(_push_name("I"))).parse(ctx).ok
+    assert class_def(new_type(_push_name("I"))).parse(ctx)
     assert types.at(0) == TypeRecord("B", (TypeRecord("I", ()),))
 
 
@@ -322,10 +322,10 @@ def test_class_def_replaces_placeholder_and_private_classes_in_one_change():
     ast.push(None)
     body = new_type(_push_name("I"))
     snap = ctx.snapshot()
-    assert body.parse(ctx).ok
+    assert body.parse(ctx)
     by_body = ctx.snapshot()[1] - snap[1]
     ctx.restore(snap)
-    assert class_def(body).parse(ctx).ok
+    assert class_def(body).parse(ctx)
     assert ctx.snapshot()[1] - snap[1] == by_body + 2 * 3
     assert types.values() == [TypeRecord("B", (TypeRecord("I"),))]
 
@@ -341,7 +341,7 @@ def test_class_def_rejects_enclosing_superclass():
     ast.push("Outer")
 
     r = class_def(_push_name("unused")).parse(ctx)
-    assert not r.ok
+    assert not r
     assert "cannot inherit from enclosing class 'Outer'" in fail_msg(ctx)
     # The placeholder and the types below survive untouched.
     assert types.size == 2 and types.at(0) == TypeRecord("Bad")
@@ -356,7 +356,7 @@ def test_class_def_restores_types_when_the_body_fails():
     ast.push(None)
 
     body = seq(new_type(_push_name("I")), _fail_parser())
-    assert not class_def(body).parse(ctx).ok
+    assert not class_def(body).parse(ctx)
     assert types.size == 1 and types.at(0) == TypeRecord("B")
     assert ctx.state(EnclosingClasses).peek() is None
 

@@ -1,13 +1,13 @@
-"""The furthest-failure record: failures return the shared ``FAIL`` and
-allocate nothing, and a message built from the parse state is built only
-for a failure that the record takes."""
+"""The furthest-failure record: a failure returns ``False`` and allocates
+nothing, and a message built from the parse state is built only for a
+failure that the record takes."""
 
 from pathlib import Path
 
 import pytest
 
-from txpeg.combinators import AstStack, literal, not_, perform, predicate, seq
-from txpeg.core import FAIL, ContractViolationError, Failure, ParseContext, Parser
+from txpeg.combinators import AstStack, choice, literal, not_, perform, predicate, seq
+from txpeg.core import ContractViolationError, ParseContext, Parser
 from txpeg.demos.examply import examply_cells, examply_rules
 from txpeg.demos.indent import IndentMap, IndentStack, dedent, indent
 from txpeg.demos.smoke import RunTally, TagStack, anbncn_rules, tags_rules
@@ -31,19 +31,42 @@ def test_a_successful_parse_builds_no_failure(name, specialise, monkeypatch):
     rules, root, cells, text = ACCEPTED[name]
     grammar = GrammarDef(rules(), root, cells=cells).freeze(specialise=specialise)
     built = []
-    init = Failure.__init__
-
-    def counting_init(self, position, message):
-        built.append(position)
-        init(self, position, message)
-
-    monkeypatch.setattr(Failure, "__init__", counting_init)
+    _count_message_builds(built, monkeypatch)
     assert run_parse(grammar, text).success
     assert built == []
-    # The count works: reading the record builds one.
+    # The count works: reading the record builds its message, whether
+    # the cause is a parser or a callable.
     ctx = ParseContext(text)
-    ctx.fail(0, "x")
-    assert ctx.furthest is not None and built == [0]
+    ctx.fail(0, literal("x"))
+    assert ctx.furthest_failure() == (0, "expected 'x'") and len(built) == 1
+    ctx.fail(0, lambda: "y")
+    assert ctx.furthest_failure() == (0, "y") and len(built) == 2
+
+
+def _count_message_builds(built, monkeypatch):
+    """Append to ``built`` each time a failure's message is built: a call
+    of any parser class's ``expected`` or of a callable cause."""
+    todo = [Parser]
+    while todo:
+        cls = todo.pop()
+        todo += cls.__subclasses__()
+        if "expected" in vars(cls):
+            monkeypatch.setattr(cls, "expected", _counted(vars(cls)["expected"], built))
+    fail = ParseContext.fail
+
+    def counting_fail(ctx, position, cause):
+        if callable(cause) and not isinstance(cause, Parser):
+            cause = _counted(cause, built)
+        return fail(ctx, position, cause)
+
+    monkeypatch.setattr(ParseContext, "fail", counting_fail)
+
+
+def _counted(build, built):
+    def counted(*args):
+        built.append(build)
+        return build(*args)
+    return counted
 
 
 class Marks(StackState):
@@ -62,17 +85,17 @@ def test_a_predicate_builds_its_message_once_and_only_when_recorded():
     ctx = ParseContext("ab", cells=[AstStack(), marks])
     # Muted, by hand or under not_: never called.
     ctx.muted += 1
-    assert check.parse(ctx) is FAIL
+    assert check.parse(ctx) is False
     ctx.muted -= 1
-    assert not_(check).parse(ctx).ok
+    assert not_(check).parse(ctx)
     assert calls == [] and ctx.furthest_failure() is None
     # Behind the record: never called.
     ctx.fail(1, "further on")
-    assert check.parse(ctx) is FAIL
+    assert check.parse(ctx) is False
     assert calls == [] and ctx.furthest_failure() == (1, "further on")
     # Taken by the record: called once, while the seq's push is in place.
     ctx.position = 1
-    assert check.parse(ctx) is FAIL
+    assert check.parse(ctx) is False
     assert calls == [(1, ["in"])]
     assert (ctx.position, marks.values()) == (1, [])
     assert ctx.furthest_failure() == (1, "not here")
@@ -99,14 +122,14 @@ def test_indent_and_dedent_build_their_message_only_when_recorded(check, sign):
     width.formatted = []
     ctx.state(IndentStack).push(width)
     ctx.muted += 1
-    assert check.parse(ctx) is FAIL
+    assert check.parse(ctx) is False
     ctx.muted -= 1
-    assert not_(check).parse(ctx).ok
+    assert not_(check).parse(ctx)
     ctx.fail(3, "further on")
-    assert check.parse(ctx) is FAIL
+    assert check.parse(ctx) is False
     assert width.formatted == [] and ctx.furthest_failure() == (3, "further on")
     ctx.position = 6
-    assert check.parse(ctx) is FAIL
+    assert check.parse(ctx) is False
     assert width.formatted == [4]
     assert ctx.furthest_failure() == (6, f"expecting indentation {sign} 4 positions")
     assert ctx.state(IndentStack).peek() == 4 and width.formatted == [4]
@@ -121,11 +144,34 @@ def test_a_blocked_left_recursive_call_is_reported_when_nothing_was_recorded(spe
         1, 1, "left-recursive invocation blocked")
 
 
+# A left-recursive rule entered after a "b", where its blocked call lies
+# past every failure recorded so far.
+BLOCKED_AFTER_B = {"a": leftrec(seq(ref("a"), literal("x")))}
+
+
+@pytest.mark.parametrize("specialise", [True, False], ids=["frozen", "plain"])
+def test_a_blocked_left_recursive_call_past_the_record_is_reported(specialise):
+    rules = dict(BLOCKED_AFTER_B, s=choice(seq(literal("b"), ref("a")), literal("q")))
+    grammar = GrammarDef(rules, "s").freeze(specialise=specialise)
+    error = run_parse(grammar, "bz").error
+    assert (error.line, error.column, error.message) == (
+        1, 2, "left-recursive invocation blocked")
+
+
+@pytest.mark.parametrize("specialise", [True, False], ids=["frozen", "plain"])
+def test_a_blocked_left_recursive_call_keeps_a_record_at_its_position(specialise):
+    rules = dict(BLOCKED_AFTER_B, s=choice(seq(literal("b"), literal("q")),
+                                           seq(literal("b"), ref("a"))))
+    grammar = GrammarDef(rules, "s").freeze(specialise=specialise)
+    error = run_parse(grammar, "bz").error
+    assert (error.line, error.column, error.message) == (1, 2, "expected 'q'")
+
+
 class Unrecorded(Parser):
-    """Returns FAIL without recording its failure, against the protocol."""
+    """Returns False without recording its failure, against the protocol."""
 
     def parse(self, ctx):
-        return FAIL
+        return False
 
 
 def test_a_parse_that_fails_with_nothing_recorded_raises():

@@ -9,7 +9,7 @@ from txpeg.combinators import (
     DEFAULT_WHITESPACE, Choice, ahead, char_pred, choice, literal, not_, one_more,
     opt, predicate, seq, zero_more,
 )
-from txpeg.core import ASCII, SUCCESS, ContractViolationError, ParseContext, Parser
+from txpeg.core import ASCII, ContractViolationError, ParseContext, Parser
 from txpeg.demos.examply import KEYWORDS, examply_grammar
 from txpeg.demos.expr import expr_grammar
 from txpeg.demos.macro import composed_grammar
@@ -123,7 +123,7 @@ def test_the_scan_loop_records_the_failure_where_the_run_ends():
     grammar = GrammarDef({"top": digits}, "top").freeze()
     assert grammar.rules["top"].scan is str.isdigit
     ctx = ParseContext("12y")
-    assert grammar.root_parser.parse(ctx) is SUCCESS
+    assert grammar.root_parser.parse(ctx) is True
     assert ctx.position == 2
     assert ctx.furthest_failure() == (2, "expected digit")
 
@@ -133,23 +133,23 @@ def test_one_more_scans_too_and_fails_as_its_char_pred_would():
     grammar = GrammarDef({"top": digits}, "top").freeze()
     assert grammar.rules["top"].scan is str.isdigit
     ctx = ParseContext("12y")
-    assert grammar.root_parser.parse(ctx) is SUCCESS
+    assert grammar.root_parser.parse(ctx) is True
     assert (ctx.position, ctx.furthest_failure()) == (2, (2, "expected digit"))
     ctx = ParseContext("y")
     r = grammar.root_parser.parse(ctx)
-    assert not r.ok
+    assert not r
     assert (ctx.position, ctx.furthest_failure()) == (0, (0, "expected digit"))
     # Muted, a run that ends records no failure, and one that never starts
     # fails as the char_pred would, recording nothing either.
     ctx = ParseContext("12y")
     ctx.muted += 1
     ctx.fail = lambda position, message: pytest.fail("built a muted failure")
-    assert grammar.root_parser.parse(ctx) is SUCCESS
+    assert grammar.root_parser.parse(ctx) is True
     ctx = ParseContext("y")
     ctx.muted += 1
     r = grammar.root_parser.parse(ctx)
-    assert (r.ok, ctx.position) == (False, 0)
-    assert ctx.furthest is None
+    assert (r, ctx.position) == (False, 0)
+    assert ctx.furthest_failure() is None
 
 
 class Unhashable:
@@ -228,7 +228,7 @@ def test_a_frozen_opt_does_not_call_a_child_that_cannot_start():
         calls.clear()
         grammar = GrammarDef({"top": root}, "top").freeze(specialise=specialise)
         ctx = ParseContext("y")
-        assert grammar.root_parser.parse(ctx) is SUCCESS and ctx.position == 0
+        assert grammar.root_parser.parse(ctx) is True and ctx.position == 0
         assert calls == called
 
 
@@ -241,10 +241,10 @@ def test_a_non_ascii_next_character_tries_every_alternative():
     assert top.dispatch["x"] == (top.children[1],)
     assert top.dispatch["e"] == ()
     ctx = ParseContext("é")
-    assert top.parse(ctx) is SUCCESS
+    assert top.parse(ctx) is True
     ctx = ParseContext("ü")
     r = top.parse(ctx)
-    assert (r.ok, ctx.furthest_failure()) == (False, (0, "no alternative matched"))
+    assert (r, ctx.furthest_failure()) == (False, (0, "no alternative matched"))
     assert first.calls == [0, 0] and second.calls == [0]
 
 
@@ -255,13 +255,13 @@ def test_a_choice_whose_alternatives_are_all_skipped_fails_at_its_position():
     top = frozen_top(seq(literal("x"), choice(a, b)))
     ctx = ParseContext("xz")
     r = top.parse(ctx)
-    assert not r.ok
+    assert not r
     assert ctx.position == 0
     assert ctx.furthest_failure() == (1, "no alternative matched")
     assert a.calls == b.calls == []
     plain = GrammarDef({"top": seq(literal("x"), choice(a, b))}, "top").freeze(specialise=False)
     ctx = ParseContext("xz")
-    assert not plain.root_parser.parse(ctx).ok
+    assert not plain.root_parser.parse(ctx)
     assert ctx.furthest_failure() == (1, "no alternative matched")
     assert a.calls == b.calls == [1]
 
@@ -276,7 +276,7 @@ def test_freeze_gives_no_dispatch_table_to_the_shared_choice():
     assert twin is not alternatives and twin.dispatch["a"] == (twin.children[0],)
     assert run_parse(grammar, "ba").success
     ctx = ParseContext("ba")
-    assert rules["top"].parse(ctx) is SUCCESS and ctx.position == 2
+    assert rules["top"].parse(ctx) is True and ctx.position == 2
 
 
 def test_the_left_recursive_alternative_of_expr_is_tried_at_every_character():
@@ -312,7 +312,7 @@ def test_an_ahead_counts_what_it_looks_at_in_its_first_set():
     for specialise in (True, False):
         grammar = GrammarDef({"top": root}, "top").freeze(specialise=specialise)
         ctx = ParseContext("ax")
-        assert grammar.root_parser.parse(ctx) is SUCCESS
+        assert grammar.root_parser.parse(ctx) is True
         records.append(ctx.furthest_failure())
     assert records == [(1, "expected 'b'")] * 2
 

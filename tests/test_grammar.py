@@ -10,7 +10,7 @@ from txpeg.combinators import (
     zero_more,
 )
 from txpeg.core import (
-    SUCCESS, ConfigurationError, ContractViolationError, ParseContext, Parser,
+    ConfigurationError, ContractViolationError, ParseContext, Parser,
 )
 from txpeg.demos.examply import examply_cells, examply_grammar
 from txpeg.demos.expr import expr_grammar, expr_rules
@@ -118,7 +118,7 @@ class Text(Parser):
         if not ctx.text.startswith(self.text, ctx.position):
             return ctx.fail(ctx.position, f"expected {self.text!r}")
         ctx.position += len(self.text)
-        return SUCCESS
+        return True
 
     def nullable(self, child_nullable) -> bool:
         return not self.text
@@ -160,7 +160,7 @@ class AnyChar(Parser):
         if ctx.position >= ctx.input_length:
             return ctx.fail(ctx.position, "expected a character")
         ctx.position += 1
-        return SUCCESS
+        return True
 
 
 class ConsumingAnyChar(AnyChar):
@@ -279,7 +279,7 @@ def test_a_perform_after_the_left_call_sees_the_seed_in_force():
 @pytest.mark.parametrize("text, ok", [("1-2-3", True), ("-", False)])
 def test_no_seed_stays_in_flight_after_a_leftrec_parse(text, ok):
     ctx = ParseContext(text, cells=[AstStack()])
-    assert expr_grammar().root_parser.parse(ctx).ok is ok
+    assert expr_grammar().root_parser.parse(ctx) is ok
     assert ctx.seeds == {}
 
 

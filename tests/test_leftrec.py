@@ -295,6 +295,21 @@ def test_a_cycle_through_a_parser_that_compares_by_value_is_named(specialise):
 
 
 @pytest.mark.parametrize("specialise", [True, False], ids=["specialised", "plain"])
+def test_a_cycle_is_named_by_its_references_not_by_shared_bodies(specialise):
+    # The specialising freeze shares one node for the equal bodies of a
+    # and b, and one for the root's reference and a's own; the cycle
+    # enters only a.
+    def body():
+        return choice(seq(ref("a"), literal("x")), literal("a"))
+
+    rules = {"s": ref("a"), "a": body(), "b": body()}
+    with pytest.raises(ConfigurationError) as info:
+        GrammarDef(rules, "s").freeze(specialise=specialise)
+    assert str(info.value) == (
+        "left-recursive cycle without a leftrec annotation: a -> a")
+
+
+@pytest.mark.parametrize("specialise", [True, False], ids=["specialised", "plain"])
 def test_a_cycle_through_no_rule_body_is_named_by_its_nodes(specialise):
     # The seq is its own first child: the cycle passes through no reference.
     s = seq(literal("x"))

@@ -40,7 +40,7 @@ GRAMMARS = {
 def outcome(root, text, whitespace):
     ctx = ParseContext(text, cells=[AstStack()], whitespace=whitespace)
     result = root.parse(ctx)
-    return (result.ok, ctx.position, ctx.furthest_failure(), ctx.state(AstStack).values())
+    return (result, ctx.position, ctx.furthest_failure(), ctx.state(AstStack).values())
 
 
 @pytest.mark.parametrize("name", GRAMMARS)

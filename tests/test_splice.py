@@ -62,7 +62,7 @@ def test_a_failed_inner_seq_rolls_back_both_levels(specialise):
     ctx = ParseContext("ac", cells=[AstStack(), marks])
     entry = ctx.snapshot()
     r = top.parse(ctx)
-    assert not r.ok and ctx.furthest_failure() == (1, "expected 'b'")
+    assert not r and ctx.furthest_failure() == (1, "expected 'b'")
     assert ctx.position == 0
     assert ast_stack(ctx).values() == []
     assert marks.values() == []
@@ -70,7 +70,7 @@ def test_a_failed_inner_seq_rolls_back_both_levels(specialise):
 
     marks = Marks()
     ctx = ParseContext("ab", cells=[AstStack(), marks])
-    assert top.parse(ctx).ok
+    assert top.parse(ctx)
     assert ctx.position == 2
     assert ast_stack(ctx).values() == ["a"]
     assert marks.values() == ["inner", "outer"]
