@@ -80,7 +80,9 @@ class AstNode(Record):
     def __init__(self, kind: str, children: tuple = (), span: Optional[tuple] = None):
         self.kind = kind
         self.children = children
-        self.span = span
+        self.start = self.end = None
+        if span is not None:
+            self.span = span
 
     @property
     def span(self) -> Optional[tuple]:
@@ -104,14 +106,20 @@ class AstStack(MonotonicStack):
     Parsers push onto it and only ever pop what they pushed themselves,
     which keeps its diffs graftable: exactly what left recursion and
     memoizing features need to replay build effects.  It is output, so it
-    does not steer: a push is no progress for a repetition.
+    does not steer: a push is no progress for a repetition.  A context
+    holding one of exactly this class keeps it as ``ctx.ast``.
     """
 
     steers = False
 
+    def bind(self, ctx: ParseContext) -> None:
+        super().bind(ctx)
+        if type(self) is AstStack:
+            ctx.ast = self
+
 
 def ast_stack(ctx: ParseContext) -> AstStack:
-    """The context's AST stack cell."""
+    """The context's AST stack cell, by a checked lookup; also ``ctx.ast``."""
     return ctx.state(AstStack)
 
 
@@ -230,11 +238,12 @@ class Choice(Parser):
 
 
 class ZeroMore(Parser):
-    """Repeat the child until it fails; always succeeds."""
+    """Repeat the child until it fails; always succeeds.
 
-    #: The child's :meth:`~txpeg.core.Parser.char_test`, which freeze sets
-    #: on its private copy: the repetition is then one :func:`_scan_run`.
-    scan: Optional[Callable[[str], bool]] = None
+    Freeze sets ``scan`` on its private copy to the child's
+    :meth:`~txpeg.core.Parser.char_test`: the repetition is then one
+    :func:`_scan_run`.
+    """
 
     def __init__(self, child: Parser):
         self.children = (child,)
@@ -250,14 +259,6 @@ class ZeroMore(Parser):
             step = ctx.snapshot()
         return True
 
-    def skip(self, ctx: ParseContext) -> None:
-        # Muted, a scan builds nothing and its outcome is ignored, so the
-        # scan alone does the whole skip.
-        if self.scan is None:
-            Parser.skip(self, ctx)
-        else:
-            _scan_run(ctx, self.scan)
-
     def nullable(self, child_nullable) -> bool:
         return True
 
@@ -269,8 +270,6 @@ class ZeroMore(Parser):
 
 class OneMore(Parser):
     """The child once, then :class:`ZeroMore`'s loop: ``e+`` is ``e e*``."""
-
-    scan: Optional[Callable[[str], bool]] = None
 
     def __init__(self, child: Parser):
         self.children = (child,)
@@ -285,8 +284,6 @@ class OneMore(Parser):
 
     first = Parser.children_first
     specialise = ZeroMore.specialise
-    # A scan that matches nothing fails, which a skip ignores.
-    skip = ZeroMore.skip
 
 
 def _scan_run(ctx: ParseContext, scan: Callable[[str], bool],
@@ -501,16 +498,19 @@ DEFAULT_WHITESPACE: Parser
 
 
 class Whitespace(Parser):
-    """Skip the parse-wide whitespace parser (or the default), through its
-    :meth:`~txpeg.core.Parser.skip`.
+    """Skip the parse-wide whitespace parser (or the default): by its
+    ``scan`` alone, or else through its :meth:`~txpeg.core.Parser.skip`.
 
     Whitespace is expected to always succeed; a failing custom whitespace
-    parser is treated as matching nothing.
+    parser, or a scan that matches nothing, is treated as matching nothing.
     """
 
     def parse(self, ctx: ParseContext) -> bool:
-        ws = ctx.whitespace
-        (DEFAULT_WHITESPACE if ws is None else ws).skip(ctx)
+        ws = DEFAULT_WHITESPACE if ctx.whitespace is None else ctx.whitespace
+        if ws.scan is None:
+            ws.skip(ctx)
+        else:
+            _scan_run(ctx, ws.scan)
         return True
 
 
@@ -569,7 +569,7 @@ class Capture(Parser):
         start = ctx.position
         if not self.children[0].parse(ctx):
             return False
-        ast_stack(ctx).push(ctx.text[start:ctx.position])
+        ctx.ast.push(ctx.text[start:ctx.position])
         return True
 
     first = Parser.children_first
@@ -586,7 +586,7 @@ class Collect(Parser):
         self.children = (child,)
 
     def parse(self, ctx: ParseContext) -> bool:
-        ast = ast_stack(ctx)
+        ast = ctx.ast
         depth = ast.size
         if not self.children[0].parse(ctx):
             return False
@@ -610,7 +610,7 @@ class Build(Parser):
         self.make = make
 
     def parse(self, ctx: ParseContext) -> bool:
-        ast = ast_stack(ctx)
+        ast = ctx.ast
         start = ctx.position
         depth = ast.size
         if not self.children[0].parse(ctx):
@@ -641,7 +641,7 @@ class OptValue(Parser):
         self.children = (child,)
 
     def parse(self, ctx: ParseContext) -> bool:
-        ast = ast_stack(ctx)
+        ast = ctx.ast
         depth = ast.size
         if not self.children[0].parse(ctx):
             ast.push(None)

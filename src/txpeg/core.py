@@ -178,10 +178,14 @@ class Parser:
     behaviour by overriding :meth:`nullable`, :meth:`left_children`,
     :meth:`first` and :meth:`char_test`, and may adapt its frozen copy to
     those facts in :meth:`specialise`.  How it is skipped as the
-    parse-wide whitespace is its :meth:`skip`.
+    parse-wide whitespace is its ``scan``, or else its :meth:`skip`.
     """
 
     children: tuple = ()
+
+    #: A one-character predicate when the parser is a frozen run of the
+    #: characters it accepts, so skipping it as whitespace is one scan.
+    scan: Optional[Callable[[str], bool]] = None
 
     #: Freeze keeps one copy of the nodes of equal class, attributes and
     #: children; a class that keys per-parse state by its own identity,
@@ -284,10 +288,8 @@ class Parser:
         """Run as the parse-wide whitespace: muted, with the outcome ignored.
 
         Scanner probing is not diagnostic, so it must not claim the
-        furthest-failure record.  A class whose parse while muted builds
-        nothing overrides this with the bare work, as a frozen
-        ``zero_more`` or ``one_more`` of a ``char_pred`` does with its
-        scan.
+        furthest-failure record.  A parser with a ``scan`` is skipped by
+        that scan alone, and this is not called.
         """
         ctx.muted += 1
         try:
@@ -323,8 +325,10 @@ class ParseContext:
     ``furthest_at`` and ``furthest_cause``, the furthest-failure record
     (:meth:`fail`), which :meth:`furthest_failure` reads;
     ``muted``, nonzero while failures are kept out of the record;
-    ``seeds``, the left-recursive calls in flight; and ``whitespace``, the
-    parse-wide whitespace parser, or None for the default.
+    ``seeds``, the left-recursive calls in flight; ``whitespace``, the
+    parse-wide whitespace parser, or None for the default; and ``ast``, the
+    cell of exactly :class:`~txpeg.combinators.AstStack`, which binds itself
+    there, or a stand-in that raises what ``state`` raises on any use.
 
     No character stands at the end of input: a parser reads ``text`` only
     below ``input_length``, or through ``str.startswith``, which is bounded
@@ -368,6 +372,7 @@ class ParseContext:
         # predicates probe with parsers whose failures are expected, and
         # recording them would bury the real error under scanner noise.
         self.muted = 0
+        self.ast = _NO_AST_STACK
         for cell in self._cells:
             cell.bind(self)
         # The trail length a repetition holds once it has folded in an
@@ -519,6 +524,16 @@ class ParseContext:
                     held.add(id(cell))
                     kept += (cell, prior)
             trail[mark:] = kept
+
+
+class _NoAstStack:
+    """``ParseContext.ast`` while no AST stack is registered."""
+
+    def __getattr__(self, name):
+        raise ConfigurationError("no state cell of class AstStack registered")
+
+
+_NO_AST_STACK = _NoAstStack()
 
 
 def _stale() -> ContractViolationError:

@@ -91,9 +91,9 @@ class IndentMap(InertState):
         """The indentation width of the line holding ``offset``; but -1 if
         ``end`` is not negative and that indentation does not end there."""
         text = self.text
-        i = text.rfind("\n", 0, offset) + 1
+        i, size = text.rfind("\n", 0, offset) + 1, len(text)
         width = 0
-        while i < len(text):
+        while i < size:
             ch = text[i]
             if ch == " ":
                 width += 1
@@ -107,8 +107,8 @@ class IndentMap(InertState):
     def entry_at(self, offset: int) -> IndentEntry:
         """The indentation of the line holding ``offset``."""
         text = self.text
-        end = text.rfind("\n", 0, offset) + 1
-        while end < len(text) and text[end] in " \t":
+        end, size = text.rfind("\n", 0, offset) + 1, len(text)
+        while end < size and text[end] in " \t":
             end += 1
         return IndentEntry(self._width(offset), end)
 

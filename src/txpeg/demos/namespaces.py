@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from typing import NamedTuple, Optional
 
-from ..combinators import and_do, ast_stack, perform, predicate
+from ..combinators import and_do, perform, predicate
 from ..core import ContractViolationError, ParseContext, Parser
 from ..states import MonotonicStack, StackState
 
@@ -123,13 +123,13 @@ def _expect_name(value, what: str) -> str:
 
 
 def _register_type(ctx: ParseContext) -> None:
-    name = _expect_name(ast_stack(ctx).at(0), "type registration")
+    name = _expect_name(ctx.ast.at(0), "type registration")
     ctx.state(TypeStack).push(TypeRecord(name))
 
 
 def _register_alias(ctx: ParseContext) -> None:
     # The AST stack holds the aliased name on top and the new name below.
-    ast = ast_stack(ctx)
+    ast = ctx.ast
     source = _expect_name(ast.at(0), "alias registration")
     name = _expect_name(ast.at(1), "alias registration")
     ctx.state(TypeStack).push(TypeRecord(name, priv_of(ctx, source)))
@@ -181,7 +181,7 @@ class ClassDef(Parser):
         self.children = (body,)
 
     def parse(self, ctx: ParseContext) -> bool:
-        ast = ast_stack(ctx)
+        ast = ctx.ast
         parent: Optional[str] = ast.at(0)
         if parent is not None:
             parent = _expect_name(parent, "class definition superclass")
@@ -214,7 +214,7 @@ def _finish_class(placeholder: TypeRecord, *priv: TypeRecord) -> TypeRecord:
 
 def _inherit_from_superclass(ctx: ParseContext) -> None:
     # The argument list sits on top by the time the body starts.
-    inherit(ctx, _expect_name(ast_stack(ctx).at(1), "anonymous class body"))
+    inherit(ctx, _expect_name(ctx.ast.at(1), "anonymous class body"))
 
 
 def anon_class_inherit() -> Parser:
@@ -231,12 +231,12 @@ class_def = ClassDef
 
 
 def _top_names_a_type(ctx: ParseContext) -> bool:
-    name = _expect_name(ast_stack(ctx).peek(), "type guard")
+    name = _expect_name(ctx.ast.peek(), "type guard")
     return is_type(ctx, name)
 
 
 def _not_a_type(ctx: ParseContext) -> str:
-    return f"{ast_stack(ctx).peek()!r} does not name a visible type"
+    return f"{ctx.ast.peek()!r} does not name a visible type"
 
 
 def names_a_type() -> Parser:

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from ..combinators import (
     and_do,
-    ast_stack,
     capture,
     char_pred,
     literal,
@@ -43,7 +42,7 @@ class RunTally(CopyState):
 
 
 def _push_start(ctx: ParseContext) -> None:
-    ast_stack(ctx).push(ctx.position)
+    ctx.ast.push(ctx.position)
 
 
 def _letter_run(ch: str) -> Parser:
@@ -54,15 +53,15 @@ def _letter_run(ch: str) -> Parser:
 
 
 def _store_run(ctx: ParseContext) -> None:
-    ctx.state(RunTally).set("n", ctx.position - ast_stack(ctx).pop())
+    ctx.state(RunTally).set("n", ctx.position - ctx.ast.pop())
 
 
 def _run_matches(ctx: ParseContext) -> bool:
-    return ctx.position - ast_stack(ctx).peek() == ctx.state(RunTally).get("n")
+    return ctx.position - ctx.ast.peek() == ctx.state(RunTally).get("n")
 
 
 def _discard_top(ctx: ParseContext) -> None:
-    ast_stack(ctx).pop()
+    ctx.ast.pop()
 
 
 def _counted_run(ch: str) -> Parser:
@@ -95,7 +94,7 @@ class TagStack(StackState):
 
 
 def _push_tag(ctx: ParseContext) -> None:
-    ctx.state(TagStack).push(ast_stack(ctx).pop())
+    ctx.state(TagStack).push(ctx.ast.pop())
 
 
 def _pop_tag(ctx: ParseContext) -> None:

@@ -26,7 +26,7 @@ import copy
 from graphlib import CycleError, TopologicalSorter
 from typing import Callable, NamedTuple, Optional
 
-from .combinators import DEFAULT_WHITESPACE, AstStack
+from .combinators import DEFAULT_WHITESPACE, AstStack, Whitespace
 from .core import (ConfigurationError, ContractViolationError, ParseContext, Parser,
                    Record, TracedContext)
 
@@ -161,7 +161,7 @@ class GrammarDef(Record):
                 twin_of_p.children = tuple(twin(c) for c in p.children)
         nodes = list(copies.values())
         nullable = _nullability(nodes)
-        _check_left_calls(nodes, nullable)
+        _check_left_calls(nodes, nullable, list(self.rules))
         if specialise:
             first = _first_sets(nullable)
             for p in nodes:
@@ -237,10 +237,11 @@ def _nullability(nodes: list[Parser]) -> Callable[[Parser], bool]:
     return is_nullable
 
 
-def _check_left_calls(nodes: list[Parser], nullable: Callable[[Parser], bool]) -> None:
+def _check_left_calls(nodes: list[Parser], nullable: Callable[[Parser], bool],
+                      order: list[str]) -> None:
     """Reject a cycle in the left-call graph of ``nodes``, naming it by the
-    rule each reference on it enters, or by the reprs of its nodes when it
-    passes through no reference."""
+    rule each reference on it enters, from the first in ``order``, or by
+    the reprs of its nodes when it passes through no reference."""
     # The sorter puts each node before its left children and reports a
     # cycle in call order, its first node again last.  Given the nodes in
     # freeze's order and each node's edges in its own order, it reports the
@@ -252,13 +253,14 @@ def _check_left_calls(nodes: list[Parser], nullable: Callable[[Parser], bool]) -
     try:
         graph.prepare()
     except CycleError as err:
-        # The name starts at the rule that the cycle's closing reference
-        # enters, the one its first node is in.  A parser that holds
-        # itself makes a cycle through no reference.
+        # The two freezes order the graph differently, so the sorter may start
+        # the same cycle anywhere; the name starts at a fixed rule instead.
+        # A parser that holds itself makes a cycle through no reference.
         node = {id(p): p for p in nodes}
         on_cycle = [node[k] for k in err.args[1][:-1]]
         names = [p.name for p in on_cycle if isinstance(p, RuleRef)]
-        cycle = (names[-1:] + names[:-1]) or [repr(p) for p in on_cycle]
+        i = names.index(min(names, key=order.index)) if names else 0
+        cycle = (names[i:] + names[:i]) or [repr(p) for p in on_cycle]
         raise ConfigurationError(
             "left-recursive cycle without a leftrec annotation: "
             + " -> ".join(cycle + cycle[:1])
@@ -338,13 +340,12 @@ def run_parse(grammar: FrozenGrammar, text: str, partial: bool = False,
     else:
         ctx = TracedContext(text, trace, cells, grammar.whitespace)
     try:
-        grammar.whitespace.skip(ctx)
+        Whitespace().parse(ctx)
         matched = grammar.root_parser.parse(ctx)
     except RecursionError:
         return _failed(ctx, ctx.position, "input nests too deeply")
     if matched and (partial or ctx.position >= ctx.input_length):
-        ast = ctx.state(AstStack)
-        values = ast.values()
+        values = ctx.ast.values()
         values.reverse()
         return ParseOutcome(True, ast=values, end_position=ctx.position)
     if matched:

@@ -31,7 +31,9 @@ from txpeg.combinators import (
     word,
     zero_more,
 )
-from txpeg.core import ContractViolationError, ParseContext, Parser, TracedContext
+from txpeg.core import (
+    ConfigurationError, ContractViolationError, ParseContext, Parser, TracedContext,
+)
 from txpeg.demos.examply import examply_grammar
 from txpeg.demos.smoke import tags_grammar
 from txpeg.grammar import GrammarDef, run_parse
@@ -525,6 +527,18 @@ def test_opt_value_pushes_value_or_none():
     ctx2 = ctx_for("y")
     assert opt_value(capture(literal("x"))).parse(ctx2)
     assert ast_stack(ctx2).pop() is None
+
+
+@pytest.mark.parametrize("make", [
+    capture, collect, lambda child: build(child, 1, node("One")), opt_value,
+], ids=["capture", "collect", "build", "opt_value"])
+def test_ast_parsers_need_an_ast_stack(make):
+    # ``ctx.ast`` stands in for the missing cell and raises what the
+    # registry raises, not an AttributeError of None.
+    ctx = ParseContext("x", cells=[StackState()])
+    with pytest.raises(ConfigurationError,
+                       match="no state cell of class AstStack registered"):
+        make(capture(literal("x"))).parse(ctx)
 
 
 def test_opt_value_demands_exactly_one_push():

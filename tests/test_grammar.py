@@ -14,9 +14,9 @@ from txpeg.core import (
 )
 from txpeg.demos.examply import examply_cells, examply_grammar
 from txpeg.demos.expr import expr_grammar, expr_rules
-from txpeg.demos.macro import composed_rules, macro_rules
-from txpeg.demos.smoke import tags_grammar
-from txpeg.grammar import GrammarDef, RuleRef, line_col, ref, run_parse
+from txpeg.demos.macro import composed_grammar, composed_rules, macro_grammar, macro_rules
+from txpeg.demos.smoke import anbncn_grammar, tags_grammar
+from txpeg.grammar import FrozenGrammar, GrammarDef, RuleRef, line_col, ref, run_parse
 from txpeg.leftrec import leftrec
 from txpeg.states import CopyState
 
@@ -312,3 +312,48 @@ def test_deep_nesting_fails_with_a_located_error(grammar, text):
     assert err.message == "input nests too deeply"
     assert 0 < err.position <= len(text)
     assert (err.line, err.column) == line_col(text, err.position)
+
+
+class _SeesTheAstStack(Parser):
+    """Succeeds at once, keeping the context it ran in; a frozen copy keeps
+    it in the same list."""
+
+    def __init__(self):
+        self.seen = []
+
+    def parse(self, ctx):
+        self.seen.append(ctx)
+        return True
+
+
+@pytest.mark.parametrize("factory", [
+    examply_grammar, expr_grammar, tags_grammar, anbncn_grammar, macro_grammar,
+    composed_grammar,
+])
+def test_the_ast_attribute_is_the_registered_ast_stack(factory):
+    grammar = factory()
+    probe = _SeesTheAstStack()
+    rules = {**grammar.rules, "probe": probe}
+    run_parse(FrozenGrammar(rules, "probe", grammar.whitespace, grammar.cell_factories),
+              "", partial=True)
+    [ctx] = probe.seen
+    assert ctx.ast is ctx.state(AstStack)
+
+
+class _OwnAstStack(AstStack):
+    pass
+
+
+def test_the_exact_ast_stack_class_wins_over_a_subclass():
+    probe = _SeesTheAstStack()
+    run_parse(GrammarDef({"top": probe}, "top", cells=(_OwnAstStack,)).freeze(), "")
+    [ctx] = probe.seen
+    assert type(ctx.ast) is AstStack and ctx.ast is ctx.state(AstStack)
+    assert ctx.state(_OwnAstStack) is not ctx.ast
+    for cells in ([AstStack(), _OwnAstStack()], [_OwnAstStack(), AstStack()]):
+        ctx = ParseContext("", cells)
+        assert ctx.ast is ctx.state(AstStack)
+    alone = ParseContext("", [_OwnAstStack()])
+    for use in (lambda: alone.state(AstStack), lambda: alone.ast.size):
+        with pytest.raises(ConfigurationError, match="no state cell of class AstStack"):
+            use()

@@ -31,6 +31,7 @@ a subset of the plain run's work, so it needs no budget of its own.
 import json
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -271,3 +272,18 @@ def test_a_successful_lookahead_keeps_no_failure_a_skipped_choice_would_record()
     frozen, plain = freeze_both(specs)
     assert outcome(frozen, "aa") == outcome(plain, "aa") == (
         False, 0, (0, "expected 'b'"), None)
+
+
+def test_both_freezes_name_a_cycle_from_the_same_rule():
+    # Seed 228 draws r0 and r1 with one body, which the specialised freeze
+    # shares, and r1 -> r2 -> r1 as its only left-call cycle: the two
+    # graphs order their nodes differently, and both must start the name
+    # at r1, the cycle's first rule in grammar order.
+    specs = random_grammar(random.Random(228))
+    messages = set()
+    for specialise in (True, False):
+        rules = {name: build(spec) for name, spec in specs.items()}
+        with pytest.raises(ConfigurationError) as err:
+            GrammarDef(rules, NAMES[0]).freeze(specialise=specialise)
+        messages.add(str(err.value))
+    assert messages == {"left-recursive cycle without a leftrec annotation: r1 -> r2 -> r1"}
