@@ -106,16 +106,22 @@ class AstStack(MonotonicStack):
     Parsers push onto it and only ever pop what they pushed themselves,
     which keeps its diffs graftable: exactly what left recursion and
     memoizing features need to replay build effects.  It is output, so it
-    does not steer: a push is no progress for a repetition.  A context
-    holding one of exactly this class keeps it as ``ctx.ast``.
+    does not steer: a push is no progress for a repetition.
+
+    A context holding one of exactly this class keeps it as ``ctx.ast``
+    and saves its top in each snapshot, beside the position, the way the
+    Warren Abstract Machine saves its heap top in a choice point instead
+    of trailing the heap.  So that cell joins no trail and logs nothing;
+    every other cell, a subclass of this one too, lives on the trail.
     """
 
     steers = False
 
     def bind(self, ctx: ParseContext) -> None:
-        super().bind(ctx)
         if type(self) is AstStack:
             ctx.ast = self
+        else:
+            super().bind(ctx)
 
 
 def ast_stack(ctx: ParseContext) -> AstStack:

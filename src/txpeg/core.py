@@ -7,7 +7,7 @@ transactional: it either succeeds, or it fails having restored the
 position and every cell to their values at its entry.  The context offers
 the aggregate operations that make the discipline cheap to follow:
 
-* :meth:`ParseContext.snapshot` marks the current position and trail,
+* :meth:`ParseContext.snapshot` marks the position, AST top and trail,
 * :meth:`ParseContext.restore` rewinds to a snapshot,
 * :meth:`ParseContext.diff` packages the work done since a snapshot,
 * :meth:`ParseContext.merge` replays such a package later,
@@ -16,20 +16,24 @@ the aggregate operations that make the discipline cheap to follow:
 
 The context keeps one undo trail, the append-only change log of
 :mod:`txpeg.logmodel` made operational as in the trail of the Warren
-Abstract Machine: before a cell changes its content it appends itself and
-its prior version (:meth:`StateCell.record`).  A snapshot is just the
-position and the trail's length, and a restore pops the trail back to
-that length, handing each popped version back to its cell, so cells that
-nobody touched are never visited.  Repetitions fold each finished
-iteration's entries into one per cell, which keeps the trail as long as
-the nesting is deep, not as the input is long; once a repetition holds an
-entry for every cell that logs, an iteration's entries are dropped in
-O(1).  Diff, merge and retract walk the same trail: a delta carries one
-entry per cell logged since its snapshot, and a retract hands each such
-cell its version at the snapshot directly.  A cell that never logs (an
-:class:`~txpeg.states.InertState`) is never visited by any of these
-operations.  A :class:`TracedContext` runs the same operations and
-reports each one to a ``trace`` callable.
+Abstract Machine: before a cell changes its content it appends itself
+and its prior version (:meth:`StateCell.record`).  A snapshot is just
+the position, the AST stack's top and the trail's length, and a restore
+sets the first two back and pops the trail back to that length, handing
+each popped version back to its cell, so cells that nobody touched are
+never visited.  The AST stack is output that only grows above a live
+snapshot, as the WAM's heap does above a choice point, so, like the heap
+top, its top is saved in the snapshot and never trailed; the trail holds
+every other cell.  Repetitions fold each finished iteration's entries
+into one per cell, which keeps the trail as long as the nesting is deep,
+not as the input is long; once a repetition holds an entry for every
+cell that logs, an iteration's entries are dropped in O(1).  Diff, merge
+and retract walk the same trail: a delta carries one entry per cell
+logged since its snapshot, plus the values pushed on the AST stack since
+then, and a retract hands each such cell its version at the snapshot
+directly.  A cell that never logs (an :class:`~txpeg.states.InertState`)
+is never visited by any of these operations.  A :class:`TracedContext`
+runs the same operations and reports each one to a ``trace`` callable.
 
 A parse returns only ``True`` or ``False``.  A failure allocates nothing:
 :meth:`ParseContext.fail` keeps its position and cause in two slots of the
@@ -136,11 +140,13 @@ class StateCell:
 class AggregateDelta(NamedTuple):
     """The work done since a snapshot: end position plus a (cell, delta)
     pair for each cell logged on the trail since then; ``registry`` is the
-    context's trail, which tags the delta as that context's own."""
+    context's trail, which tags the delta as that context's own; ``ast``,
+    the values pushed on the AST stack since then, bottom to top."""
 
     end_position: int
     cells: tuple
     registry: list
+    ast: tuple = ()
 
 
 class Record:
@@ -340,6 +346,9 @@ class ParseContext:
     ``ctx.state(IndentStack)``.  Registering a cell binds it to the
     context (:meth:`StateCell.bind`), by default to the trail that every
     transaction operation walks; the registry itself is only for lookup.
+    A snapshot is the position, the top of ``ast`` and the trail's mark:
+    the AST stack is handled as a register, as the position is, and the
+    trail holds every other cell.
     The furthest-failure record is deliberately outside the transaction:
     backtracking must not erase the best diagnostic seen so far.  So is
     ``seeds`` (:mod:`txpeg.leftrec`): each call removes its own key on exit.
@@ -415,18 +424,18 @@ class ParseContext:
 
     # -- aggregate transactions ---------------------------------------------
     #
-    # A snapshot is the tuple (position, trail length, trail).  It stays
-    # valid until the context restores to an older snapshot, or until a
-    # repetition that was already running when it was taken ends an
+    # A snapshot is the tuple (position, trail length, trail, AST top).  It
+    # stays valid until the context restores to an older snapshot, or until
+    # a repetition that was already running when it was taken ends an
     # iteration; parsers only hold snapshots while their own call runs, so
     # neither happens to a snapshot still in use.  Restoring one whose mark
     # lies past the end of the trail raises ContractViolationError.
 
     def snapshot(self) -> tuple:
-        return (self.position, len(self._trail), self._trail)
+        return (self.position, len(self._trail), self._trail, self.ast._top)
 
     def _mark(self, snap: tuple) -> int:
-        _, mark, trail = snap
+        _, mark, trail, _ = snap
         if trail is not self._trail:
             raise ContractViolationError("snapshot belongs to a different context")
         if mark > len(trail):
@@ -435,7 +444,7 @@ class ParseContext:
 
     def restore(self, snap: tuple) -> None:
         # The checks of _mark, inline: restore is on every failure path.
-        position, mark, trail = snap
+        position, mark, trail, top = snap
         if trail is not self._trail:
             raise ContractViolationError("snapshot belongs to a different context")
         if len(trail) != mark:
@@ -444,6 +453,9 @@ class ParseContext:
             while len(trail) > mark:
                 prior = trail.pop()
                 trail.pop().cell_restore(prior)
+        ast = self.ast
+        if ast._top is not top:
+            ast._top = top
         self.position = position
 
     def _entries(self, start: int) -> zip:
@@ -459,22 +471,30 @@ class ParseContext:
             first.setdefault(id(item[0]), item)
         return first
 
+    def _pushed(self, top) -> tuple:
+        """The values pushed on the AST stack above ``top``, bottom to top."""
+        ast = self.ast
+        return () if ast._top is top else ast.cell_diff(top)
+
     def diff(self, snap: tuple) -> AggregateDelta:
         first = self._first_entries(self._mark(snap)).values()
         cells = tuple((cell, cell.cell_diff(prior)) for cell, prior in first)
-        return AggregateDelta(self.position, cells, self._trail)
+        return AggregateDelta(self.position, cells, self._trail, self._pushed(snap[3]))
 
     def retract(self, snap: tuple) -> AggregateDelta:
         """``d = diff(snap); restore(snap); return d``, in one trail walk:
         each logged cell is handed its version at the mark directly."""
+        position, _, _, top = snap
         mark = self._mark(snap)
         first = self._first_entries(mark).values()
         cells = tuple((cell, cell.cell_diff(prior)) for cell, prior in first)
-        delta = AggregateDelta(self.position, cells, self._trail)
+        delta = AggregateDelta(self.position, cells, self._trail, self._pushed(top))
         for cell, prior in first:
             cell.cell_restore(prior)
         del self._trail[mark:]
-        self.position = snap[0]
+        if delta.ast:
+            self.ast._top = top
+        self.position = position
         return delta
 
     def merge(self, delta: AggregateDelta) -> None:
@@ -483,6 +503,8 @@ class ParseContext:
         for cell, d in delta.cells:
             cell.record()
             cell.cell_merge(d)
+        if delta.ast:
+            self.ast.cell_merge(delta.ast)
         self.position = delta.end_position
 
     def _unchanged_after(self, mark: int) -> bool:
@@ -508,7 +530,7 @@ class ParseContext:
         it holds one for every cell that logs here, the fold would keep
         nothing, and the iteration's entries are dropped in O(1).
         """
-        position, mark, trail = step
+        position, mark, trail, _ = step
         if self.position == position and self._unchanged_after(mark):
             raise ContractViolationError(
                 f"{parser!r} iteration succeeded without consuming input "
@@ -527,7 +549,12 @@ class ParseContext:
 
 
 class _NoAstStack:
-    """``ParseContext.ast`` while no AST stack is registered."""
+    """``ParseContext.ast`` while no AST stack is registered.  One instance
+    serves every context, so it holds nothing: its ``_top`` is always None,
+    which a snapshot saves and a restore never has to write back."""
+
+    __slots__ = ()
+    _top = None
 
     def __getattr__(self, name):
         raise ConfigurationError("no state cell of class AstStack registered")

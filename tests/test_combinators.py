@@ -493,9 +493,10 @@ def test_build_arity_violation_raises():
         p.parse(ctx)
 
 
-def test_build_and_collect_log_their_replacement_as_one_change():
-    # A snapshot's second field is the trail length; one trail entry is two
-    # slots, the cell and its prior version.
+def test_build_and_collect_replace_on_the_ast_stack_without_logging():
+    # A snapshot's second field is the trail length, and its last the AST
+    # stack's top: the AST stack rides in the snapshot, not on the trail,
+    # so the replacement logs nothing and one restore rewinds it.
     three = seq(capture(literal("a")), capture(literal("b")), capture(literal("c")))
     cases = [
         (build(three, 2, node("Pair")), [AstNode("Pair", ("b", "c"), (0, 3)), "a", "below"]),
@@ -505,12 +506,12 @@ def test_build_and_collect_log_their_replacement_as_one_change():
         ctx = ctx_for("abc")
         ast_stack(ctx).push("below")
         snap = ctx.snapshot()
-        assert three.parse(ctx)
-        pushed = ctx.snapshot()[1] - snap[1]
-        ctx.restore(snap)
         assert replacing.parse(ctx)
-        assert ctx.snapshot()[1] - snap[1] == pushed + 2
+        assert ctx.snapshot()[1] == snap[1] == 0
         assert ast_stack(ctx).values() == stacked
+        ctx.restore(snap)
+        assert (ctx.position, ast_stack(ctx).values()) == (0, ["below"])
+        assert ctx.snapshot() == snap
 
 
 def test_build_failure_propagates_cleanly():

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from txpeg.combinators import (
+    AstStack,
     build,
     capture,
     char_pred,
@@ -218,12 +219,13 @@ def test_traced_snapshot_round_trips_like_untraced():
         restored = (ctx.position, stack.values(), counter.get("n"))
         ctx.merge(delta)
         merged = (ctx.position, stack.values(), counter.get("n"))
-        # The snapshot marks the trail after its one entry, the "keep"
-        # push as (cell, prior version); the inert cell is never logged.
+        # The snapshot is (position, trail length, trail, AST top).  It
+        # marks the trail after its one entry, the "keep" push as (cell,
+        # prior version); the inert cell is never logged.
         seen.append((type(ctx), len(snap), snap[1], restored, merged))
     plain, traced = seen
     assert (plain[0], traced[0]) == (ParseContext, TracedContext)
-    assert plain[1:] == traced[1:] == (3, 2, (0, ["keep"], 0), (4, ["drop", "keep"], 9))
+    assert plain[1:] == traced[1:] == (4, 2, (0, ["keep"], 0), (4, ["drop", "keep"], 9))
     assert [line.split()[0] for line in lines] == ["snapshot", "diff", "restore", "merge"]
     assert all(line.split()[2] == "CNotes" for line in lines)
 
@@ -647,3 +649,151 @@ def test_traced_retract_reports_its_diff_and_restore():
     delta = ctx.retract(snap)
     assert [line.split()[0] for line in lines] == ["snapshot", "diff", "restore"]
     assert (delta.end_position, ctx.position, tally.count) == (1, 0, 0)
+
+
+# -- the AST stack, saved in each snapshot --------------------------------
+
+
+class LoggedAst(AstStack):
+    """An AST stack that lives on the trail, as every other cell does: a
+    subclass is not ``ctx.ast``, so the snapshot does not carry its top."""
+
+
+def _ast_ctx(ast):
+    return ParseContext("abcdefgh", cells=[ast, RFields(n=0)])
+
+
+def _step(ctx, ast, op, arg, live, loops):
+    """Apply one operation to ``ctx``; ``live`` holds the snapshots that are
+    still valid, oldest first, and ``loops`` each running repetition as the
+    indexes of its entry and step snapshots in ``live``, outermost first.
+    Returns whether the operation raised ContractViolationError."""
+    if op == 0:
+        ast.push(arg)
+    elif op == 1:
+        ast.pop()
+    elif op == 2:
+        ast.replace_above(max(0, ast.size - arg), lambda *v: v)
+    elif op == 3:
+        ast.truncate(max(0, ast.size - arg))
+    elif op == 4:
+        ctx.position = 2 * arg
+    elif op == 5:
+        fields = ctx.state(RFields)
+        fields.set("n", fields.get("n") + 1)
+    elif op == 6:
+        live.append(ctx.snapshot())
+    elif op == 7:
+        loops.append((len(live), len(live)))
+        live.append(ctx.snapshot())
+    elif not live:
+        pass
+    elif op in (8, 9, 10):
+        i = len(live) - 1 - arg % len(live)
+        snap = live[i]
+        try:
+            if op == 8:
+                ctx.restore(snap)
+            elif op == 9:
+                ctx.merge(ctx.diff(snap))
+            else:
+                ctx.merge(ctx.retract(snap))
+        except ContractViolationError as e:
+            assert "no longer reachable" in str(e)
+            return True
+        # A restore to a snapshot keeps it and drops every newer one, and
+        # with them each repetition whose step they held.
+        keep = i + 1 if op != 9 else len(live)
+        del live[keep:]
+        loops[:] = [loop for loop in loops if loop[1] < keep]
+    elif op == 11 and loops:
+        entry, step = loops[-1]
+        try:
+            ctx.end_iteration(live[entry], live[step], "loop")
+        except ContractViolationError as e:
+            assert "without consuming input" in str(e)
+            return True
+        # The fold invalidates every snapshot taken inside the iteration.
+        del live[step:]
+        live.append(ctx.snapshot())
+    return False
+
+
+_ast_ops = st.lists(st.tuples(st.integers(0, 11), st.integers(0, 3)), max_size=40)
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(_ast_ops)
+def test_the_ast_stack_in_the_snapshot_matches_one_on_the_trail(ops):
+    exact, logged = AstStack(), LoggedAst()
+    register, trailed = _ast_ctx(exact), _ast_ctx(logged)
+    assert register.ast is exact and trailed.ast is not logged
+    state = {register: ([], []), trailed: ([], [])}
+    for op, arg in ops:
+        raised = [_step(ctx, ast, op, arg, *state[ctx])
+                  for ctx, ast in ((register, exact), (trailed, logged))]
+        assert raised[0] == raised[1]
+        assert exact.values() == logged.values()
+        assert register.position == trailed.position
+        assert register.state(RFields).get("n") == trailed.state(RFields).get("n")
+    # Only the subclass logs on the trail.
+    assert all(cell is not exact for cell in register._trail[::2])
+
+
+def test_restore_rewinds_the_ast_stack_popped_below_the_snapshot():
+    ast = AstStack("a", "b")
+    ctx = ParseContext("ab", cells=[ast])
+    snap = ctx.snapshot()
+    ast.pop()
+    ast.pop()
+    ast.push("c")
+    ctx.restore(snap)
+    assert ast.values() == ["b", "a"]
+    assert ctx._trail == []
+
+
+def test_diff_and_retract_refuse_an_ast_stack_popped_below_the_snapshot():
+    ast = AstStack("a", "b")
+    ctx = ParseContext("ab", cells=[ast])
+    snap = ctx.snapshot()
+    ast.pop()
+    ast.push("c")
+    ctx.position = 1
+    for op in (ctx.diff, ctx.retract):
+        with pytest.raises(ContractViolationError, match="stack snapshot no longer reachable"):
+            op(snap)
+        assert (ctx.position, ast.values()) == (1, ["c", "a"])
+
+
+def test_a_context_without_an_ast_stack_runs_every_transaction():
+    tally = Tally()
+    ctx = ParseContext("ab", cells=[tally])
+    stand_in = ctx.ast
+    entry = ctx.snapshot()
+    tally.bump()
+    ctx.restore(entry)
+    assert (ctx.position, tally.count) == (0, 0)
+    ctx.position = 1
+    tally.bump()
+    delta = ctx.diff(entry)
+    ctx.restore(entry)
+    ctx.merge(delta)
+    assert (ctx.position, tally.count, delta.ast) == (1, 1, ())
+    step = ctx.snapshot()
+    ctx.position = 2
+    ctx.end_iteration(entry, step, "loop")
+    delta = ctx.retract(entry)
+    assert (ctx.position, tally.count, delta.ast) == (0, 0, ())
+    ctx.merge(delta)
+    assert (ctx.position, tally.count) == (2, 1)
+    with pytest.raises(ConfigurationError, match="AstStack"):
+        ctx.ast.push("x")
+    with pytest.raises(ConfigurationError, match="AstStack"):
+        capture(literal("a")).parse(ParseContext("a"))
+    # One stand-in serves every context, and keeps nothing from a parse.
+    assert ParseContext("").ast is stand_in
+    with pytest.raises(ConfigurationError):
+        getattr(stand_in, "__dict__")
+    with pytest.raises(AttributeError):
+        stand_in._top = "kept"
+    assert stand_in._top is None
