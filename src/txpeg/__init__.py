@@ -8,12 +8,12 @@ corrupting anything.
 
 The interesting pieces:
 
-- :mod:`txpeg.core` — the parse context with its undo trail, the cell
-  contract (snapshot and restore, with whole-version diff and merge by
-  default), and the furthest-failure record.
+- :mod:`txpeg.core` — the parse context with its undo trail and its own
+  AST stack, the cell contract (snapshot and restore, with whole-version
+  diff and merge by default), and the furthest-failure record.
 - :mod:`txpeg.states` — ready-made cell strategies: full-copy, persistent
-  stacks, an append-only stack with graftable diffs, a copy-on-write
-  map, and an inert base for derived data.
+  stacks, an append-only stack with graftable diffs (and the AST stack
+  built on it), a copy-on-write map, and an inert base for derived data.
 - :mod:`txpeg.combinators` — the combinator set plus AST building.
 - :mod:`txpeg.leftrec` — seed-growing left recursion.
 - :mod:`txpeg.grammar` — named rule maps, freezing with its checks of
@@ -23,7 +23,7 @@ The interesting pieces:
   subtraction, and grammar composition.
 """
 
-from .combinators import AstNode, AstStack, ast_stack
+from .combinators import AstNode, AstStack
 from .core import ContractViolationError, ParseContext, Parser, StateCell
 from .grammar import (
     ConfigurationError,
@@ -54,7 +54,6 @@ __all__ = [
     "Parser",
     "StackState",
     "StateCell",
-    "ast_stack",
     "leftrec",
     "ref",
     "run_parse",

@@ -8,8 +8,9 @@ restores even on success.  Custom parsers written against the same
 contract compose freely with everything here.
 
 AST construction is parse state like any other: matched text, nodes and
-collected lists live on a dedicated stack cell (:class:`AstStack`), so
-speculative parses that fail drop their half-built output for free.
+collected lists live on the context's own stack, ``ctx.ast`` (an
+:class:`~txpeg.states.AstStack`), so speculative parses that fail drop
+their half-built output for free.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from __future__ import annotations
 from typing import Any, Callable, Optional, Union
 
 from .core import ASCII, ContractViolationError, ParseContext, Parser, Record
-from .states import MonotonicStack
+from .states import AstStack  # re-exported: the AST parsers' stack
 
 __all__ = [
     "AstNode",
@@ -40,7 +41,6 @@ __all__ = [
     "ZeroMore",
     "ahead",
     "and_do",
-    "ast_stack",
     "build",
     "capture",
     "char_pred",
@@ -98,35 +98,6 @@ class AstNode(Record):
         except (TypeError, ValueError):
             raise TypeError(
                 f"a span is a (start, end) pair or None, not {span!r}") from None
-
-
-class AstStack(MonotonicStack):
-    """The conventional cell for AST output.
-
-    Parsers push onto it and only ever pop what they pushed themselves,
-    which keeps its diffs graftable: exactly what left recursion and
-    memoizing features need to replay build effects.  It is output, so it
-    does not steer: a push is no progress for a repetition.
-
-    A context holding one of exactly this class keeps it as ``ctx.ast``
-    and saves its top in each snapshot, beside the position, the way the
-    Warren Abstract Machine saves its heap top in a choice point instead
-    of trailing the heap.  So that cell joins no trail and logs nothing;
-    every other cell, a subclass of this one too, lives on the trail.
-    """
-
-    steers = False
-
-    def bind(self, ctx: ParseContext) -> None:
-        if type(self) is AstStack:
-            ctx.ast = self
-        else:
-            super().bind(ctx)
-
-
-def ast_stack(ctx: ParseContext) -> AstStack:
-    """The context's AST stack cell, by a checked lookup; also ``ctx.ast``."""
-    return ctx.state(AstStack)
 
 
 def node(kind: str) -> Callable[..., AstNode]:
@@ -505,7 +476,7 @@ DEFAULT_WHITESPACE: Parser
 
 class Whitespace(Parser):
     """Skip the parse-wide whitespace parser (or the default): by its
-    ``scan`` alone, or else through its :meth:`~txpeg.core.Parser.skip`.
+    ``scan`` alone, or else by running it muted, with the outcome ignored.
 
     Whitespace is expected to always succeed; a failing custom whitespace
     parser, or a scan that matches nothing, is treated as matching nothing.
@@ -513,10 +484,16 @@ class Whitespace(Parser):
 
     def parse(self, ctx: ParseContext) -> bool:
         ws = DEFAULT_WHITESPACE if ctx.whitespace is None else ctx.whitespace
-        if ws.scan is None:
-            ws.skip(ctx)
-        else:
+        if ws.scan is not None:
             _scan_run(ctx, ws.scan)
+            return True
+        # Scanner probing is not diagnostic, so it must not claim the
+        # furthest-failure record.
+        ctx.muted += 1
+        try:
+            ws.parse(ctx)
+        finally:
+            ctx.muted -= 1
         return True
 
 

@@ -1,11 +1,12 @@
 """Core engine: state cells, transactions, the parse context.
 
 A parse runs over a :class:`ParseContext` holding the caller's input
-string itself, with no copy and no sentinel, the current position, and a
-fixed registry of mutable state cells.  Every parser invocation is
-transactional: it either succeeds, or it fails having restored the
-position and every cell to their values at its entry.  The context offers
-the aggregate operations that make the discipline cheap to follow:
+string itself, with no copy and no sentinel, the current position, its
+own AST stack, and a fixed registry of mutable state cells.  Every parser
+invocation is transactional: it either succeeds, or it fails having
+restored the position and every cell to their values at its entry.  The
+context offers the aggregate operations that make the discipline cheap
+to follow:
 
 * :meth:`ParseContext.snapshot` marks the position, AST top and trail,
 * :meth:`ParseContext.restore` rewinds to a snapshot,
@@ -21,13 +22,14 @@ and its prior version (:meth:`StateCell.record`).  A snapshot is just
 the position, the AST stack's top and the trail's length, and a restore
 sets the first two back and pops the trail back to that length, handing
 each popped version back to its cell, so cells that nobody touched are
-never visited.  The AST stack is output that only grows above a live
-snapshot, as the WAM's heap does above a choice point, so, like the heap
-top, its top is saved in the snapshot and never trailed; the trail holds
-every other cell.  Repetitions fold each finished iteration's entries
-into one per cell, which keeps the trail as long as the nesting is deep,
-not as the input is long; once a repetition holds an entry for every
-cell that logs, an iteration's entries are dropped in O(1).  Diff, merge
+never visited.  The AST stack is the context's own, as the position is:
+output that only grows above a live snapshot, as the WAM's heap does
+above a choice point, so, like the heap top, its top is saved in the
+snapshot and never trailed; the trail holds every other cell.
+Repetitions fold each finished iteration's entries into one per cell,
+which keeps the trail as long as the nesting is deep, not as the input
+is long; once a repetition holds an entry for every cell that logs, an
+iteration's entries are dropped in O(1).  Diff, merge
 and retract walk the same trail: a delta carries one entry per cell
 logged since its snapshot, plus the values pushed on the AST stack since
 then, and a retract hands each such cell its version at the snapshot
@@ -183,8 +185,8 @@ class Parser:
     and the left-recursion check walks it.  A class states its own static
     behaviour by overriding :meth:`nullable`, :meth:`left_children`,
     :meth:`first` and :meth:`char_test`, and may adapt its frozen copy to
-    those facts in :meth:`specialise`.  How it is skipped as the
-    parse-wide whitespace is its ``scan``, or else its :meth:`skip`.
+    those facts in :meth:`specialise`.  As the parse-wide whitespace it
+    is skipped by its ``scan`` when it has one, or else run muted.
     """
 
     children: tuple = ()
@@ -290,19 +292,6 @@ class Parser:
         (:meth:`first`).  The default does nothing.
         """
 
-    def skip(self, ctx: "ParseContext") -> None:
-        """Run as the parse-wide whitespace: muted, with the outcome ignored.
-
-        Scanner probing is not diagnostic, so it must not claim the
-        furthest-failure record.  A parser with a ``scan`` is skipped by
-        that scan alone, and this is not called.
-        """
-        ctx.muted += 1
-        try:
-            self.parse(ctx)
-        finally:
-            ctx.muted -= 1
-
     def left_children(self, nullable: Callable[["Parser"], bool]) -> tuple:
         """The children this parser can invoke at its own entry position;
         ``LeftRec``, which allows its own re-entry, returns none."""
@@ -333,8 +322,8 @@ class ParseContext:
     ``muted``, nonzero while failures are kept out of the record;
     ``seeds``, the left-recursive calls in flight; ``whitespace``, the
     parse-wide whitespace parser, or None for the default; and ``ast``, the
-    cell of exactly :class:`~txpeg.combinators.AstStack`, which binds itself
-    there, or a stand-in that raises what ``state`` raises on any use.
+    context's own :class:`~txpeg.states.AstStack`, which the AST parsers
+    write.
 
     No character stands at the end of input: a parser reads ``text`` only
     below ``input_length``, or through ``str.startswith``, which is bounded
@@ -343,12 +332,14 @@ class ParseContext:
 
     The cell registry is fixed at construction; cells are looked up by
     their exact class, so a grammar addresses "the indentation stack" as
-    ``ctx.state(IndentStack)``.  Registering a cell binds it to the
-    context (:meth:`StateCell.bind`), by default to the trail that every
+    ``ctx.state(IndentStack)``.  It starts with ``ast`` under
+    :class:`~txpeg.states.AstStack`, so a given cell of exactly that class
+    is a duplicate.  Registering a cell binds it to the context
+    (:meth:`StateCell.bind`), by default to the trail that every
     transaction operation walks; the registry itself is only for lookup.
-    A snapshot is the position, the top of ``ast`` and the trail's mark:
-    the AST stack is handled as a register, as the position is, and the
-    trail holds every other cell.
+    ``ast`` is never bound: a snapshot is the position, the top of ``ast``
+    and the trail's mark, so the AST stack is handled as a register, as
+    the position is, and the trail holds every other cell.
     The furthest-failure record is deliberately outside the transaction:
     backtracking must not erase the best diagnostic seen so far.  So is
     ``seeds`` (:mod:`txpeg.leftrec`): each call removes its own key on exit.
@@ -367,7 +358,8 @@ class ParseContext:
         # prior version, ...  Its identity also tags snapshots and deltas
         # as this context's own.
         self._trail: list = []
-        self._by_type: dict[type, StateCell] = {}
+        self.ast = AstStack()
+        self._by_type: dict[type, StateCell] = {AstStack: self.ast}
         for cell in self._cells:
             t = type(cell)
             if t in self._by_type:
@@ -381,7 +373,6 @@ class ParseContext:
         # predicates probe with parsers whose failures are expected, and
         # recording them would bury the real error under scanner noise.
         self.muted = 0
-        self.ast = _NO_AST_STACK
         for cell in self._cells:
             cell.bind(self)
         # The trail length a repetition holds once it has folded in an
@@ -401,8 +392,8 @@ class ParseContext:
 
     def fail(self, position: int, cause) -> bool:
         """Record the failure if :meth:`would_record`; return ``False``.  The
-        ``cause`` is a message, a function of no arguments or the failing parser
-        (:meth:`Parser.expected`), built into a message only when it is read."""
+        ``cause`` is a message or the failing parser, whose
+        :meth:`Parser.expected` builds the message only when it is read."""
         if not self.muted and position >= self.furthest_at:
             self.furthest_at = position
             self.furthest_cause = cause
@@ -418,8 +409,6 @@ class ParseContext:
         cause = self.furthest_cause
         if isinstance(cause, Parser):
             cause = cause.expected()
-        elif callable(cause):
-            cause = self.furthest_cause = cause()
         return None if self.furthest_at < 0 else (self.furthest_at, cause)
 
     # -- aggregate transactions ---------------------------------------------
@@ -453,9 +442,7 @@ class ParseContext:
             while len(trail) > mark:
                 prior = trail.pop()
                 trail.pop().cell_restore(prior)
-        ast = self.ast
-        if ast._top is not top:
-            ast._top = top
+        self.ast._top = top
         self.position = position
 
     def _entries(self, start: int) -> zip:
@@ -492,8 +479,7 @@ class ParseContext:
         for cell, prior in first:
             cell.cell_restore(prior)
         del self._trail[mark:]
-        if delta.ast:
-            self.ast._top = top
+        self.ast._top = top
         self.position = position
         return delta
 
@@ -548,21 +534,6 @@ class ParseContext:
             trail[mark:] = kept
 
 
-class _NoAstStack:
-    """``ParseContext.ast`` while no AST stack is registered.  One instance
-    serves every context, so it holds nothing: its ``_top`` is always None,
-    which a snapshot saves and a restore never has to write back."""
-
-    __slots__ = ()
-    _top = None
-
-    def __getattr__(self, name):
-        raise ConfigurationError("no state cell of class AstStack registered")
-
-
-_NO_AST_STACK = _NoAstStack()
-
-
 def _stale() -> ContractViolationError:
     return ContractViolationError("stale snapshot: the context has restored past it")
 
@@ -571,7 +542,8 @@ class TracedContext(ParseContext):
     """A context that reports every snapshot, restore, diff and merge.
 
     Each operation runs the plain one, then passes ``trace`` one line: the
-    operation, the position, and the summary of every registered cell.
+    operation, the position, and the summary of every registered cell,
+    then of the AST stack.
     The plain :class:`ParseContext` carries no tracing check at all.
     """
 
@@ -606,5 +578,10 @@ class TracedContext(ParseContext):
         return delta
 
     def _emit(self, op: str) -> None:
-        cells = " ".join(c.summary() for c in self._cells)
-        self.trace(f"{op} pos={self.position}" + (f" {cells}" if cells else ""))
+        cells = " ".join(c.summary() for c in (*self._cells, self.ast))
+        self.trace(f"{op} pos={self.position} {cells}")
+
+
+# The AST stack is a MonotonicStack, and txpeg.states builds its strategies
+# on StateCell above, so it can only be imported once this module is done.
+from .states import AstStack  # noqa: E402

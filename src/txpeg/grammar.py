@@ -14,10 +14,9 @@ existing bodies, grammars can be merged or extended without touching
 the bodies themselves, and grammars built from the same rule objects
 stay independent.
 
-:func:`run_parse` owns the per-parse plumbing: fresh state cells, the AST
-stack, leading whitespace, and the full-match discipline.  Its outcome
-carries either the final AST stack or the furthest failure mapped to line
-and column.
+:func:`run_parse` owns the per-parse plumbing: fresh state cells, leading
+whitespace, and the full-match discipline.  Its outcome carries either
+the final AST stack or the furthest failure mapped to line and column.
 """
 
 from __future__ import annotations
@@ -26,7 +25,7 @@ import copy
 from graphlib import CycleError, TopologicalSorter
 from typing import Callable, NamedTuple, Optional
 
-from .combinators import DEFAULT_WHITESPACE, AstStack, Whitespace
+from .combinators import DEFAULT_WHITESPACE, Whitespace
 from .core import (ConfigurationError, ContractViolationError, ParseContext, Parser,
                    Record, TracedContext)
 
@@ -322,10 +321,9 @@ def run_parse(grammar: FrozenGrammar, text: str, partial: bool = False,
               trace: Optional[Callable[[str], None]] = None) -> ParseOutcome:
     """Parse ``text`` with a frozen grammar.
 
-    Builds a context with fresh cells (adding the AST stack unless the
-    grammar supplied its own), consumes leading whitespace, invokes the
-    root, and unless ``partial`` demands that the whole input was
-    consumed.  With ``trace``, the context is a
+    Builds a context with fresh cells, consumes leading whitespace,
+    invokes the root, and unless ``partial`` demands that the whole input
+    was consumed.  With ``trace``, the context is a
     :class:`~txpeg.core.TracedContext`, which reports every snapshot,
     restore, diff and merge to it.
 
@@ -333,8 +331,6 @@ def run_parse(grammar: FrozenGrammar, text: str, partial: bool = False,
     ``input nests too deeply``, located where the parse had got to.
     """
     cells = [factory() for factory in grammar.cell_factories]
-    if AstStack not in {type(c) for c in cells}:
-        cells.append(AstStack())
     if trace is None:
         ctx = ParseContext(text, cells, grammar.whitespace)
     else:

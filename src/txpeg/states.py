@@ -15,6 +15,9 @@ default diff and merge, where the delta is the whole current version:
 * :class:`MonotonicStack` is the same structure with a stronger diff: the
   delta is just the elements pushed since the snapshot, so it can be
   grafted onto another stack later.
+* :class:`AstStack` is the monotonic stack every context owns for AST
+  output, as ``ctx.ast``: it joins no trail, since each snapshot saves
+  its top beside the position.
 * :class:`MapState` is a :class:`CopyState` whose keys are data rather
   than field names: a lookup is one probe, a change costs O(size), and
   diff/merge treat the content as one unit.
@@ -31,6 +34,7 @@ from typing import Any, Callable, Iterator, Optional
 from .core import ContractViolationError, ParseContext, StateCell
 
 __all__ = [
+    "AstStack",
     "CopyState",
     "InertState",
     "MapState",
@@ -204,6 +208,25 @@ class MonotonicStack(StackState):
         for value in delta:
             top = _Node(value, top)
         self._top = top
+
+
+class AstStack(MonotonicStack):
+    """The stack of AST output: matched text, nodes and collected lists.
+
+    Parsers push onto it and only ever pop what they pushed themselves,
+    which keeps its diffs graftable: exactly what left recursion and
+    memoizing features need to replay build effects.  It is output, so it
+    does not steer: a push is no progress for a repetition.
+
+    Every context creates one of exactly this class as ``ctx.ast`` and
+    saves its top in each snapshot, beside the position, the way the
+    Warren Abstract Machine saves its heap top in a choice point instead
+    of trailing the heap.  So that stack is never bound and logs nothing;
+    a subclass registered as a cell binds to the trail like any
+    :class:`MonotonicStack`.
+    """
+
+    steers = False
 
 
 class MapState(CopyState):

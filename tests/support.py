@@ -17,9 +17,7 @@ from typing import Callable, Iterable, Sequence
 
 from txpeg.combinators import (
     Ahead,
-    AstStack,
     Not,
-    ast_stack,
     build,
     capture,
     char_pred,
@@ -297,8 +295,8 @@ class TransactionViolation(AssertionError):
 def _observe(ctx):
     # The left-recursion seeds sit outside the trail, so they are compared
     # as a copy: failures and lookahead must leave them as found too.
-    return (ctx.position, tuple(c.cell_snapshot() for c in ctx._cells),
-            dict(ctx.seeds))
+    cells = (*ctx._cells, ctx.ast)
+    return (ctx.position, tuple(c.cell_snapshot() for c in cells), dict(ctx.seeds))
 
 
 class Checked(Parser):
@@ -341,7 +339,7 @@ def _spush(value):
 
 
 def _apush(value):
-    return lambda ctx: ast_stack(ctx).push(value)
+    return lambda ctx: ctx.ast.push(value)
 
 
 def _mput(key):
@@ -497,8 +495,7 @@ def fuzz_transactionality(trees=10500, max_depth=6, max_input=32,
     for _ in range(trees):
         root = _gen_any(rng, max_depth, wrap)
         ctx = ParseContext(_gen_input(rng, max_input),
-                           cells=[FuzzCounter(), FuzzStack(), AstStack(),
-                                  FuzzMap()])
+                           cells=[FuzzCounter(), FuzzStack(), FuzzMap()])
         r = root.parse(ctx)
         outcomes["success" if r else "failure"] += 1
     return {

@@ -13,7 +13,7 @@ import pathlib
 import sys
 
 import txpeg
-from txpeg.combinators import AstStack, whitespace
+from txpeg.combinators import whitespace
 from txpeg.core import ParseContext
 from txpeg.demos.examply import examply_grammar
 
@@ -29,8 +29,6 @@ def calls_while_parsing(grammar, text: str) -> int:
     """The library calls made by ``grammar.root_parser.parse`` on ``text``,
     in a context set up as ``run_parse`` sets one up."""
     cells = [factory() for factory in grammar.cell_factories]
-    if AstStack not in {type(c) for c in cells}:
-        cells.append(AstStack())
     ctx = ParseContext(text, cells, grammar.whitespace)
     whitespace().parse(ctx)
     calls = 0

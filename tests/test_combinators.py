@@ -11,7 +11,6 @@ from txpeg.combinators import (
     AstStack,
     ahead,
     and_do,
-    ast_stack,
     build,
     capture,
     char_pred,
@@ -32,7 +31,7 @@ from txpeg.combinators import (
     zero_more,
 )
 from txpeg.core import (
-    ConfigurationError, ContractViolationError, ParseContext, Parser, TracedContext,
+    ContractViolationError, ParseContext, Parser, TracedContext,
 )
 from txpeg.demos.examply import examply_grammar
 from txpeg.demos.smoke import tags_grammar
@@ -45,7 +44,7 @@ class Marks(StackState):
 
 
 def ctx_for(text, *cells):
-    return ParseContext(text, cells=[AstStack(), *cells])
+    return ParseContext(text, cells=cells)
 
 
 def test_literal_matches_exact_string():
@@ -272,7 +271,7 @@ def test_ahead_is_state_neutral_on_success():
     p = ahead(seq(capture(literal("ab")), perform(lambda c: marks.push("x"))))
     assert p.parse(ctx)
     assert ctx.position == 0
-    assert ast_stack(ctx).size == 0
+    assert ctx.ast.size == 0
     assert marks.values() == []
 
 
@@ -300,7 +299,7 @@ def test_not_inverts_and_stays_neutral():
     r = not_(capture(literal("a"))).parse(ctx)
     assert not r
     assert ctx.position == 0
-    assert ast_stack(ctx).size == 0
+    assert ctx.ast.size == 0
 
 
 class Raises(Parser):
@@ -316,7 +315,7 @@ def test_the_mute_counter_survives_a_raising_probe():
         not_(Raises()).parse(ctx)
     assert ctx.muted == 0
     grammar = GrammarDef({"top": whitespace()}, "top", whitespace=Raises()).freeze()
-    ctx = ParseContext("ab", cells=[AstStack()], whitespace=grammar.whitespace)
+    ctx = ParseContext("ab", whitespace=grammar.whitespace)
     with pytest.raises(ContractViolationError):
         grammar.root_parser.parse(ctx)
     assert ctx.muted == 0
@@ -338,8 +337,7 @@ def test_a_frozen_scanning_whitespace_is_skipped_by_its_scan_alone(repeat):
     grammar = GrammarDef({"top": top}, "top",
                          whitespace=repeat(char_pred(blank, "blank"))).freeze()
     ops = []
-    ctx = TracedContext(" \ta \t;", ops.append, cells=[AstStack()],
-                        whitespace=grammar.whitespace)
+    ctx = TracedContext(" \ta \t;", ops.append, whitespace=grammar.whitespace)
     fail = ctx.fail
     failures = []
 
@@ -367,7 +365,7 @@ def test_a_custom_whitespace_still_runs_muted():
     # No char_test: the whitespace parser runs muted, failures and all.
     grammar = GrammarDef({"top": word("a")}, "top",
                          whitespace=seq(predicate(note), literal("#"))).freeze()
-    ctx = ParseContext("ab", cells=[AstStack()], whitespace=grammar.whitespace)
+    ctx = ParseContext("ab", whitespace=grammar.whitespace)
     assert grammar.root_parser.parse(ctx)
     assert ctx.position == 1
     assert mutes == [1]
@@ -377,7 +375,7 @@ def test_a_custom_whitespace_still_runs_muted():
         raise ValueError("raised on purpose")
 
     grammar = GrammarDef({"top": word("a")}, "top", whitespace=predicate(boom)).freeze()
-    ctx = ParseContext("ab", cells=[AstStack()], whitespace=grammar.whitespace)
+    ctx = ParseContext("ab", whitespace=grammar.whitespace)
     with pytest.raises(ValueError):
         grammar.root_parser.parse(ctx)
     assert ctx.muted == 0
@@ -391,7 +389,7 @@ def test_until_tries_terminator_first_and_keeps_its_effects():
     assert p.parse(ctx)
     assert ctx.position == 1
     assert marks.values() == ["end"]
-    assert ast_stack(ctx).size == 0
+    assert ctx.ast.size == 0
 
 
 def test_until_collects_items_then_terminator():
@@ -399,7 +397,7 @@ def test_until_collects_items_then_terminator():
     p = until(capture(literal("a")), literal(";"))
     assert p.parse(ctx)
     assert ctx.position == 3
-    assert ast_stack(ctx).values() == ["a", "a"]
+    assert ctx.ast.values() == ["a", "a"]
 
 
 def test_until_failure_rewinds_matched_items():
@@ -409,7 +407,7 @@ def test_until_failure_rewinds_matched_items():
     r = until(item, literal(";")).parse(ctx)
     assert not r
     assert ctx.position == 0
-    assert ast_stack(ctx).size == 0
+    assert ctx.ast.size == 0
     assert marks.values() == []
 
 
@@ -420,8 +418,7 @@ def test_word_skips_trailing_whitespace():
 
 
 def test_whitespace_uses_context_override():
-    ctx = ParseContext("..a", cells=[AstStack()],
-                       whitespace=zero_more(literal(".")))
+    ctx = ParseContext("..a", whitespace=zero_more(literal(".")))
     assert whitespace().parse(ctx)
     assert ctx.position == 2
 
@@ -458,22 +455,22 @@ def test_perform_and_and_do():
 def test_capture_pushes_matched_text():
     ctx = ctx_for("hello world")
     assert capture(one_more(char_pred(str.isalpha, "letter"))).parse(ctx)
-    assert ast_stack(ctx).peek() == "hello"
+    assert ctx.ast.peek() == "hello"
 
 
 def test_collect_gathers_in_push_order():
     ctx = ctx_for("ab")
-    ast_stack(ctx).push("preexisting")
+    ctx.ast.push("preexisting")
     p = collect(seq(capture(literal("a")), capture(literal("b"))))
     assert p.parse(ctx)
-    assert ast_stack(ctx).pop() == ["a", "b"]
-    assert ast_stack(ctx).pop() == "preexisting"
+    assert ctx.ast.pop() == ["a", "b"]
+    assert ctx.ast.pop() == "preexisting"
 
 
 def test_collect_empty_match_pushes_empty_list():
     ctx = ctx_for("z")
     assert collect(zero_more(capture(literal("a")))).parse(ctx)
-    assert ast_stack(ctx).pop() == []
+    assert ctx.ast.pop() == []
 
 
 def test_build_makes_node_with_span():
@@ -481,7 +478,7 @@ def test_build_makes_node_with_span():
     p = build(seq(capture(literal("1")), literal("-"), capture(literal("2"))),
               2, node("Pair"))
     assert p.parse(ctx)
-    made = ast_stack(ctx).pop()
+    made = ctx.ast.pop()
     assert made == AstNode("Pair", ("1", "2"), span=(0, 3))
 
 
@@ -504,13 +501,13 @@ def test_build_and_collect_replace_on_the_ast_stack_without_logging():
     ]
     for replacing, stacked in cases:
         ctx = ctx_for("abc")
-        ast_stack(ctx).push("below")
+        ctx.ast.push("below")
         snap = ctx.snapshot()
         assert replacing.parse(ctx)
         assert ctx.snapshot()[1] == snap[1] == 0
-        assert ast_stack(ctx).values() == stacked
+        assert ctx.ast.values() == stacked
         ctx.restore(snap)
-        assert (ctx.position, ast_stack(ctx).values()) == (0, ["below"])
+        assert (ctx.position, ctx.ast.values()) == (0, ["below"])
         assert ctx.snapshot() == snap
 
 
@@ -518,28 +515,30 @@ def test_build_failure_propagates_cleanly():
     ctx = ctx_for("9")
     p = build(capture(literal("1")), 1, node("One"))
     assert not p.parse(ctx)
-    assert ast_stack(ctx).size == 0
+    assert ctx.ast.size == 0
 
 
 def test_opt_value_pushes_value_or_none():
     ctx = ctx_for("x")
     assert opt_value(capture(literal("x"))).parse(ctx)
-    assert ast_stack(ctx).pop() == "x"
+    assert ctx.ast.pop() == "x"
     ctx2 = ctx_for("y")
     assert opt_value(capture(literal("x"))).parse(ctx2)
-    assert ast_stack(ctx2).pop() is None
+    assert ctx2.ast.pop() is None
 
 
 @pytest.mark.parametrize("make", [
-    capture, collect, lambda child: build(child, 1, node("One")), opt_value,
+    capture,
+    lambda x: collect(capture(x)),
+    lambda x: build(capture(x), 1, node("One")),
+    lambda x: opt_value(capture(x)),
 ], ids=["capture", "collect", "build", "opt_value"])
-def test_ast_parsers_need_an_ast_stack(make):
-    # ``ctx.ast`` stands in for the missing cell and raises what the
-    # registry raises, not an AttributeError of None.
-    ctx = ParseContext("x", cells=[StackState()])
-    with pytest.raises(ConfigurationError,
-                       match="no state cell of class AstStack registered"):
-        make(capture(literal("x"))).parse(ctx)
+def test_ast_parsers_run_on_a_bare_context(make):
+    # Every context owns its AST stack: no cell is registered for it.
+    ctx = ParseContext("x")
+    assert make(literal("x")).parse(ctx)
+    assert (ctx.position, ctx.ast.size) == (1, 1)
+    assert ctx.ast is ctx.state(AstStack)
 
 
 def test_opt_value_demands_exactly_one_push():

@@ -13,7 +13,7 @@ import token_outcomes
 from support import column_after
 
 from txpeg.combinators import (
-    AstNode, AstStack, Capture, Collect, ast_stack, perform, seq,
+    AstNode, Capture, Collect, perform, seq,
 )
 from txpeg.core import ContractViolationError, ParseContext
 from txpeg.demos.examply import examply_cells, examply_grammar, examply_rules
@@ -155,7 +155,7 @@ def test_binding_the_indent_map_allocates_no_table():
 
 def _indent_ctx(text):
     # No set-up parse: the context builds the map when it binds the cell.
-    return ParseContext(text, cells=[IndentMap(), IndentStack(), AstStack()])
+    return ParseContext(text, cells=[IndentMap(), IndentStack()])
 
 
 def test_indent_pushes_only_deeper_lines():
@@ -217,11 +217,11 @@ def test_aligned_requires_matching_width():
 
 
 def _ns_ctx():
-    return ParseContext("", cells=[TypeStack(), EnclosingClasses(), AstStack()])
+    return ParseContext("", cells=[TypeStack(), EnclosingClasses()])
 
 
 def _push_name(name):
-    return perform(lambda ctx: ast_stack(ctx).push(name))
+    return perform(lambda ctx: ctx.ast.push(name))
 
 
 def test_is_type_and_priv_of_prefer_the_top():
@@ -284,7 +284,7 @@ def test_class_def_collects_body_types_as_private():
     types = ctx.state(TypeStack)
     types.push(TypeRecord("A", (TypeRecord("P"),)))
     types.push(TypeRecord("B"))          # placeholder pushed at the name
-    ast = ctx.state(AstStack)
+    ast = ctx.ast
     ast.push("B")
     ast.push("A")
 
@@ -302,7 +302,7 @@ def test_class_def_without_superclass_adds_nothing_inherited():
     ctx = _ns_ctx()
     types = ctx.state(TypeStack)
     types.push(TypeRecord("B"))
-    ast = ctx.state(AstStack)
+    ast = ctx.ast
     ast.push("B")
     ast.push(None)
 
@@ -317,7 +317,7 @@ def test_class_def_replaces_placeholder_and_private_classes_in_one_change():
     ctx = _ns_ctx()
     types = ctx.state(TypeStack)
     types.push(TypeRecord("B"))
-    ast = ctx.state(AstStack)
+    ast = ctx.ast
     ast.push("B")
     ast.push(None)
     body = new_type(_push_name("I"))
@@ -336,7 +336,7 @@ def test_class_def_rejects_enclosing_superclass():
     types.push(TypeRecord("Outer"))
     types.push(TypeRecord("Bad"))
     ctx.state(EnclosingClasses).push("Outer")
-    ast = ctx.state(AstStack)
+    ast = ctx.ast
     ast.push("Bad")
     ast.push("Outer")
 
@@ -351,7 +351,7 @@ def test_class_def_restores_types_when_the_body_fails():
     ctx = _ns_ctx()
     types = ctx.state(TypeStack)
     types.push(TypeRecord("B"))
-    ast = ctx.state(AstStack)
+    ast = ctx.ast
     ast.push("B")
     ast.push(None)
 

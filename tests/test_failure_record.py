@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from txpeg.combinators import AstStack, choice, literal, not_, perform, predicate, seq
+from txpeg.combinators import choice, literal, not_, perform, predicate, seq
 from txpeg.core import ContractViolationError, ParseContext, Parser
 from txpeg.demos.examply import examply_cells, examply_rules
 from txpeg.demos.indent import IndentMap, IndentStack, dedent, indent
@@ -34,32 +34,21 @@ def test_a_successful_parse_builds_no_failure(name, specialise, monkeypatch):
     _count_message_builds(built, monkeypatch)
     assert run_parse(grammar, text).success
     assert built == []
-    # The count works: reading the record builds its message, whether
-    # the cause is a parser or a callable.
+    # The count works: reading the record builds its parser's message.
     ctx = ParseContext(text)
     ctx.fail(0, literal("x"))
     assert ctx.furthest_failure() == (0, "expected 'x'") and len(built) == 1
-    ctx.fail(0, lambda: "y")
-    assert ctx.furthest_failure() == (0, "y") and len(built) == 2
 
 
 def _count_message_builds(built, monkeypatch):
     """Append to ``built`` each time a failure's message is built: a call
-    of any parser class's ``expected`` or of a callable cause."""
+    of any parser class's ``expected``."""
     todo = [Parser]
     while todo:
         cls = todo.pop()
         todo += cls.__subclasses__()
         if "expected" in vars(cls):
             monkeypatch.setattr(cls, "expected", _counted(vars(cls)["expected"], built))
-    fail = ParseContext.fail
-
-    def counting_fail(ctx, position, cause):
-        if callable(cause) and not isinstance(cause, Parser):
-            cause = _counted(cause, built)
-        return fail(ctx, position, cause)
-
-    monkeypatch.setattr(ParseContext, "fail", counting_fail)
 
 
 def _counted(build, built):
@@ -82,7 +71,7 @@ def test_a_predicate_builds_its_message_once_and_only_when_recorded():
         return "not here"
 
     check = seq(perform(lambda c: marks.push("in")), predicate(lambda c: False, message))
-    ctx = ParseContext("ab", cells=[AstStack(), marks])
+    ctx = ParseContext("ab", cells=[marks])
     # Muted, by hand or under not_: never called.
     ctx.muted += 1
     assert check.parse(ctx) is False
@@ -117,7 +106,7 @@ class Width(int):
                          ids=["indent", "dedent"])
 def test_indent_and_dedent_build_their_message_only_when_recorded(check, sign):
     # Both lines are 4 deep, so neither check passes on either line.
-    ctx = ParseContext("    a\n    b\n", cells=[IndentMap(), IndentStack(), AstStack()])
+    ctx = ParseContext("    a\n    b\n", cells=[IndentMap(), IndentStack()])
     width = Width(4)
     width.formatted = []
     ctx.state(IndentStack).push(width)

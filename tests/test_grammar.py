@@ -278,7 +278,7 @@ def test_a_perform_after_the_left_call_sees_the_seed_in_force():
 
 @pytest.mark.parametrize("text, ok", [("1-2-3", True), ("-", False)])
 def test_no_seed_stays_in_flight_after_a_leftrec_parse(text, ok):
-    ctx = ParseContext(text, cells=[AstStack()])
+    ctx = ParseContext(text)
     assert expr_grammar().root_parser.parse(ctx) is ok
     assert ctx.seeds == {}
 
@@ -340,20 +340,32 @@ def test_the_ast_attribute_is_the_registered_ast_stack(factory):
     assert ctx.ast is ctx.state(AstStack)
 
 
+def test_registering_the_exact_ast_stack_is_a_duplicate():
+    with pytest.raises(ConfigurationError, match="duplicate state cell class AstStack"):
+        ParseContext("", [AstStack()])
+    grammar = GrammarDef({"top": literal("")}, "top", cells=(AstStack,)).freeze()
+    with pytest.raises(ConfigurationError, match="duplicate state cell class AstStack"):
+        run_parse(grammar, "")
+
+
 class _OwnAstStack(AstStack):
     pass
 
 
-def test_the_exact_ast_stack_class_wins_over_a_subclass():
+def test_a_registered_ast_stack_subclass_is_a_cell_of_its_own():
     probe = _SeesTheAstStack()
     run_parse(GrammarDef({"top": probe}, "top", cells=(_OwnAstStack,)).freeze(), "")
     [ctx] = probe.seen
     assert type(ctx.ast) is AstStack and ctx.ast is ctx.state(AstStack)
     assert ctx.state(_OwnAstStack) is not ctx.ast
-    for cells in ([AstStack(), _OwnAstStack()], [_OwnAstStack(), AstStack()]):
-        ctx = ParseContext("", cells)
-        assert ctx.ast is ctx.state(AstStack)
-    alone = ParseContext("", [_OwnAstStack()])
-    for use in (lambda: alone.state(AstStack), lambda: alone.ast.size):
-        with pytest.raises(ConfigurationError, match="no state cell of class AstStack"):
-            use()
+    # The subclass logs on the trail, as any MonotonicStack does; the
+    # context's own stack logs nothing.
+    own = _OwnAstStack()
+    ctx = ParseContext("", [own])
+    snap = ctx.snapshot()
+    own.push("a")
+    assert ctx._trail == [own, None]
+    ctx.ast.push("b")
+    assert len(ctx._trail) == 2
+    ctx.restore(snap)
+    assert (own.values(), ctx.ast.values(), ctx._trail) == ([], [], [])

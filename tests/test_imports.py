@@ -1,6 +1,7 @@
 """What importing txpeg costs: no ``dataclasses`` (which brings in
 ``inspect``, ``ast``, ``dis`` and ``tokenize``), and a CLI that imports a
-demo grammar's module only when that grammar is asked for."""
+demo grammar's module only when that grammar is asked for; and that each
+module imports whole when it is the first one a program imports."""
 
 import json
 import os
@@ -39,3 +40,14 @@ def test_a_cli_grammar_loads_only_its_own_demo_module():
     assert "txpeg.demos.smoke" in added
     assert not added & {"txpeg.demos.examply", "txpeg.demos.indent",
                         "txpeg.demos.namespaces", "txpeg.demos.expr"}
+
+
+def test_every_module_imports_first_and_a_context_owns_its_ast_stack():
+    # core imports AstStack from states, which builds on core: whichever
+    # module a program imports first, both must come out whole.
+    for first in ("txpeg.core", "txpeg.states", "txpeg.combinators",
+                  "txpeg.grammar", "txpeg.cli"):
+        added = modules_added(f"import {first}\n"
+                              "from txpeg.core import ParseContext\n"
+                              "ParseContext('').ast.push(1)")
+        assert {first, "txpeg.core", "txpeg.states"} <= added, first

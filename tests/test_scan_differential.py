@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from txpeg.combinators import (
-    AstStack, capture, char_pred, choice, literal, not_, one_more, opt, seq,
+    capture, char_pred, choice, literal, not_, one_more, opt, seq,
     whitespace, word, zero_more,
 )
 from txpeg.core import ParseContext
@@ -38,9 +38,9 @@ GRAMMARS = {
 
 
 def outcome(root, text, whitespace):
-    ctx = ParseContext(text, cells=[AstStack()], whitespace=whitespace)
+    ctx = ParseContext(text, whitespace=whitespace)
     result = root.parse(ctx)
-    return (result, ctx.position, ctx.furthest_failure(), ctx.state(AstStack).values())
+    return (result, ctx.position, ctx.furthest_failure(), ctx.ast.values())
 
 
 @pytest.mark.parametrize("name", GRAMMARS)

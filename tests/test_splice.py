@@ -12,7 +12,7 @@ from collections import Counter
 import pytest
 
 from test_sharing import frozen_nodes
-from txpeg.combinators import AstStack, Seq, ast_stack, capture, literal, perform, seq
+from txpeg.combinators import Seq, capture, literal, perform, seq
 from txpeg.core import ParseContext
 from txpeg.demos.examply import examply_cells, examply_grammar, examply_rules
 from txpeg.demos.expr import expr_grammar
@@ -59,20 +59,20 @@ def test_a_failed_inner_seq_rolls_back_both_levels(specialise):
     top = _two_level_grammar(specialise).rules["top"]
     assert any(type(c) is Seq for c in top.children) is not specialise
     marks = Marks()
-    ctx = ParseContext("ac", cells=[AstStack(), marks])
+    ctx = ParseContext("ac", cells=[marks])
     entry = ctx.snapshot()
     r = top.parse(ctx)
     assert not r and ctx.furthest_failure() == (1, "expected 'b'")
     assert ctx.position == 0
-    assert ast_stack(ctx).values() == []
+    assert ctx.ast.values() == []
     assert marks.values() == []
     assert ctx.snapshot() == entry
 
     marks = Marks()
-    ctx = ParseContext("ab", cells=[AstStack(), marks])
+    ctx = ParseContext("ab", cells=[marks])
     assert top.parse(ctx)
     assert ctx.position == 2
-    assert ast_stack(ctx).values() == ["a"]
+    assert ctx.ast.values() == ["a"]
     assert marks.values() == ["inner", "outer"]
 
 

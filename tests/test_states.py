@@ -222,8 +222,8 @@ def test_the_dict_cells_look_the_same_from_outside():
     lines: list = []
     ctx = TracedContext("", lines.append, cells=[tally, names])
     ctx.restore(ctx.snapshot())
-    assert lines == ["snapshot pos=0 Tally(n=0) Names(size=0)",
-                     "restore pos=0 Tally(n=0) Names(size=0)"]
+    assert lines == ["snapshot pos=0 Tally(n=0) Names(size=0) AstStack(depth=0)",
+                     "restore pos=0 Tally(n=0) Names(size=0) AstStack(depth=0)"]
     # One trail entry is two slots: the cell and its prior version.
     mark = ctx.snapshot()[1]
     tally.set("n", 1)
