@@ -570,7 +570,7 @@ class Collect(Parser):
 
     def parse(self, ctx: ParseContext) -> bool:
         ast = ctx.ast
-        depth = ast.size
+        depth = ast._top[0]
         if not self.children[0].parse(ctx):
             return False
         ast.replace_above(depth, _gather)
@@ -595,10 +595,10 @@ class Build(Parser):
     def parse(self, ctx: ParseContext) -> bool:
         ast = ctx.ast
         start = ctx.position
-        depth = ast.size
+        depth = ast._top[0]
         if not self.children[0].parse(ctx):
             return False
-        size = ast.size
+        size = ast._top[0]
         if size - depth < self.arity:
             raise ContractViolationError(
                 f"build needs {self.arity} values but the child pushed {size - depth}"
@@ -625,10 +625,10 @@ class OptValue(Parser):
 
     def parse(self, ctx: ParseContext) -> bool:
         ast = ctx.ast
-        depth = ast.size
+        depth = ast._top[0]
         if not self.children[0].parse(ctx):
             ast.push(None)
-        elif ast.size != depth + 1:
+        elif ast._top[0] != depth + 1:
             raise ContractViolationError("opt_value child must push exactly one value")
         return True
 

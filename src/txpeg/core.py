@@ -503,7 +503,10 @@ class ParseContext:
         ``entry`` is the repetition's snapshot from before its first
         iteration, ``step`` the one from before this iteration.  An
         iteration that moved neither the position nor any cell that steers
-        would repeat forever, so it raises ContractViolationError.
+        would repeat forever, so it raises ContractViolationError.  Each
+        steering cell is compared by content: a version equal to the one
+        it had at ``step``, such as a fresh stack link that holds the value
+        just popped over the same link below, is no progress.
         Otherwise the iteration's trail entries are folded into the entries
         kept since ``entry``, keeping the first (oldest) version of each
         cell: restoring ``entry`` or anything older needs nothing else, and

@@ -16,7 +16,7 @@ their child runs are classes.
 
 Lookups go through a name index that sits beside the stack: for each
 name, the records that bear it on one stack version, topmost first.  The
-index is derived data.  It remembers which top node it describes, is
+index is derived data.  It remembers which top link it describes, is
 checked against the live top by identity on every lookup, and is never
 logged on the trail, so restores, truncations, merges and every other
 change of the stack need no hook: a lookup that finds the top moved
@@ -32,7 +32,7 @@ from typing import NamedTuple, Optional
 
 from ..combinators import and_do, perform, predicate
 from ..core import ContractViolationError, ParseContext, Parser
-from ..states import MonotonicStack, StackState
+from ..states import BOTTOM, MonotonicStack, StackState
 
 __all__ = [
     "ClassDef",
@@ -65,7 +65,7 @@ class TypeStack(MonotonicStack):
         # name -> (topmost record bearing it on the path to _synced, the
         # pair for the records below it), or None.
         self._names: dict = {}
-        self._synced = None
+        self._synced = BOTTOM
         super().__init__(*values)
 
     def find(self, name: str) -> Optional[TypeRecord]:
@@ -76,18 +76,19 @@ class TypeStack(MonotonicStack):
         return None if found is None else found[0]
 
     def _sync(self) -> None:
-        # Walk the indexed and the live top down to their common ancestor,
-        # unindexing the old path as we go and indexing the new one after.
+        # Step the deeper of the indexed and the live top down until the
+        # two links meet, at the latest at the shared bottom, unindexing
+        # the old path as we go and indexing the new one after.
         names = self._names
         old, new = self._synced, self._top
         added = []
         while old is not new:
-            if new is None or (old is not None and old.depth >= new.depth):
-                names[old.value.name] = names[old.value.name][1]
-                old = old.below
+            if old[0] >= new[0]:
+                names[old[1].name] = names[old[1].name][1]
+                old = old[2]
             else:
-                added.append(new.value)
-                new = new.below
+                added.append(new[1])
+                new = new[2]
         for record in reversed(added):
             names[record.name] = (record, names.get(record.name))
         self._synced = self._top

@@ -28,6 +28,7 @@ from typing import Callable, NamedTuple, Optional
 from .combinators import DEFAULT_WHITESPACE, Whitespace
 from .core import (ConfigurationError, ContractViolationError, ParseContext, Parser,
                    Record, TracedContext)
+from .states import BOTTOM
 
 __all__ = [
     "FrozenGrammar",
@@ -341,7 +342,14 @@ def run_parse(grammar: FrozenGrammar, text: str, partial: bool = False,
     except RecursionError:
         return _failed(ctx, ctx.position, "input nests too deeply")
     if matched and (partial or ctx.position >= ctx.input_length):
-        values = ctx.ast.values()
+        # Take the AST off the stack link by link, so that each link is
+        # freed as its value goes into the list, which then grows no
+        # larger than the stack shrinks.
+        link, ctx.ast._top = ctx.ast._top, BOTTOM
+        values = []
+        while link[0]:
+            values.append(link[1])
+            link = link[2]
         values.reverse()
         return ParseOutcome(True, ast=values, end_position=ctx.position)
     if matched:

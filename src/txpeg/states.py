@@ -10,8 +10,9 @@ default diff and merge, where the delta is the whole current version:
 
 * :class:`CopyState` keeps a small field record and replaces it whole on
   every change; snapshots are cheap because the record is tiny.
-* :class:`StackState` is a persistent linked stack; a snapshot is a node
-  reference, a delta is the whole list, and merge replaces.
+* :class:`StackState` is a persistent linked stack of tuple links over
+  one shared :data:`BOTTOM`; a snapshot is its top link, a delta is the
+  whole list, and merge replaces.
 * :class:`MonotonicStack` is the same structure with a stronger diff: the
   delta is just the elements pushed since the snapshot, so it can be
   grafted onto another stack later.
@@ -29,12 +30,13 @@ default diff and merge, where the delta is the whole current version:
 from __future__ import annotations
 
 from types import MappingProxyType
-from typing import Any, Callable, Iterator, Optional
+from typing import Any, Callable, Iterator
 
 from .core import ContractViolationError, ParseContext, StateCell
 
 __all__ = [
     "AstStack",
+    "BOTTOM",
     "CopyState",
     "InertState",
     "MapState",
@@ -80,62 +82,62 @@ class CopyState(StateCell):
         return f"{type(self).__name__}({inner})"
 
 
-class _Node:
-    """One link of a persistent stack; depth is cached for O(1) size."""
-
-    __slots__ = ("value", "below", "depth")
-
-    def __init__(self, value, below: Optional["_Node"]):
-        self.value = value
-        self.below = below
-        self.depth = 1 if below is None else below.depth + 1
+#: The empty top every persistent stack starts from and ends at.  A link
+#: is the tuple ``(depth, value, below)``: built by a tuple display, with
+#: no Python call, and its depth answers ``size`` in O(1).  Depth comes
+#: first so that two links of different depths compare unequal at once,
+#: without comparing the links below them.
+BOTTOM = (0, None, None)
 
 
 class StackState(StateCell):
     """A stack backed by a persistent linked list.
 
-    Snapshots and deltas are plain node references: restoring rebinds the
+    Snapshots and deltas are plain link references: restoring rebinds the
     top, and merging replaces the whole stack with the delta's capture.
-    Cheap in every operation, at the cost of a coarse merge.
+    Every walk down the spine stops at the shared :data:`BOTTOM`, whose
+    depth is 0, so none tests for an absent link.  Cheap in every
+    operation, at the cost of a coarse merge.
     """
 
     def __init__(self, *values: Any):
-        self._top: Optional[_Node] = None
+        self._top: tuple = BOTTOM
         for v in values:
             self.push(v)
 
-    def _set_top(self, node: Optional[_Node]) -> None:
+    def _set_top(self, link: tuple) -> None:
         # Every change of content goes through here, logging the old top.
         trail = self._trail
         if trail is not None:
             trail.append(self)
             trail.append(self._top)
-        self._top = node
+        self._top = link
 
     def push(self, value: Any) -> None:
-        self._set_top(_Node(value, self._top))
+        top = self._top
+        self._set_top((top[0] + 1, value, top))
 
     def pop(self) -> Any:
         """Remove and return the top value; None when empty."""
         top = self._top
-        if top is None:
+        if top is BOTTOM:
             return None
-        self._set_top(top.below)
-        return top.value
+        self._set_top(top[2])
+        return top[1]
 
     def peek(self, default: Any = None) -> Any:
-        return default if self._top is None else self._top.value
+        return default if self._top is BOTTOM else self._top[1]
 
     @property
     def size(self) -> int:
-        return 0 if self._top is None else self._top.depth
+        return self._top[0]
 
     def __iter__(self) -> Iterator[Any]:
         """Contents top first, walked along the spine without copying."""
-        node = self._top
-        while node is not None:
-            yield node.value
-            node = node.below
+        link = self._top
+        while link[0]:
+            yield link[1]
+            link = link[2]
 
     def values(self) -> list:
         """Contents as a list, top first."""
@@ -161,44 +163,44 @@ class MonotonicStack(StackState):
     """
 
     def at(self, depth: int) -> Any:
-        """Value ``depth`` entries below the top (0 is the top)."""
-        node = self._top
-        for _ in range(depth):
-            if node is None:
-                return None
-            node = node.below
-        return None if node is None else node.value
+        """Value ``depth`` entries below the top (0 is the top), or None at
+        a depth of ``size`` or more: the walk stops at the shared bottom,
+        whose value is None."""
+        link = self._top
+        for _ in range(min(depth, link[0])):
+            link = link[2]
+        return link[1]
 
     def truncate(self, size: int) -> None:
         """Pop down to ``size`` entries."""
-        node = self._top
-        while node is not None and node.depth > size:
-            node = node.below
-        if node is not self._top:
-            self._set_top(node)
+        link = self._top
+        while link[0] > size:
+            link = link[2]
+        if link is not self._top:
+            self._set_top(link)
 
     def replace_above(self, size: int, make: Callable[..., Any]) -> Any:
         """Replace everything above ``size`` entries with ``make(*values)``,
         values bottom to top, as one logged change; returns the new top."""
-        out: list = []
-        node = self._top
-        while node is not None and node.depth > size:
-            out.append(node.value)
-            node = node.below
+        out, link = [], self._top
+        while link[0] > size:
+            out.append(link[1])
+            link = link[2]
         out.reverse()
         made = make(*out)
-        self._set_top(_Node(made, node))
+        self._set_top((link[0] + 1, made, link))
         return made
 
     def cell_diff(self, snapshot):
-        out, node = [], self._top
-        while node is not snapshot:
-            if node is None:
-                raise ContractViolationError(
-                    "stack snapshot no longer reachable: something popped below it"
-                )
-            out.append(node.value)
-            node = node.below
+        # The snapshot's link, if still in the stack, sits at its own depth.
+        out, link, depth = [], self._top, snapshot[0]
+        while link[0] > depth:
+            out.append(link[1])
+            link = link[2]
+        if link is not snapshot:
+            raise ContractViolationError(
+                "stack snapshot no longer reachable: something popped below it"
+            )
         out.reverse()
         return tuple(out)
 
@@ -206,7 +208,7 @@ class MonotonicStack(StackState):
         # A cell operation, like cell_restore: the context logs around it.
         top = self._top
         for value in delta:
-            top = _Node(value, top)
+            top = (top[0] + 1, value, top)
         self._top = top
 
 

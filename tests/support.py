@@ -292,11 +292,26 @@ class TransactionViolation(AssertionError):
     """A parser broke the all-or-nothing discipline."""
 
 
+class _Version:
+    """A stack's version, its top link, compared by identity: a parser
+    that leaves an equal but fresh link has still changed the stack."""
+
+    __slots__ = ("top",)
+
+    def __init__(self, top):
+        self.top = top
+
+    def __eq__(self, other):
+        return self.top is other.top
+
+
 def _observe(ctx):
     # The left-recursion seeds sit outside the trail, so they are compared
     # as a copy: failures and lookahead must leave them as found too.
     cells = (*ctx._cells, ctx.ast)
-    return (ctx.position, tuple(c.cell_snapshot() for c in cells), dict(ctx.seeds))
+    versions = tuple(_Version(c.cell_snapshot()) if isinstance(c, StackState)
+                     else c.cell_snapshot() for c in cells)
+    return (ctx.position, versions, dict(ctx.seeds))
 
 
 class Checked(Parser):

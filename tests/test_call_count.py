@@ -21,7 +21,7 @@ FIXTURES = pathlib.Path(__file__).parent.parent / "fixtures" / "examply" / "acce
 LIBRARY = os.path.dirname(txpeg.__file__) + os.sep
 
 #: Calls into the library while the root parser runs, over every fixture.
-COUNT = 6755
+COUNT = 6174
 CEILING = COUNT * 102 // 100
 
 

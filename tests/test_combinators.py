@@ -2,6 +2,7 @@
 
 import importlib
 import pkgutil
+import sys
 
 import pytest
 
@@ -218,6 +219,38 @@ def test_repetition_guard_catches_a_push_undone_by_a_pop():
     p = seq(perform(lambda c: marks.push("x")), perform(lambda c: marks.pop()))
     with pytest.raises(ContractViolationError):
         zero_more(p).parse(ctx)
+
+
+def test_repetition_guard_catches_an_equal_value_popped_and_pushed_again():
+    # Each iteration leaves a fresh top link holding the value it popped,
+    # on the same link below it.  Steering cells are compared by content,
+    # so that is no progress, and the guard refuses the first iteration.
+    marks = Marks("a")
+    ctx = ctx_for("x", marks)
+    calls = [0]
+
+    def swap(c):
+        calls[0] += 1
+        if calls[0] > 100:
+            raise Endless
+        marks.push(marks.pop())
+
+    with pytest.raises(ContractViolationError, match="changing a cell that steers"):
+        seq(zero_more(perform(swap)), literal("x")).parse(ctx)
+    assert calls[0] == 1
+
+
+def test_a_deep_run_of_equal_pushes_is_progress_told_apart_by_depth():
+    # Each iteration pushes a value equal to the one below it.  The new top
+    # differs from the old in depth, which links compare first, so the
+    # guard does not recurse down the equal values below.
+    marks = Marks()
+    ctx = ctx_for("x", marks)
+    depth = 3 * sys.getrecursionlimit()
+    grow = seq(predicate(lambda c: marks.size < depth, "short"),
+               perform(lambda c: marks.push("a")))
+    assert seq(zero_more(grow), literal("x")).parse(ctx)
+    assert marks.size == depth
 
 
 def test_repetition_with_state_only_progress_is_allowed():

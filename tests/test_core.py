@@ -32,7 +32,7 @@ from txpeg.core import (
 from txpeg.grammar import GrammarDef, ref, run_parse
 from txpeg.leftrec import leftrec
 from txpeg.states import CopyState, InertState, MapState, MonotonicStack, StackState
-from support import check_folds, enumerate_logs
+from support import Checked, FuzzStack, TransactionViolation, check_folds, enumerate_logs
 
 
 class AStack(StackState):
@@ -802,3 +802,27 @@ def test_a_context_without_an_ast_stack_runs_every_transaction():
     other = ParseContext("a")
     assert capture(literal("a")).parse(other)
     assert other.ast is not ctx.ast and ctx.ast.values() == [] and other.ast.values() == ["a"]
+
+
+class _Relink(Parser):
+    """Swap the stack's top for an equal but fresh link, then fail,
+    without a word to the trail: a broken transaction that leaves the
+    stack's content as it was."""
+
+    def __init__(self, stack):
+        self.stack = stack
+
+    def parse(self, ctx):
+        depth, value, below = self.stack._top
+        self.stack._top = (depth, value, below)
+        return False
+
+
+@pytest.mark.parametrize("cell", ["registered", "ast"])
+def test_the_fuzz_check_reports_an_equal_but_fresh_top_link(cell):
+    stack = FuzzStack("a")
+    ctx = ParseContext("", [stack])
+    ctx.ast.push("b")
+    target = stack if cell == "registered" else ctx.ast
+    with pytest.raises(TransactionViolation):
+        Checked(_Relink(target)).parse(ctx)

@@ -18,7 +18,7 @@ from txpeg.demos.macro import composed_grammar, composed_rules, macro_grammar, m
 from txpeg.demos.smoke import anbncn_grammar, tags_grammar
 from txpeg.grammar import FrozenGrammar, GrammarDef, RuleRef, line_col, ref, run_parse
 from txpeg.leftrec import leftrec
-from txpeg.states import CopyState
+from txpeg.states import BOTTOM, CopyState
 
 
 def test_refs_resolve_and_parse():
@@ -364,7 +364,7 @@ def test_a_registered_ast_stack_subclass_is_a_cell_of_its_own():
     ctx = ParseContext("", [own])
     snap = ctx.snapshot()
     own.push("a")
-    assert ctx._trail == [own, None]
+    assert ctx._trail == [own, BOTTOM]
     ctx.ast.push("b")
     assert len(ctx._trail) == 2
     ctx.restore(snap)

@@ -8,7 +8,9 @@ from hypothesis import strategies as st
 
 from txpeg.combinators import perform, zero_more
 from txpeg.core import ContractViolationError, ParseContext, TracedContext
+from txpeg.demos.namespaces import TypeRecord, TypeStack
 from txpeg.states import (
+    BOTTOM,
     CopyState,
     InertState,
     MapState,
@@ -133,6 +135,73 @@ def test_monotonic_helpers():
     s.push("z")
     s.truncate(1)
     assert s.values() == ["a"]
+
+
+# -- The shared bottom -----------------------------------------------------
+
+def _bound(stack):
+    ctx = ParseContext("", [stack])
+    return ctx, ctx._trail
+
+
+def test_at_on_or_past_the_bottom_is_none():
+    s = MonotonicStack("a", "b")
+    assert [s.at(k) for k in range(5)] == ["b", "a", None, None, None]
+    assert [MonotonicStack().at(k) for k in range(3)] == [None, None, None]
+
+
+def test_pop_and_peek_on_an_empty_stack_log_nothing():
+    s = StackState()
+    _, trail = _bound(s)
+    assert (s.pop(), s.peek(), s.peek("none")) == (None, None, "none")
+    assert s.cell_snapshot() is BOTTOM and trail == []
+
+
+def test_truncate_to_zero_leaves_the_bottom():
+    s = MonotonicStack("a", "b", "c")
+    _, trail = _bound(s)
+    top = s.cell_snapshot()
+    s.truncate(0)
+    assert s.cell_snapshot() is BOTTOM and s.size == 0
+    assert trail == [s, top]
+    s.truncate(0)
+    assert len(trail) == 2
+
+
+def test_replace_above_zero_builds_on_the_bottom():
+    s = MonotonicStack("a", "b")
+    assert s.replace_above(0, lambda *v: v) == ("a", "b")
+    assert s.values() == [("a", "b")] and s.cell_snapshot()[2] is BOTTOM
+    empty = MonotonicStack()
+    assert empty.replace_above(0, lambda *v: v) == ()
+    assert (empty.values(), empty.size) == ([()], 1)
+
+
+def test_cell_diff_from_the_empty_version():
+    s = MonotonicStack()
+    snap = s.cell_snapshot()
+    assert s.cell_diff(snap) == ()
+    s.push("a")
+    s.push("b")
+    delta = s.cell_diff(snap)
+    assert delta == ("a", "b")
+    s.cell_restore(snap)
+    assert s.cell_snapshot() is BOTTOM
+    s.cell_merge(delta)
+    assert (s.values(), s.size) == (["b", "a"], 2)
+
+
+def test_type_lookup_after_a_restore_to_the_empty_version():
+    types = TypeStack()
+    ctx = ParseContext("", [types])
+    snap = ctx.snapshot()
+    types.push(TypeRecord("A"))
+    types.push(TypeRecord("B", ("P",)))
+    assert types.find("A") == TypeRecord("A")
+    ctx.restore(snap)
+    assert (types.find("A"), types.find("B")) == (None, None)
+    types.push(TypeRecord("B"))
+    assert types.find("B") == TypeRecord("B")
 
 
 # -- MapState ---------------------------------------------------------------
