@@ -29,12 +29,15 @@ snapshot and never trailed; the trail holds every other cell.
 Repetitions fold each finished iteration's entries into one per cell,
 which keeps the trail as long as the nesting is deep, not as the input
 is long; once a repetition holds an entry for every cell that logs, an
-iteration's entries are dropped in O(1).  Diff, merge
-and retract walk the same trail: a delta carries one entry per cell
-logged since its snapshot, plus the values pushed on the AST stack since
-then, and a retract hands each such cell its version at the snapshot
-directly.  A cell that never logs (an :class:`~txpeg.states.InertState`)
-is never visited by any of these operations.  A :class:`TracedContext`
+iteration's entries are dropped in O(1).  Diff, merge and retract walk
+the same trail: a delta carries one entry per cell logged since its
+snapshot, plus the segment of links pushed on the AST stack since then,
+shared, not copied, so a merge back onto the segment's base is one
+assignment; a retract hands each such cell its version at the snapshot
+directly, and over a trail with no entry past the snapshot builds no
+cell part at all.  A cell that never logs (an
+:class:`~txpeg.states.InertState`) is never visited by any of these
+operations.  A :class:`TracedContext`
 runs the same operations and reports each one to a ``trace`` callable.
 
 A parse returns only ``True`` or ``False``.  A failure allocates nothing:
@@ -81,8 +84,9 @@ class StateCell:
     other two have defaults that treat a whole version as the delta:
     ``cell_diff`` returns the current version and ``cell_merge`` restores
     it.  A cell overrides them only for a finer delta, as
-    :class:`~txpeg.states.MonotonicStack` does.  The contract: for any run
-    of mutations, ``s = cell_snapshot(); ...mutations...; d =
+    :class:`~txpeg.states.MonotonicStack` does: its delta is the segment of
+    links pushed since the snapshot, shared rather than copied.  The
+    contract: for any run of mutations, ``s = cell_snapshot(); ...mutations...; d =
     cell_diff(s); cell_restore(s); cell_merge(d)`` must leave the
     observable content as it was after the mutations (subject to each
     cell's documented ``cell_diff`` precondition).
@@ -139,16 +143,28 @@ class StateCell:
         return type(self).__name__
 
 
+#: The empty top every persistent stack of :mod:`txpeg.states` starts
+#: from and ends at, defined here for the empty AST segment of
+#: :class:`AggregateDelta`.  A link is the tuple ``(depth, value,
+#: below)``: built by a tuple display, with no Python call, and its depth
+#: answers ``size`` in O(1).  Depth comes first so that two links of
+#: different depths compare unequal at once, without comparing the links
+#: below them.
+BOTTOM = (0, None, None)
+
+
 class AggregateDelta(NamedTuple):
     """The work done since a snapshot: end position plus a (cell, delta)
     pair for each cell logged on the trail since then; ``registry`` is the
     context's trail, which tags the delta as that context's own; ``ast``,
-    the values pushed on the AST stack since then, bottom to top."""
+    the segment of links pushed on the AST stack since then, as the pair
+    (top at the snapshot, top at the diff), the links shared, not copied.
+    Its default, a segment whose base is its top, pushes nothing."""
 
     end_position: int
     cells: tuple
     registry: list
-    ast: tuple = ()
+    ast: tuple = (BOTTOM, BOTTOM)
 
 
 class Record:
@@ -423,16 +439,8 @@ class ParseContext:
     def snapshot(self) -> tuple:
         return (self.position, len(self._trail), self._trail, self.ast._top)
 
-    def _mark(self, snap: tuple) -> int:
-        _, mark, trail, _ = snap
-        if trail is not self._trail:
-            raise ContractViolationError("snapshot belongs to a different context")
-        if mark > len(trail):
-            raise _stale()
-        return mark
-
     def restore(self, snap: tuple) -> None:
-        # The checks of _mark, inline: restore is on every failure path.
+        # The checks of _delta, inline: restore is on every failure path.
         position, mark, trail, top = snap
         if trail is not self._trail:
             raise ContractViolationError("snapshot belongs to a different context")
@@ -458,29 +466,37 @@ class ParseContext:
             first.setdefault(id(item[0]), item)
         return first
 
-    def _pushed(self, top) -> tuple:
-        """The values pushed on the AST stack above ``top``, bottom to top."""
-        ast = self.ast
-        return () if ast._top is top else ast.cell_diff(top)
+    def _delta(self, snap: tuple) -> tuple:
+        """The delta since ``snap``, for diff and retract, with the trail's
+        mark and each logged cell's first (cell, prior) entry after it: the
+        version the cell had at the mark.  With no entry after the mark,
+        which is every left-recursion round that touches no trailed cell,
+        it builds no cell part at all."""
+        _, mark, trail, top = snap
+        if trail is not self._trail:
+            raise ContractViolationError("snapshot belongs to a different context")
+        if len(trail) == mark:
+            first = cells = ()
+        elif len(trail) < mark:
+            raise _stale()
+        else:
+            first = self._first_entries(mark).values()
+            cells = tuple((cell, cell.cell_diff(prior)) for cell, prior in first)
+        return mark, first, AggregateDelta(self.position, cells, trail,
+                                           self.ast.cell_diff(top))
 
     def diff(self, snap: tuple) -> AggregateDelta:
-        first = self._first_entries(self._mark(snap)).values()
-        cells = tuple((cell, cell.cell_diff(prior)) for cell, prior in first)
-        return AggregateDelta(self.position, cells, self._trail, self._pushed(snap[3]))
+        return self._delta(snap)[2]
 
     def retract(self, snap: tuple) -> AggregateDelta:
         """``d = diff(snap); restore(snap); return d``, in one trail walk:
         each logged cell is handed its version at the mark directly."""
-        position, _, _, top = snap
-        mark = self._mark(snap)
-        first = self._first_entries(mark).values()
-        cells = tuple((cell, cell.cell_diff(prior)) for cell, prior in first)
-        delta = AggregateDelta(self.position, cells, self._trail, self._pushed(top))
+        mark, first, delta = self._delta(snap)
         for cell, prior in first:
             cell.cell_restore(prior)
         del self._trail[mark:]
-        self.ast._top = top
-        self.position = position
+        self.ast._top = snap[3]
+        self.position = snap[0]
         return delta
 
     def merge(self, delta: AggregateDelta) -> None:
@@ -489,8 +505,7 @@ class ParseContext:
         for cell, d in delta.cells:
             cell.record()
             cell.cell_merge(d)
-        if delta.ast:
-            self.ast.cell_merge(delta.ast)
+        self.ast.cell_merge(delta.ast)
         self.position = delta.end_position
 
     def _unchanged_after(self, mark: int) -> bool:

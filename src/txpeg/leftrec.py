@@ -7,8 +7,13 @@ re-entry consume the current seed (merge the delta, jump to its end), and
 keeps the run as the new seed while the end position still grows.  Seeds
 are ordinary aggregate deltas, so AST effects replay along with the
 position; one :meth:`~txpeg.core.ParseContext.retract` packages and
-rewinds each run in a single walk of its trail entries.  The calls in
-flight are keyed by (parser id, position) in the plain dict
+rewinds each run in a single walk of its trail entries, and builds no
+cell part when the run logged nothing there.  A seed's AST effects are
+the segment of links the run pushed, shared rather than copied: a
+re-entry that merges the seed where the run began, before the body has
+pushed anything, makes that segment the stack's top again in one step,
+and one that merges it above other output grafts its values there.
+The calls in flight are keyed by (parser id, position) in the plain dict
 ``ParseContext.seeds``, which needs no trail: a call adds its key on
 entry and deletes it on every exit, so the map follows the call stack,
 and no snapshot taken inside a call outlives it.

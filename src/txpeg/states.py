@@ -14,8 +14,9 @@ default diff and merge, where the delta is the whole current version:
   one shared :data:`BOTTOM`; a snapshot is its top link, a delta is the
   whole list, and merge replaces.
 * :class:`MonotonicStack` is the same structure with a stronger diff: the
-  delta is just the elements pushed since the snapshot, so it can be
-  grafted onto another stack later.
+  delta is just the segment of links pushed since the snapshot, shared
+  rather than copied; merged onto its own base it is one assignment, and
+  it can be grafted onto another top later.
 * :class:`AstStack` is the monotonic stack every context owns for AST
   output, as ``ctx.ast``: it joins no trail, since each snapshot saves
   its top beside the position.
@@ -32,7 +33,7 @@ from __future__ import annotations
 from types import MappingProxyType
 from typing import Any, Callable, Iterator
 
-from .core import ContractViolationError, ParseContext, StateCell
+from .core import BOTTOM, ContractViolationError, ParseContext, StateCell
 
 __all__ = [
     "AstStack",
@@ -80,14 +81,6 @@ class CopyState(StateCell):
     def summary(self) -> str:
         inner = ",".join(f"{k}={v!r}" for k, v in sorted(self._fields.items()))
         return f"{type(self).__name__}({inner})"
-
-
-#: The empty top every persistent stack starts from and ends at.  A link
-#: is the tuple ``(depth, value, below)``: built by a tuple display, with
-#: no Python call, and its depth answers ``size`` in O(1).  Depth comes
-#: first so that two links of different depths compare unequal at once,
-#: without comparing the links below them.
-BOTTOM = (0, None, None)
 
 
 class StackState(StateCell):
@@ -157,9 +150,13 @@ class MonotonicStack(StackState):
     """A stack whose diffs capture only what was pushed since the snapshot.
 
     ``cell_diff`` requires the snapshot's top to still sit somewhere in the
-    current stack (nothing popped below it); the delta is then the tuple of
-    values above it, bottom to top, and merging pushes them in that order,
-    re-creating the original stacking on whatever the stack holds then.
+    current stack (nothing popped below it); the delta is then the segment
+    of links above it, the pair ``(snapshot, top)``, which shares the links
+    and copies nothing, as persistent structures share their unchanged
+    parts (Driscoll, Sarnak, Sleator and Tarjan, 1989).  Merging a segment
+    onto its own base sets the top to the segment's top; onto any other top
+    it pushes the segment's values again, bottom to top, re-creating the
+    original stacking on whatever the stack holds then.
     """
 
     def at(self, depth: int) -> Any:
@@ -193,22 +190,27 @@ class MonotonicStack(StackState):
 
     def cell_diff(self, snapshot):
         # The snapshot's link, if still in the stack, sits at its own depth.
-        out, link, depth = [], self._top, snapshot[0]
+        link, depth = self._top, snapshot[0]
         while link[0] > depth:
-            out.append(link[1])
             link = link[2]
         if link is not snapshot:
             raise ContractViolationError(
                 "stack snapshot no longer reachable: something popped below it"
             )
-        out.reverse()
-        return tuple(out)
+        return snapshot, self._top
 
     def cell_merge(self, delta) -> None:
         # A cell operation, like cell_restore: the context logs around it.
-        top = self._top
-        for value in delta:
-            top = (top[0] + 1, value, top)
+        base, top = delta
+        if self._top is not base:
+            # Graft: the segment's values, bottom to top, onto this top.
+            values, link = [], top
+            while link[0] > base[0]:
+                values.append(link[1])
+                link = link[2]
+            top = self._top
+            for value in reversed(values):
+                top = (top[0] + 1, value, top)
         self._top = top
 
 

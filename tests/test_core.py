@@ -22,6 +22,7 @@ from txpeg.combinators import (
     zero_more,
 )
 from txpeg.core import (
+    AggregateDelta,
     ConfigurationError,
     ContractViolationError,
     ParseContext,
@@ -777,6 +778,47 @@ def test_diff_and_retract_refuse_an_ast_stack_popped_below_the_snapshot():
         assert (ctx.position, ast.values()) == (1, ["c", "a"])
 
 
+def test_a_refused_retract_leaves_the_logged_cells_as_they_are():
+    # Past the snapshot the trail holds an entry, so the refusal comes
+    # after the cell part is built and before any cell is rewound.
+    tally = Tally()
+    ctx = ParseContext("ab", cells=[tally])
+    ctx.ast.push("a")
+    snap = ctx.snapshot()
+    tally.bump()
+    ctx.ast.pop()
+    ctx.ast.push("c")
+    for op in (ctx.diff, ctx.retract):
+        with pytest.raises(ContractViolationError, match="stack snapshot no longer reachable"):
+            op(snap)
+        assert (tally.count, len(ctx._trail), ctx.ast.values()) == (1, 2, ["c"])
+
+
+def test_a_seed_merged_onto_its_own_base_shares_the_diffed_links():
+    ctx = ParseContext("ab")
+    ctx.ast.push("a")
+    entry = ctx.snapshot()
+    ctx.ast.push("b")
+    ctx.ast.push("c")
+    diffed = ctx.ast._top
+    delta = ctx.retract(entry)
+    assert ctx.ast.values() == ["a"]
+    ctx.merge(delta)
+    assert ctx.ast._top is diffed and ctx.ast.values() == ["c", "b", "a"]
+
+
+def test_a_hand_built_delta_merges_as_nothing_pushed():
+    # A delta built without an AST segment carries the empty one, whatever
+    # the stack holds when it is merged.
+    ctx = ParseContext("abcdef")
+    ctx.ast.push("a")
+    top = ctx.ast._top
+    ctx.ast.cell_merge(AggregateDelta(5, (), []).ast)
+    assert ctx.ast._top is top
+    ctx.merge(AggregateDelta(5, (), ctx._trail))
+    assert ctx.position == 5 and ctx.ast._top is top
+
+
 def test_a_context_without_an_ast_stack_runs_every_transaction():
     # The context registers no AstStack cell; the one it owns never moves.
     tally = Tally()
@@ -790,12 +832,14 @@ def test_a_context_without_an_ast_stack_runs_every_transaction():
     delta = ctx.diff(entry)
     ctx.restore(entry)
     ctx.merge(delta)
-    assert (ctx.position, tally.count, delta.ast) == (1, 1, ())
+    assert (ctx.position, tally.count, ctx.ast.values()) == (1, 1, [])
     step = ctx.snapshot()
     ctx.position = 2
     ctx.end_iteration(entry, step, "loop")
     delta = ctx.retract(entry)
-    assert (ctx.position, tally.count, delta.ast) == (0, 0, ())
+    assert (ctx.position, tally.count) == (0, 0)
+    # Nothing was pushed: the AST segment's base is its top.
+    assert delta.ast[0] is delta.ast[1]
     ctx.merge(delta)
     assert (ctx.position, tally.count, ctx.ast.size) == (2, 1, 0)
     # Each context owns its AST stack, so none keeps another's output.

@@ -17,6 +17,7 @@ from txpeg.combinators import (
     not_,
     one_more,
     opt,
+    perform,
     seq,
     zero_more,
 )
@@ -24,7 +25,7 @@ from txpeg.core import ConfigurationError, ParseContext, Parser
 from txpeg.demos.expr import expr_grammar
 from txpeg.grammar import GrammarDef, ref, run_parse
 from txpeg.leftrec import leftrec
-from txpeg.states import StackState
+from txpeg.states import MonotonicStack, StackState
 
 from support import fold_left_chain
 
@@ -373,3 +374,42 @@ def _snapshots(grammar, text):
 def test_mutual_left_recursion_grows_at_most_linearly():
     grammar = _mutual_growth_grammar()
     assert _snapshots(grammar, "abab") <= 3 * _snapshots(grammar, "ab")
+
+
+class Marks(MonotonicStack):
+    """A monotonic stack registered as a cell, so it logs on the trail."""
+
+
+def _grown_under_a_mark(specialise, cell):
+    # The body pushes a mark before its left-recursive call, so each round
+    # merges the seed onto a top above the base the seed was diffed at: the
+    # merge must graft the seed's values there, not swap in its links.
+    if cell:
+        mark, arity = (lambda ctx: ctx.state(Marks).push(ctx.position)), 2
+        top = seq(ref("e"), perform(lambda ctx: ctx.ast.push(ctx.state(Marks).values())))
+    else:
+        mark, arity, top = (lambda ctx: ctx.ast.push("m")), 3, ref("e")
+    rules = {
+        "top": top,
+        "e": leftrec(choice(
+            build(seq(perform(mark), ref("e"), literal("-"), num()), arity, node("sub")),
+            num(),
+        )),
+    }
+    return GrammarDef(rules, "top", cells=(Marks,) if cell else ()).freeze(specialise=specialise)
+
+
+@pytest.mark.parametrize("specialise", [True, False], ids=["specialised", "plain"])
+@pytest.mark.parametrize("cell", [False, True], ids=["ast", "trailed-cell"])
+def test_a_seed_merged_above_its_base_is_grafted(specialise, cell):
+    grammar = _grown_under_a_mark(specialise, cell)
+    leaf = lambda s: ("num", s)
+    make = (lambda a, b: ("sub", a, b)) if cell else (lambda a, b: ("sub", "m", a, b))
+    rng = random.Random(34)
+    for n in (1, 2, 3, 7, 20):
+        operands = [str(rng.randrange(100)) for _ in range(n)]
+        out = run_parse(grammar, "-".join(operands))
+        assert out.success
+        assert shape(out.ast[0]) == fold_left_chain(operands, make, leaf)
+        # One mark per growth round, each pushed at the call's entry.
+        assert out.ast[1:] == ([[0] * (n - 1)] if cell else [])

@@ -96,7 +96,14 @@ def test_monotonic_diff_is_pushed_elements():
     s.push("b")
     s.push("a")
     d = s.cell_diff(snap)
-    assert d == ("b", "a")
+    s.cell_restore(snap)
+    assert s.values() == ["c"]
+    s.cell_merge(d)
+    assert s.values() == ["a", "b", "c"]
+    # Only the pushed elements travel: grafted elsewhere, "c" stays behind.
+    other = MonotonicStack("z")
+    other.cell_merge(d)
+    assert other.values() == ["a", "b", "z"]
 
 
 def test_monotonic_merge_regrafts():
@@ -180,11 +187,14 @@ def test_replace_above_zero_builds_on_the_bottom():
 def test_cell_diff_from_the_empty_version():
     s = MonotonicStack()
     snap = s.cell_snapshot()
-    assert s.cell_diff(snap) == ()
+    empty = s.cell_diff(snap)
+    s.push("x")
+    s.cell_merge(empty)
+    assert s.values() == ["x"]
+    s.cell_restore(snap)
     s.push("a")
     s.push("b")
     delta = s.cell_diff(snap)
-    assert delta == ("a", "b")
     s.cell_restore(snap)
     assert s.cell_snapshot() is BOTTOM
     s.cell_merge(delta)
