@@ -158,30 +158,25 @@ class Choice(Parser):
     """First succeeding child wins; no cleanup needed between attempts,
     failed children have already undone their own work.
 
-    A frozen choice tries, at an ASCII next character, only the children
-    that ``dispatch`` lists for it.  A child left out cannot match there:
-    it would have failed at this position and recorded failures only here
-    (:meth:`~txpeg.core.Parser.first`).  If every child fails, this
-    parser's own failure here replaces those records.  If one succeeds,
-    the parse goes on from here or further, and comes back behind here
-    only after recording a failure at or past here, which replaces them,
-    or out of a successful ``ahead``, which drops every record made
-    inside it.  Either way the outcome of the parse is the same.  At the
-    end of input, which no FIRST set holds, it tries ``at_end``: a child
-    with a known set must consume input, so it would fail there.
+    A frozen choice tries, at an ASCII next character or at the end of
+    input, only the children that ``dispatch`` lists for it.  A child left
+    out cannot match there: it would have failed at this position and
+    recorded failures only here (:meth:`~txpeg.core.Parser.first`).  If
+    every child fails, this parser's own failure here replaces those
+    records.  If one succeeds, the parse goes on from here or further, and
+    comes back behind here only after recording a failure at or past here,
+    which replaces them, or out of a successful ``ahead``, which drops
+    every record made inside it.  Either way the outcome of the parse is
+    the same.
     """
 
-    #: ASCII character -> the children that can match there, in their
+    #: The next character -> the children that can match there, in their
     #: order: each that is nullable or has an unknown FIRST set, and each
-    #: whose set holds the character.  Freeze fills it in on its private
-    #: copy; a character it does not list tries every child.  The class's
-    #: empty table is shared and never written.
+    #: whose set holds the character.  Its keys are the ASCII characters
+    #: and ``""``, the end of input, which no set holds.  Freeze fills it
+    #: in on its private copy; a key it does not list tries every child.
+    #: The class's empty table is shared and never written.
     dispatch: dict = {}
-
-    #: The children tried at the end of input: those ``dispatch`` lists
-    #: for a character that no FIRST set holds.  None, until freeze fills
-    #: it in, tries every child.
-    at_end: Optional[tuple] = None
 
     def __init__(self, *children: Parser):
         self.children = children
@@ -190,7 +185,7 @@ class Choice(Parser):
         try:
             alts = self.dispatch.get(ctx.text[ctx.position], self.children)
         except IndexError:
-            alts = self.children if self.at_end is None else self.at_end
+            alts = self.dispatch.get("", self.children)
         for child in alts:
             if child.parse(ctx):
                 return True
@@ -201,17 +196,17 @@ class Choice(Parser):
     def specialise(self, nullable, first) -> None:
         children = self.children
         sets = tuple(None if nullable(c) else first(c) for c in children)
-        # A character no set holds keeps only the children kept everywhere;
-        # characters that keep the same children share one tuple, found by
-        # identity, since a parser class may define its own equality.
+        # A key no set holds, the end of input among them, keeps only the
+        # children kept everywhere; keys that keep the same children share
+        # one tuple, found by identity, since a parser class may define its
+        # own equality.
         everywhere = tuple(c for c, s in zip(children, sets) if s is None)
-        dispatch = dict.fromkeys(ASCII, everywhere)
+        dispatch = dict.fromkeys((*ASCII, ""), everywhere)
         shared = {}
         for ch in frozenset().union(*filter(None, sets)):
             alts = tuple(c for c, s in zip(children, sets) if s is None or ch in s)
             dispatch[ch] = shared.setdefault(tuple(map(id, alts)), alts)
         self.dispatch = dispatch
-        self.at_end = everywhere
 
 
 class ZeroMore(Parser):
@@ -343,34 +338,32 @@ class Ahead(Parser):
 
 
 class Not(Parser):
-    """Succeed iff the child fails; state-neutral in both directions."""
+    """Succeed iff the child fails; state-neutral in both directions.
 
-    #: ASCII characters at which the child cannot match, so it is not
-    #: called there: a failing child leaves everything as it found it.
-    #: Freeze fills it in on its private copy when the child must consume
-    #: input and its FIRST set is known.
-    skip_at: frozenset = frozenset()
+    A frozen not_ holds :class:`Choice`'s table for its one child, built
+    by the same ``specialise``, and does not call the child where the
+    table lists no child: it would fail there, leaving everything as it
+    found it.
+    """
 
-    #: Whether the child is not called at the end of input either: freeze
-    #: sets it when the child must consume input, which it cannot do there.
-    skip_at_end: bool = False
+    dispatch = Choice.dispatch
 
     def __init__(self, child: Parser):
         self.children = (child,)
 
     def parse(self, ctx: ParseContext) -> bool:
         try:
-            if ctx.text[ctx.position] in self.skip_at:
-                return True
+            alts = self.dispatch.get(ctx.text[ctx.position], self.children)
         except IndexError:
-            if self.skip_at_end:
-                return True
+            alts = self.dispatch.get("", self.children)
+        if not alts:
+            return True
         snap = ctx.snapshot()
         # The child's failures are this parser's successes; keep them out
         # of the diagnostic record.
         ctx.muted += 1
         try:
-            matched = self.children[0].parse(ctx)
+            matched = alts[0].parse(ctx)
         finally:
             ctx.muted -= 1
         if not matched:
@@ -385,13 +378,7 @@ class Not(Parser):
         return True
 
     first = Parser.zero_width_first
-
-    def specialise(self, nullable, first) -> None:
-        child = self.children[0]
-        consumes = not nullable(child)
-        chars = first(child) if consumes else None
-        self.skip_at = frozenset() if chars is None else ASCII - chars
-        self.skip_at_end = consumes
+    specialise = Choice.specialise
 
 
 # ---------------------------------------------------------------------------

@@ -249,10 +249,9 @@ class Parser:
         character outside the set, a parse consumes nothing and records
         failures (:meth:`ParseContext.fail`) only at its entry position;
         one that is not nullable fails there.  The promise covers the end
-        of input too, which no set holds: a parser that must consume input
-        fails there, so a frozen ``choice`` or ``not_`` may skip it there.
-        A ``not_`` mutes its child, so it skips any child that must consume
-        at the end, whether its set is known or not.  A parser that looks
+        of input too, the key ``""`` of their tables, which no set holds:
+        a parser that must consume input fails there, so a frozen
+        ``choice`` or ``not_`` may skip it there.  A parser that looks
         past its entry without consuming, as ``ahead`` does, must count
         what it looks at in its set.  And a parser that succeeds behind a
         position its child reached, as ``ahead`` does, must put the
@@ -561,7 +560,8 @@ class TracedContext(ParseContext):
 
     Each operation runs the plain one, then passes ``trace`` one line: the
     operation, the position, and the summary of every registered cell,
-    then of the AST stack.
+    then of the AST stack.  A retract passes two, as the diff and the
+    restore it stands for.
     The plain :class:`ParseContext` carries no tracing check at all.
     """
 
@@ -590,14 +590,19 @@ class TracedContext(ParseContext):
         self._emit("merge")
 
     def retract(self, snap: tuple) -> AggregateDelta:
-        # The composition itself, so a trace shows its diff and restore.
-        delta = self.diff(snap)
-        self.restore(snap)
+        # The diff line reads the state before the rewind.
+        line = self._line("diff")
+        delta = super().retract(snap)
+        self.trace(line)
+        self._emit("restore")
         return delta
 
-    def _emit(self, op: str) -> None:
+    def _line(self, op: str) -> str:
         cells = " ".join(c.summary() for c in (*self._cells, self.ast))
-        self.trace(f"{op} pos={self.position} {cells}")
+        return f"{op} pos={self.position} {cells}"
+
+    def _emit(self, op: str) -> None:
+        self.trace(self._line(op))
 
 
 # The AST stack is a MonotonicStack, and txpeg.states builds its strategies

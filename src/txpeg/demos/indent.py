@@ -73,19 +73,16 @@ class IndentMap(InertState):
     """The input's indentation, read from the text on demand.
 
     Inert on purpose: the indentation is a pure function of the input, so
-    backtracking has nothing to undo and the cell needs no trail.  The
-    checks below ask :meth:`_width`, which allocates nothing;
-    :meth:`entry_at` gives the same answer as a :class:`IndentEntry`.
+    backtracking has nothing to undo and the cell needs no trail.  Binding
+    keeps the context's text, and the checks below ask :meth:`_width`,
+    which allocates nothing.
     """
 
     def __init__(self):
         self.text = ""
 
     def bind(self, ctx: ParseContext) -> None:
-        self.build(ctx.text)
-
-    def build(self, text: str) -> None:
-        self.text = text
+        self.text = ctx.text
 
     def _width(self, offset: int, end: int = -1) -> int:
         """The indentation width of the line holding ``offset``; but -1 if
@@ -103,14 +100,6 @@ class IndentMap(InertState):
                 break
             i += 1
         return width if end < 0 or i == end else -1
-
-    def entry_at(self, offset: int) -> IndentEntry:
-        """The indentation of the line holding ``offset``."""
-        text = self.text
-        end, size = text.rfind("\n", 0, offset) + 1, len(text)
-        while end < size and text[end] in " \t":
-            end += 1
-        return IndentEntry(self._width(offset), end)
 
 
 class IndentStack(StackState):

@@ -116,9 +116,9 @@ class GrammarDef(Record):
         :class:`~txpeg.core.Parser`, and unannotated left-recursive cycles
         are configuration errors.  Each freeze copies the graph, the default
         whitespace parser included when the grammar has none of its own,
-        and specialises the copies: among others, a ``not_`` learns where
-        to skip its child, a ``choice`` which children to try at each
-        ASCII character, a repetition of a ``char_pred`` to scan, and a
+        and specialises the copies: among others, a ``choice`` or a
+        ``not_`` learns which children to try at each ASCII character and
+        at the end of input, a repetition of a ``char_pred`` to scan, and a
         ``seq`` splices its ``seq`` children into its own, so a run of
         sequenced parsers takes one snapshot, not one per level.  The
         rule objects passed in are never modified, and two freezes share

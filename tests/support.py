@@ -314,6 +314,19 @@ def _observe(ctx):
     return (ctx.position, versions, dict(ctx.seeds))
 
 
+class Counting(Parser):
+    """Runs its child and counts the calls, by position; states no FIRST
+    set.  A frozen copy shares the list with the original."""
+
+    def __init__(self, child):
+        self.children = (child,)
+        self.calls = []
+
+    def parse(self, ctx):
+        self.calls.append(ctx.position)
+        return self.children[0].parse(ctx)
+
+
 class Checked(Parser):
     """Transparent wrapper asserting the transaction contract.
 

@@ -2,10 +2,11 @@
 
 A context keeps the caller's string as it is, with nothing appended, so no
 character stands at the end of input.  Each reader stops there by itself:
-a frozen ``choice`` tries only the alternatives it tries at a character no
-FIRST set holds, a frozen ``not_`` skips a child that must consume, and a
-``literal`` matches only within the input.  A frozen grammar agrees with
-the plain one, ``freeze(specialise=False)``, at the end as everywhere.
+a frozen ``choice`` or ``not_`` reads its table at the key ``""``, which no
+FIRST set holds, so it tries only the children kept at every character,
+and a ``literal`` matches only within the input.  A frozen grammar agrees
+with the plain one, ``freeze(specialise=False)``, at the end as
+everywhere.
 """
 
 import pytest
@@ -14,6 +15,8 @@ from txpeg.combinators import char_pred, choice, literal, not_, one_more, opt, s
 from txpeg.core import ParseContext, Parser
 from txpeg.demos.smoke import tags_grammar
 from txpeg.grammar import GrammarDef, run_parse
+
+from support import Counting
 
 any_char = char_pred(lambda c: True, "any")
 nul = char_pred(lambda c: c == "\x00", "nul")
@@ -78,17 +81,28 @@ def test_freeze_keeps_the_end_of_input_alternatives_beside_dispatch():
     top = GrammarDef({"top": choice(literal("b"), Unknown(), literal("\x00"),
                                     opt(literal("c")))}, "top").freeze().root_parser
     b, unknown, nul_literal, maybe = top.children
-    # At the end only the unknown and the nullable alternatives are tried,
-    # as at a character no FIRST set holds.
-    assert top.at_end == (unknown, maybe) == top.dispatch["z"]
+    # At the end, the key "", only the unknown and the nullable
+    # alternatives are tried, as at a character no FIRST set holds.
+    assert top.dispatch[""] == (unknown, maybe) == top.dispatch["z"]
     assert top.dispatch["\x00"] == (unknown, nul_literal, maybe)
-    assert len(top.dispatch) == 128
+    assert len(top.dispatch) == 129
 
 
 def test_freeze_skips_a_child_that_must_consume_at_the_end_of_input():
     top = GrammarDef({"top": seq(not_(any_char), not_(Unknown()),
                                  not_(opt(literal("b"))))}, "top").freeze().root_parser
-    assert [n.skip_at_end for n in top.children] == [True, True, False]
+    # The end skips only a child that must consume and states its FIRST
+    # set; one of unknown set is called there, as under the plain freeze.
+    assert [not n.dispatch[""] for n in top.children] == [True, False, False]
+
+
+@pytest.mark.parametrize("specialise", [True, False])
+def test_a_not_calls_a_child_of_unknown_set_at_the_end_of_input(specialise):
+    child = Counting(Unknown())
+    grammar = GrammarDef({"top": seq(literal("a"), not_(child))},
+                         "top").freeze(specialise=specialise)
+    assert run_parse(grammar, "a").success
+    assert child.calls == [1]
 
 
 @pytest.mark.parametrize("parser, ok", [(choice(literal("b"), any_char), False),

@@ -70,14 +70,24 @@ def test_indent_table_shape():
     assert entries[3] == IndentEntry(0, 9)
 
 
+def _width_matches(cell, pos, entry):
+    # The width of the line holding pos, and whether its indentation ends
+    # at the entry's end and nowhere else.
+    count, end = entry
+    got = (cell._width(pos), cell._width(pos, end), cell._width(pos, end + 1))
+    return got == (count, count, -1)
+
+
 def test_entry_lookup_spans_whole_lines():
-    cell = IndentMap()
-    cell.build("  ab\n    cd\n")
+    text = "  ab\n    cd\n"
+    entries, _ = build_indent_table(text)
+    assert entries == [IndentEntry(2, 2), IndentEntry(4, 9), IndentEntry(0, 12)]
+    cell = ParseContext(text, cells=[IndentMap()]).state(IndentMap)
     for offset in range(0, 5):
-        assert cell.entry_at(offset) == IndentEntry(2, 2)
+        assert _width_matches(cell, offset, entries[0]), offset
     for offset in range(5, 12):
-        assert cell.entry_at(offset) == IndentEntry(4, 9)
-    assert cell.entry_at(12) == IndentEntry(0, 12)
+        assert _width_matches(cell, offset, entries[1]), offset
+    assert _width_matches(cell, 12, entries[2])
 
 
 def _random_indent_text(rng):
@@ -120,7 +130,7 @@ def test_indentation_read_from_the_text_matches_the_reference_table():
         # Every offset, the end of input included.
         for pos in range(len(text) + 1):
             line = ctx.text.count("\n", 0, pos)
-            assert cell.entry_at(pos) == entries[line], (text, pos)
+            assert _width_matches(cell, pos, entries[line]), (text, pos)
             for top in (None, 1, 2, 4, 5, 8):
                 for name, parser in parsers.items():
                     while stack.size:

@@ -17,22 +17,19 @@ from txpeg.demos.smoke import tags_grammar
 from txpeg.grammar import GrammarDef, ref, run_parse
 from txpeg.leftrec import leftrec
 
+from support import Counting
+
+
+#: The keys of a frozen ``choice`` or ``not_`` table: the ASCII characters
+#: and ``""``, the end of input.
+KEYS = ASCII | {""}
+
 
 def guarded_chars(guard) -> frozenset:
-    """The characters at which a frozen ``not_`` still calls its child."""
-    return ASCII - guard.skip_at
-
-
-class Counting(Parser):
-    """Runs its child and counts the calls; states no FIRST set."""
-
-    def __init__(self, child):
-        self.children = (child,)
-        self.calls = []
-
-    def parse(self, ctx):
-        self.calls.append(ctx.position)
-        return self.children[0].parse(ctx)
+    """The keys at which a frozen ``not_`` still calls its child: those
+    whose entry in its table is not empty."""
+    assert set(guard.dispatch) == KEYS
+    return frozenset(key for key, alts in guard.dispatch.items() if alts)
 
 
 def test_the_examply_keyword_guard_tests_exactly_the_keyword_initials():
@@ -47,11 +44,11 @@ def test_a_nullable_child_is_never_skipped():
     # macro_atom = seq(not_(newline()), ...): newline consumes nothing.
     guard = composed_grammar().rules["macro_atom"].children[0]
     assert type(guard).__name__ == "Not"
-    assert guard.skip_at == frozenset()
+    assert guarded_chars(guard) == KEYS
     # opt("a") has a known FIRST set, {"a"}, but matches "b" too, empty.
     rules = {"top": seq(not_(opt(literal("a"))), char_pred(str.isalpha, "letter"))}
     grammar = GrammarDef(rules, "top").freeze()
-    assert grammar.rules["top"].children[0].skip_at == frozenset()
+    assert guarded_chars(grammar.rules["top"].children[0]) == KEYS
     assert not run_parse(grammar, "b").success
 
 
@@ -61,7 +58,7 @@ def test_a_parser_without_first_is_unknown_and_still_called():
     rules = {"top": seq(not_(child), char_pred(str.isalpha, "letter"))}
     grammar = GrammarDef(rules, "top").freeze()
     frozen_child = grammar.rules["top"].children[0].children[0]
-    assert grammar.rules["top"].children[0].skip_at == frozenset()
+    assert guarded_chars(grammar.rules["top"].children[0]) == KEYS
     assert run_parse(grammar, "b").success
     assert not run_parse(grammar, "a").success
     # The frozen copy shares the counting list with the original.
@@ -113,7 +110,7 @@ def test_a_cyclic_rule_under_not_is_unknown():
                               literal("1"))),
     }
     grammar = GrammarDef(rules, "top").freeze()
-    assert grammar.rules["top"].children[0].skip_at == frozenset()
+    assert guarded_chars(grammar.rules["top"].children[0]) == KEYS
     assert run_parse(grammar, "x").success
     assert not run_parse(grammar, "1").success
 
@@ -165,7 +162,7 @@ def test_a_predicate_that_raises_on_some_characters_leaves_first_unknown(pred):
     rules = {"top": seq(not_(char_pred(pred, "digit over 3")),
                         char_pred(str.isdigit, "digit"))}
     grammar = GrammarDef(rules, "top").freeze()
-    assert grammar.rules["top"].children[0].skip_at == frozenset()
+    assert guarded_chars(grammar.rules["top"].children[0]) == KEYS
     assert run_parse(grammar, "2").success
     assert run_parse(grammar, "5").error.message == "unexpected digit over 3"
 
@@ -200,7 +197,7 @@ def test_every_dispatch_entry_keeps_the_alternatives_in_order():
     assert top.dispatch["b"] == (letter, b)
     assert top.dispatch["z"] == (letter,)
     assert top.dispatch["1"] == ()
-    assert set(top.dispatch) == ASCII
+    assert set(top.dispatch) == KEYS
     for alts in top.dispatch.values():
         assert list(alts) == sorted(alts, key=top.children.index)
 
@@ -284,7 +281,7 @@ def test_the_left_recursive_alternative_of_expr_is_tried_at_every_character():
     alternatives = grammar.rules["expression"].children[0]
     assert type(alternatives).__name__ == "Choice"
     recursive, number = alternatives.children
-    assert set(alternatives.dispatch) == ASCII
+    assert set(alternatives.dispatch) == KEYS
     for char, alts in alternatives.dispatch.items():
         assert alts == ((recursive, number) if char.isdigit() else (recursive,))
 

@@ -291,6 +291,21 @@ def test_trace_lines_of_a_leftrec_parse_list_only_the_ast_stack():
                for line in lines)
 
 
+def test_a_traced_leftrec_parse_runs_the_plain_retract(monkeypatch):
+    calls = []
+    plain = ParseContext.retract
+
+    def counted(self, snap):
+        calls.append(snap[0])
+        return plain(self, snap)
+
+    monkeypatch.setattr(ParseContext, "retract", counted)
+    lines: list = []
+    assert run_parse(expr_grammar(), "1-2-3", trace=lines.append).success
+    # Each growth round's retract, traced as its diff and its restore.
+    assert calls and len(calls) == sum(line.startswith("diff ") for line in lines)
+
+
 def nested_tags(depth: int) -> str:
     return "<a>" * depth + "</a>" * depth
 
