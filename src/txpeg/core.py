@@ -12,7 +12,6 @@ to follow:
 * :meth:`ParseContext.restore` rewinds to a snapshot,
 * :meth:`ParseContext.diff` packages the work done since a snapshot,
 * :meth:`ParseContext.merge` replays such a package later,
-* :meth:`ParseContext.retract` packages that work and rewinds it at once,
 * :meth:`ParseContext.end_iteration` closes one step of a repetition.
 
 The context keeps one undo trail, the append-only change log of
@@ -29,15 +28,13 @@ snapshot and never trailed; the trail holds every other cell.
 Repetitions fold each finished iteration's entries into one per cell,
 which keeps the trail as long as the nesting is deep, not as the input
 is long; once a repetition holds an entry for every cell that logs, an
-iteration's entries are dropped in O(1).  Diff, merge and retract walk
-the same trail: a delta carries one entry per cell logged since its
-snapshot, plus the segment of links pushed on the AST stack since then,
-shared, not copied, so a merge back onto the segment's base is one
-assignment; a retract hands each such cell its version at the snapshot
-directly, and over a trail with no entry past the snapshot builds no
-cell part at all.  A cell that never logs (an
-:class:`~txpeg.states.InertState`) is never visited by any of these
-operations.  A :class:`TracedContext`
+iteration's entries are dropped in O(1).  Diff and merge walk the same
+trail: a delta carries one entry per cell logged since its snapshot,
+plus the segment of links pushed on the AST stack since then, shared,
+not copied, so a merge back onto the segment's base is one assignment;
+over a trail with no entry past the snapshot a diff builds no cell part
+at all.  A cell that never logs (an :class:`~txpeg.states.InertState`)
+is never visited by any of these operations.  A :class:`TracedContext`
 runs the same operations and reports each one to a ``trace`` callable.
 
 A parse returns only ``True`` or ``False``.  A failure allocates nothing:
@@ -97,9 +94,11 @@ class StateCell:
     log their own changes, so a cell that subclasses one of them and
     changes its content only through the inherited mutators needs nothing
     more.  A change that is not logged survives backtracking, and a cell
-    that never logs is never visited by the context.  A retract hands
-    ``cell_restore`` the oldest version logged since a snapshot, skipping
-    the ones in between, so it must reinstate any version from any state.
+    that never logs is never visited by the context.  A repetition's fold
+    keeps only a cell's oldest version logged since its entry, so a
+    restore may hand ``cell_restore`` that version, skipping the ones in
+    between; and ``merge``'s default hands it a later version, the delta.
+    So it must reinstate any version from any state.
 
     A context joins each cell it registers through :meth:`bind`; an
     override that logs must call ``super().bind(ctx)``.
@@ -439,7 +438,7 @@ class ParseContext:
         return (self.position, len(self._trail), self._trail, self.ast._top)
 
     def restore(self, snap: tuple) -> None:
-        # The checks of _delta, inline: restore is on every failure path.
+        # The checks of diff, inline: restore is on every failure path.
         position, mark, trail, top = snap
         if trail is not self._trail:
             raise ContractViolationError("snapshot belongs to a different context")
@@ -465,38 +464,23 @@ class ParseContext:
             first.setdefault(id(item[0]), item)
         return first
 
-    def _delta(self, snap: tuple) -> tuple:
-        """The delta since ``snap``, for diff and retract, with the trail's
-        mark and each logged cell's first (cell, prior) entry after it: the
-        version the cell had at the mark.  With no entry after the mark,
-        which is every left-recursion round that touches no trailed cell,
-        it builds no cell part at all."""
+    def diff(self, snap: tuple) -> AggregateDelta:
+        """The work done since ``snap``: each logged cell's delta from its
+        first (cell, prior) entry after the trail's mark, the version the
+        cell had at the mark.  With no entry after the mark, which is every
+        left-recursion round that touches no trailed cell, it builds no
+        cell part at all."""
         _, mark, trail, top = snap
         if trail is not self._trail:
             raise ContractViolationError("snapshot belongs to a different context")
         if len(trail) == mark:
-            first = cells = ()
+            cells = ()
         elif len(trail) < mark:
             raise _stale()
         else:
-            first = self._first_entries(mark).values()
-            cells = tuple((cell, cell.cell_diff(prior)) for cell, prior in first)
-        return mark, first, AggregateDelta(self.position, cells, trail,
-                                           self.ast.cell_diff(top))
-
-    def diff(self, snap: tuple) -> AggregateDelta:
-        return self._delta(snap)[2]
-
-    def retract(self, snap: tuple) -> AggregateDelta:
-        """``d = diff(snap); restore(snap); return d``, in one trail walk:
-        each logged cell is handed its version at the mark directly."""
-        mark, first, delta = self._delta(snap)
-        for cell, prior in first:
-            cell.cell_restore(prior)
-        del self._trail[mark:]
-        self.ast._top = snap[3]
-        self.position = snap[0]
-        return delta
+            cells = tuple((cell, cell.cell_diff(prior))
+                          for cell, prior in self._first_entries(mark).values())
+        return AggregateDelta(self.position, cells, trail, self.ast.cell_diff(top))
 
     def merge(self, delta: AggregateDelta) -> None:
         if delta.registry is not self._trail:
@@ -560,9 +544,8 @@ class TracedContext(ParseContext):
 
     Each operation runs the plain one, then passes ``trace`` one line: the
     operation, the position, and the summary of every registered cell,
-    then of the AST stack.  A retract passes two, as the diff and the
-    restore it stands for.
-    The plain :class:`ParseContext` carries no tracing check at all.
+    then of the AST stack.  The plain :class:`ParseContext` carries no
+    tracing check at all.
     """
 
     def __init__(self, text: str, trace: Callable[[str], None],
@@ -589,20 +572,9 @@ class TracedContext(ParseContext):
         super().merge(delta)
         self._emit("merge")
 
-    def retract(self, snap: tuple) -> AggregateDelta:
-        # The diff line reads the state before the rewind.
-        line = self._line("diff")
-        delta = super().retract(snap)
-        self.trace(line)
-        self._emit("restore")
-        return delta
-
-    def _line(self, op: str) -> str:
-        cells = " ".join(c.summary() for c in (*self._cells, self.ast))
-        return f"{op} pos={self.position} {cells}"
-
     def _emit(self, op: str) -> None:
-        self.trace(self._line(op))
+        cells = " ".join(c.summary() for c in (*self._cells, self.ast))
+        self.trace(f"{op} pos={self.position} {cells}")
 
 
 # The AST stack is a MonotonicStack, and txpeg.states builds its strategies

@@ -6,13 +6,14 @@ that run.  It then re-runs the body repeatedly, letting each left-recursive
 re-entry consume the current seed (merge the delta, jump to its end), and
 keeps the run as the new seed while the end position still grows.  Seeds
 are ordinary aggregate deltas, so AST effects replay along with the
-position; one :meth:`~txpeg.core.ParseContext.retract` packages and
-rewinds each run in a single walk of its trail entries, and builds no
-cell part when the run logged nothing there.  A seed's AST effects are
-the segment of links the run pushed, shared rather than copied: a
-re-entry that merges the seed where the run began, before the body has
-pushed anything, makes that segment the stack's top again in one step,
-and one that merges it above other output grafts its values there.
+position; each run is packaged by :meth:`~txpeg.core.ParseContext.diff`
+and rewound by :meth:`~txpeg.core.ParseContext.restore`, and its delta
+has no cell part when the run logged nothing on the trail.  A seed's AST
+effects are the segment of links the run pushed, shared rather than
+copied: a re-entry that merges the seed where the run began, before the
+body has pushed anything, makes that segment the stack's top again in
+one step, and one that merges it above other output grafts its values
+there.
 The calls in flight are keyed by (parser id, position) in the plain dict
 ``ParseContext.seeds``, which needs no trail: a call adds its key on
 entry and deletes it on every exit, so the map follows the call stack,
@@ -66,13 +67,15 @@ class LeftRec(Parser):
             if not body.parse(ctx):
                 return False
             # Every way out of the loop leaves the context at entry_snap:
-            # a failed body rewinds itself, and retract rewinds the rest.
-            best = ctx.retract(entry_snap)
+            # a failed body rewinds itself, and restore rewinds the rest.
+            best = ctx.diff(entry_snap)
+            ctx.restore(entry_snap)
             while True:
                 seeds[key] = best
                 if not body.parse(ctx):
                     break
-                grown = ctx.retract(entry_snap)
+                grown = ctx.diff(entry_snap)
+                ctx.restore(entry_snap)
                 if grown.end_position <= best.end_position:
                     break
                 best = grown

@@ -172,7 +172,7 @@ def test_trace_state_logs_operations_only_when_asked(tmp_path, capsys):
 
 
 def test_trace_state_of_a_left_recursive_chain_is_pinned(tmp_path, capsys):
-    # A traced growth round shows its retract as a diff and then a restore.
+    # A traced growth round shows its diff and then its restore.
     path = write(tmp_path, "1 - 2-3 -4")
     assert main(["--grammar", "expr", "--trace-state", path]) == 0
     ops = [line.split(" ", 2)[:2] for line in capsys.readouterr().err.splitlines()]

@@ -542,7 +542,7 @@ def test_merging_a_seed_keeps_what_the_body_did_before_recursing():
     assert seen == [True]
 
 
-# -- retract: diff then restore, in one walk ---------------------------------
+# -- a growth round: diff, restore, merge -----------------------------------
 
 class RFields(CopyState):
     pass
@@ -560,7 +560,7 @@ class RNames(MapState):
     pass
 
 
-def _retract_ctx():
+def _round_ctx():
     return ParseContext("abcdefgh", cells=[RFields(n=0), RPlain(), RGraft(),
                                            RNames(), Tally(), CNotes()])
 
@@ -609,53 +609,46 @@ _ops = st.lists(st.tuples(st.integers(0, 10), st.integers(0, 3)), max_size=25)
 
 @settings(derandomize=True, max_examples=300, deadline=None)
 @given(_ops, _ops)
-def test_retract_is_diff_then_restore(before, during):
-    composed, fused = _retract_ctx(), _retract_ctx()
-    deltas = []
-    for ctx in (composed, fused):
-        _apply(ctx, before, 0)
-        snap = ctx.snapshot()
-        _apply(ctx, during, ctx.state(RGraft).size)
-        if ctx is composed:
-            delta = ctx.diff(snap)
-            ctx.restore(snap)
-        else:
-            delta = ctx.retract(snap)
-        deltas.append(delta)
-    assert _contents(fused) == _contents(composed)
-    assert fused.snapshot()[1] == composed.snapshot()[1]
-    # A StackState delta is a node of its own context: compare the deltas
-    # by what they carry, then by what merging them back leaves.
-    shapes = [(d.end_position, [type(c) for c, _ in d.cells]) for d in deltas]
-    assert shapes[0] == shapes[1]
-    composed.merge(deltas[0])
-    fused.merge(deltas[1])
-    assert _contents(fused) == _contents(composed)
-    assert fused.snapshot()[1] == composed.snapshot()[1]
+def test_diff_then_restore_rewinds_and_merge_replays(before, during):
+    ctx = _round_ctx()
+    _apply(ctx, before, 0)
+    snap = ctx.snapshot()
+    at_snap = _contents(ctx)
+    _apply(ctx, during, ctx.state(RGraft).size)
+    done = _contents(ctx)
+    delta = ctx.diff(snap)
+    ctx.restore(snap)
+    assert _contents(ctx) == at_snap
+    assert ctx.snapshot()[1] == snap[1]
+    ctx.merge(delta)
+    assert _contents(ctx) == done
 
 
-def test_retract_refuses_stale_and_foreign_snapshots():
-    ctx, other = _retract_ctx(), _retract_ctx()
+def test_diff_refuses_stale_and_foreign_snapshots():
+    ctx, other = _round_ctx(), _round_ctx()
     snap = ctx.snapshot()
     ctx.state(Tally).bump()
     stale = ctx.snapshot()
     ctx.restore(snap)
     with pytest.raises(ContractViolationError, match="stale"):
-        ctx.retract(stale)
+        ctx.diff(stale)
     with pytest.raises(ContractViolationError, match="different context"):
-        other.retract(snap)
-    assert ctx.retract(snap).cells == ()
+        other.diff(snap)
+    assert ctx.diff(snap).cells == ()
 
 
-def test_traced_retract_reports_its_diff_and_restore():
+def test_a_traced_diff_then_restore_reports_each_in_order():
     lines: list = []
     tally = Tally()
     ctx = TracedContext("ab", lines.append, cells=[tally])
     snap = ctx.snapshot()
     ctx.position = 1
     tally.bump()
-    delta = ctx.retract(snap)
-    assert [line.split()[0] for line in lines] == ["snapshot", "diff", "restore"]
+    delta = ctx.diff(snap)
+    ctx.restore(snap)
+    # The diff line reads the state before the rewind.
+    assert [line.split()[:2] for line in lines] == [
+        ["snapshot", "pos=0"], ["diff", "pos=1"], ["restore", "pos=0"]]
     assert (delta.end_position, ctx.position, tally.count) == (1, 0, 0)
 
 
@@ -705,7 +698,9 @@ def _step(ctx, ast, op, arg, live, loops):
             elif op == 9:
                 ctx.merge(ctx.diff(snap))
             else:
-                ctx.merge(ctx.retract(snap))
+                d = ctx.diff(snap)
+                ctx.restore(snap)
+                ctx.merge(d)
         except ContractViolationError as e:
             assert "no longer reachable" in str(e)
             return True
@@ -763,7 +758,7 @@ def test_restore_rewinds_the_ast_stack_popped_below_the_snapshot():
     assert ctx._trail == []
 
 
-def test_diff_and_retract_refuse_an_ast_stack_popped_below_the_snapshot():
+def test_diff_refuses_an_ast_stack_popped_below_the_snapshot():
     ctx = ParseContext("ab")
     ast = ctx.ast
     ast.push("a")
@@ -772,15 +767,14 @@ def test_diff_and_retract_refuse_an_ast_stack_popped_below_the_snapshot():
     ast.pop()
     ast.push("c")
     ctx.position = 1
-    for op in (ctx.diff, ctx.retract):
-        with pytest.raises(ContractViolationError, match="stack snapshot no longer reachable"):
-            op(snap)
-        assert (ctx.position, ast.values()) == (1, ["c", "a"])
+    with pytest.raises(ContractViolationError, match="stack snapshot no longer reachable"):
+        ctx.diff(snap)
+    assert (ctx.position, ast.values()) == (1, ["c", "a"])
 
 
-def test_a_refused_retract_leaves_the_logged_cells_as_they_are():
+def test_a_refused_diff_leaves_the_logged_cells_as_they_are():
     # Past the snapshot the trail holds an entry, so the refusal comes
-    # after the cell part is built and before any cell is rewound.
+    # after the cell part is built, and leaves the trail as it was.
     tally = Tally()
     ctx = ParseContext("ab", cells=[tally])
     ctx.ast.push("a")
@@ -788,10 +782,9 @@ def test_a_refused_retract_leaves_the_logged_cells_as_they_are():
     tally.bump()
     ctx.ast.pop()
     ctx.ast.push("c")
-    for op in (ctx.diff, ctx.retract):
-        with pytest.raises(ContractViolationError, match="stack snapshot no longer reachable"):
-            op(snap)
-        assert (tally.count, len(ctx._trail), ctx.ast.values()) == (1, 2, ["c"])
+    with pytest.raises(ContractViolationError, match="stack snapshot no longer reachable"):
+        ctx.diff(snap)
+    assert (tally.count, len(ctx._trail), ctx.ast.values()) == (1, 2, ["c"])
 
 
 def test_a_seed_merged_onto_its_own_base_shares_the_diffed_links():
@@ -801,7 +794,8 @@ def test_a_seed_merged_onto_its_own_base_shares_the_diffed_links():
     ctx.ast.push("b")
     ctx.ast.push("c")
     diffed = ctx.ast._top
-    delta = ctx.retract(entry)
+    delta = ctx.diff(entry)
+    ctx.restore(entry)
     assert ctx.ast.values() == ["a"]
     ctx.merge(delta)
     assert ctx.ast._top is diffed and ctx.ast.values() == ["c", "b", "a"]
@@ -836,7 +830,8 @@ def test_a_context_without_an_ast_stack_runs_every_transaction():
     step = ctx.snapshot()
     ctx.position = 2
     ctx.end_iteration(entry, step, "loop")
-    delta = ctx.retract(entry)
+    delta = ctx.diff(entry)
+    ctx.restore(entry)
     assert (ctx.position, tally.count) == (0, 0)
     # Nothing was pushed: the AST segment's base is its top.
     assert delta.ast[0] is delta.ast[1]

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from txpeg.combinators import choice, literal, not_, perform, predicate, seq
+from txpeg.combinators import choice, literal, not_, opt, perform, predicate, seq
 from txpeg.core import ContractViolationError, ParseContext, Parser
 from txpeg.demos.examply import examply_cells, examply_rules
 from txpeg.demos.indent import IndentMap, IndentStack, dedent, indent
@@ -154,6 +154,20 @@ def test_a_blocked_left_recursive_call_keeps_a_record_at_its_position(specialise
     grammar = GrammarDef(rules, "s").freeze(specialise=specialise)
     error = run_parse(grammar, "bz").error
     assert (error.line, error.column, error.message) == (1, 2, "expected 'q'")
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "a blocked left-recursive call is recorded only behind the record, so "
+    "the failure of a child that a frozen opt skips by its FIRST set no "
+    "longer keeps it out (CHANGES.md, FOUND: on LeftRec's blocked call)"))
+def test_a_blocked_call_behind_a_skipped_opt_reports_alike_frozen_and_plain():
+    # Plain, the opt records "expected 'ba'" at 0 before the blocked call;
+    # frozen, it skips "ba" at "a", and the blocked call is recorded there.
+    rules = {"r": leftrec(seq(opt(literal("ba")), ref("r"), literal("x")))}
+    messages = {run_parse(GrammarDef(rules, "r").freeze(specialise=specialise),
+                          "a").error.message
+                for specialise in (True, False)}
+    assert len(messages) == 1, messages
 
 
 class Unrecorded(Parser):

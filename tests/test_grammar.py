@@ -291,19 +291,23 @@ def test_trace_lines_of_a_leftrec_parse_list_only_the_ast_stack():
                for line in lines)
 
 
-def test_a_traced_leftrec_parse_runs_the_plain_retract(monkeypatch):
+def test_a_traced_leftrec_parse_runs_the_plain_diff_and_restore(monkeypatch):
     calls = []
-    plain = ParseContext.retract
+    for op in ("diff", "restore"):
+        def counted(self, snap, op=op, plain=getattr(ParseContext, op)):
+            calls.append(op)
+            return plain(self, snap)
 
-    def counted(self, snap):
-        calls.append(snap[0])
-        return plain(self, snap)
-
-    monkeypatch.setattr(ParseContext, "retract", counted)
+        monkeypatch.setattr(ParseContext, op, counted)
     lines: list = []
     assert run_parse(expr_grammar(), "1-2-3", trace=lines.append).success
-    # Each growth round's retract, traced as its diff and its restore.
-    assert calls and len(calls) == sum(line.startswith("diff ") for line in lines)
+    traced = calls.copy()
+    # Each growth round is a diff, then a restore, each traced once.
+    for op in ("diff", "restore"):
+        assert traced.count(op) == sum(line.startswith(op + " ") for line in lines)
+    calls.clear()
+    assert run_parse(expr_grammar(), "1-2-3").success
+    assert 0 < calls.count("diff") == traced.count("diff")
 
 
 def nested_tags(depth: int) -> str:
