@@ -1,19 +1,21 @@
 """Left recursion by seed growing, on top of the transaction machinery.
 
-A :class:`LeftRec` wrapper runs its body once with recursive re-entry
-blocked to obtain a seed: the aggregate delta from its entry to the end of
-that run.  It then re-runs the body repeatedly, letting each left-recursive
-re-entry consume the current seed (merge the delta, jump to its end), and
-keeps the run as the new seed while the end position still grows.  Seeds
-are ordinary aggregate deltas, so AST effects replay along with the
-position; each run is packaged by :meth:`~txpeg.core.ParseContext.diff`
-and rewound by :meth:`~txpeg.core.ParseContext.restore`, and its delta
-has no cell part when the run logged nothing on the trail.  A seed's AST
-effects are the segment of links the run pushed, shared rather than
-copied: a re-entry that merges the seed where the run began, before the
-body has pushed anything, makes that segment the stack's top again in
-one step, and one that merges it above other output grafts its values
-there.
+A :class:`LeftRec` wrapper runs its body in rounds, each a run of the
+body, a :meth:`~txpeg.core.ParseContext.diff` from the call's entry and a
+:meth:`~txpeg.core.ParseContext.restore` to it.  Round 0 is the seed
+round: it runs with recursive re-entry blocked, and its delta is the first
+seed, even one that ends where the call began.  Each later round lets every
+left-recursive re-entry consume the best seed so far (merge the delta, jump
+to its end), and keeps its delta as the new seed while the end position
+still grows.  If round 0 fails, so does the call.
+
+Seeds are ordinary aggregate deltas, so AST effects replay along with the
+position, and a delta has no cell part when its run logged nothing on the
+trail.  A seed's AST effects are the segment of links the run pushed,
+shared rather than copied: a re-entry that merges the seed where the run
+began, before the body has pushed anything, makes that segment the stack's
+top again in one step, and one that merges it above other output grafts
+its values there.
 The calls in flight are keyed by (parser id, position) in the plain dict
 ``ParseContext.seeds``, which needs no trail: a call adds its key on
 entry and deletes it on every exit, so the map follows the call stack,
@@ -63,22 +65,20 @@ class LeftRec(Parser):
         body = self.children[0]
         entry_snap = ctx.snapshot()
         seeds[key] = _BLOCKED
+        best = None
         try:
-            if not body.parse(ctx):
-                return False
-            # Every way out of the loop leaves the context at entry_snap:
-            # a failed body rewinds itself, and restore rewinds the rest.
-            best = ctx.diff(entry_snap)
-            ctx.restore(entry_snap)
-            while True:
-                seeds[key] = best
-                if not body.parse(ctx):
-                    break
+            # Round 0 runs blocked and finds the seed; each later round
+            # re-enters on the best seed so far.  Every way out of the loop
+            # leaves the context at entry_snap: a failed body rewinds
+            # itself, and restore rewinds the rest.
+            while body.parse(ctx):
                 grown = ctx.diff(entry_snap)
                 ctx.restore(entry_snap)
-                if grown.end_position <= best.end_position:
+                if best is not None and grown.end_position <= best.end_position:
                     break
-                best = grown
+                seeds[key] = best = grown
+            if best is None:
+                return False
             ctx.merge(best)
             return True
         finally:
