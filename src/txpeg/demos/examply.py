@@ -151,15 +151,20 @@ def _import_node(pkg: str, name: str) -> AstNode:
 def examply_rules() -> dict:
     """A fresh, unfrozen rule map for the language.
 
-    Every parser object is newly built, so callers may rebind names (for
-    grammar composition) without affecting other grammars.
+    Each call builds every parser object anew, so callers may rebind names
+    (for grammar composition) without affecting other grammars, and two
+    maps share no object.  Within one map each token is built once and
+    reused wherever the rules name it; freeze would merge the copies
+    anyway, so building them would only slow set-up.
     """
+    iden = iden_token()
+    tname = type_name()
     arg_list = collect(seq(
         word("("),
         opt(seq(ref("expression"), zero_more(seq(word(","), ref("expression"))))),
         word(")"),
     ))
-    param = build(seq(iden_token(), word(":"), type_name()), 2, node("param"))
+    param = build(seq(iden, word(":"), tname), 2, node("param"))
     param_list = collect(seq(
         word("("),
         opt(seq(param, zero_more(seq(word(","), param)))),
@@ -178,26 +183,26 @@ def examply_rules() -> dict:
             ref("val_decl"), ref("var_decl"), ref("fun_decl"),
             ref("class_decl"), ref("alias_decl"), ref("import_decl"),
         ),
-        "val_decl": build(seq(keyword("val"), iden_token(), word(":"),
-                              type_name(), word("="), ref("expression")),
+        "val_decl": build(seq(keyword("val"), iden, word(":"),
+                              tname, word("="), ref("expression")),
                           3, node("val")),
-        "var_decl": build(seq(keyword("var"), iden_token(), word(":"),
-                              type_name(), word("="), ref("expression")),
+        "var_decl": build(seq(keyword("var"), iden, word(":"),
+                              tname, word("="), ref("expression")),
                           3, node("var")),
-        "fun_decl": build(seq(keyword("fun"), iden_token(), param_list,
-                              opt_value(seq(word(":"), type_name())),
+        "fun_decl": build(seq(keyword("fun"), iden, param_list,
+                              opt_value(seq(word(":"), tname)),
                               ref("stmt_block")),
                           4, node("fun")),
-        "class_decl": build(seq(keyword("class"), new_type(iden_token()),
-                                opt_value(seq(word(":"), type_name())),
+        "class_decl": build(seq(keyword("class"), new_type(iden),
+                                opt_value(seq(word(":"), tname)),
                                 class_def(opt_value(ref("decl_block")))),
                             3, node("class")),
-        "alias_decl": build(new_type(seq(keyword("alias"), iden_token(),
-                                         word("="), type_name()),
+        "alias_decl": build(new_type(seq(keyword("alias"), iden,
+                                         word("="), tname),
                                      alias=True),
                             2, node("alias")),
         "import_decl": build(seq(keyword("import"), _token(pkg_prefix),
-                                 new_type(iden_token())),
+                                 new_type(iden)),
                              2, _import_node),
         "stmt_block": collect(seq(indent(),
                                   scoped(until(ref("statement"), dedent())))),
@@ -205,14 +210,14 @@ def examply_rules() -> dict:
                                   until(ref("declaration"), dedent()))),
         "expression": choice(ref("ctor_call"), ref("func_call"),
                              int_token(), string_token(), ref("iden_ref")),
-        "ctor_call": build(seq(iden_token(), names_a_type(),
+        "ctor_call": build(seq(iden, names_a_type(),
                                arg_list, opt_value(ref("ctor_body"))),
                            3, node("ctor")),
         "ctor_body": scoped(seq(anon_class_inherit(), ref("decl_block"))),
-        "func_call": build(seq(iden_token(), arg_list,
+        "func_call": build(seq(iden, arg_list,
                                opt_value(ref("stmt_block"))),
                            3, node("call")),
-        "iden_ref": build(iden_token(), 1, node("ref")),
+        "iden_ref": build(iden, 1, node("ref")),
     }
 
 

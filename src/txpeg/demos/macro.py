@@ -56,8 +56,12 @@ def _iden_token():
 
 
 def macro_rules() -> dict:
-    atom_word = build(_iden_token(), 1, node("word"))
-    splice = build(seq(literal("$"), _iden_token()), 1, node("splice"))
+    """A fresh, unfrozen rule map for macro files, built as
+    :func:`~txpeg.demos.examply.examply_rules` builds its own: anew on
+    each call, each token once."""
+    iden = _iden_token()
+    atom_word = build(iden, 1, node("word"))
+    splice = build(seq(literal("$"), iden), 1, node("splice"))
     group = build(
         collect(seq(word("("), zero_more(ref("macro_atom")), word(")"))),
         1, node("group"),
@@ -65,7 +69,7 @@ def macro_rules() -> dict:
     return {
         "macro_file": until(ref("macro_decl"), end_of_input()),
         "macro_decl": build(
-            seq(keyword("macro"), _iden_token(), word("="), ref("macro_rhs")),
+            seq(keyword("macro"), iden, word("="), ref("macro_rhs")),
             2, node("macro"),
         ),
         # Extension point: what a macro expands to.

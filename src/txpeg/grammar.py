@@ -21,7 +21,6 @@ the final AST stack or the furthest failure mapped to line and column.
 
 from __future__ import annotations
 
-import copy
 from graphlib import CycleError, TopologicalSorter
 from typing import Callable, NamedTuple, Optional
 
@@ -140,7 +139,7 @@ class GrammarDef(Record):
         def twin(p: Parser) -> Parser:
             k = key(_parser(p))
             if k not in copies:
-                copies[k] = copy.copy(p)
+                copies[k] = p.__copy__()
                 pending.append((p, copies[k]))
             return copies[k]
 
@@ -341,6 +340,10 @@ def run_parse(grammar: FrozenGrammar, text: str, partial: bool = False,
         matched = grammar.root_parser.parse(ctx)
     except RecursionError:
         return _failed(ctx, ctx.position, "input nests too deeply")
+    finally:
+        # Each logging cell points at the trail, which holds the cell:
+        # emptying it lets the parse's cells die by reference count.
+        ctx._trail.clear()
     if matched and (partial or ctx.position >= ctx.input_length):
         # Take the AST off the stack link by link, so that each link is
         # freed as its value goes into the list, which then grows no

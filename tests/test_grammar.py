@@ -1,6 +1,8 @@
 """Grammar assembly: reference resolution, freezing, and the driver."""
 
+import gc
 import re
+import weakref
 from dataclasses import dataclass
 
 import pytest
@@ -15,7 +17,7 @@ from txpeg.core import (
 from txpeg.demos.examply import examply_cells, examply_grammar
 from txpeg.demos.expr import expr_grammar, expr_rules
 from txpeg.demos.macro import composed_grammar, composed_rules, macro_grammar, macro_rules
-from txpeg.demos.smoke import anbncn_grammar, tags_grammar
+from txpeg.demos.smoke import TagStack, anbncn_grammar, tags_grammar, tags_rules
 from txpeg.grammar import FrozenGrammar, GrammarDef, RuleRef, line_col, ref, run_parse
 from txpeg.leftrec import leftrec
 from txpeg.states import BOTTOM, CopyState
@@ -331,6 +333,34 @@ def test_deep_nesting_fails_with_a_located_error(grammar, text):
     assert err.message == "input nests too deeply"
     assert 0 < err.position <= len(text)
     assert (err.line, err.column) == line_col(text, err.position)
+
+
+@pytest.mark.parametrize("text, message", [
+    (nested_tags(3), None),
+    (nested_tags(3) + "x", "expected end of input"),
+    (nested_tags(400), "input nests too deeply"),
+], ids=["success", "failure", "too-deep"])
+def test_a_finished_parse_frees_its_cells_by_reference_count(text, message):
+    # A logging cell points at the trail, and the trail holds the cell, so
+    # with the cycle collector off the cell dies only if run_parse breaks
+    # that cycle.  Each input leaves entries on the trail when it ends.
+    made = []
+
+    def factory():
+        cell = TagStack()
+        made.append(weakref.ref(cell))
+        return cell
+
+    grammar = GrammarDef(tags_rules(), "element", cells=(factory,)).freeze()
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        outcome = run_parse(grammar, text)
+        assert [cell() for cell in made] == [None]
+    finally:
+        if enabled:
+            gc.enable()
+    assert (outcome.error and outcome.error.message) == message
 
 
 class _SeesTheAstStack(Parser):

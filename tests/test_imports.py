@@ -1,7 +1,8 @@
 """What importing txpeg costs: no ``dataclasses`` (which brings in
-``inspect``, ``ast``, ``dis`` and ``tokenize``), and a CLI that imports a
-demo grammar's module only when that grammar is asked for; and that each
-module imports whole when it is the first one a program imports."""
+``inspect``, ``ast``, ``dis`` and ``tokenize``) and no ``copy``, and a CLI
+that imports a demo grammar's module only when that grammar is asked for;
+and that each module imports whole when it is the first one a program
+imports."""
 
 import json
 import os
@@ -23,10 +24,11 @@ def modules_added(code: str) -> set:
 
 
 def test_importing_txpeg_and_its_cli_loads_no_dataclasses_or_inspect():
+    # Nor ``copy``: freeze copies a parser through its own ``__copy__``.
     for code in ("import txpeg", "import txpeg.cli"):
         added = modules_added(code)
         assert "txpeg" in added
-        assert not added & {"dataclasses", "inspect"}, code
+        assert not added & {"dataclasses", "inspect", "copy"}, code
 
 
 def test_importing_the_cli_loads_no_demo_grammar():

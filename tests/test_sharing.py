@@ -18,16 +18,21 @@ from txpeg.grammar import GrammarDef, ref, run_parse
 from txpeg.leftrec import LeftRec, leftrec
 
 
-def frozen_nodes(grammar) -> list:
-    """Every node reachable from the rules and the whitespace parser."""
+def reachable(roots) -> list:
+    """Every node reachable from ``roots``."""
     seen: dict = {}
-    stack = [*grammar.rules.values(), grammar.whitespace]
+    stack = list(roots)
     while stack:
         p = stack.pop()
         if id(p) not in seen:
             seen[id(p)] = p
             stack.extend(p.children)
     return list(seen.values())
+
+
+def frozen_nodes(grammar) -> list:
+    """Every node reachable from the rules and the whitespace parser."""
+    return reachable([*grammar.rules.values(), grammar.whitespace])
 
 
 def examply_def() -> GrammarDef:
@@ -42,10 +47,28 @@ def test_the_bundled_examply_grammars_keep_one_node_per_structure(define, at_mos
     assert len(frozen_nodes(define().freeze())) <= at_most
 
 
+@pytest.mark.parametrize("define, count", [
+    (examply_def, 125),
+    (lambda: GrammarDef(composed_rules(), "program", cells=examply_cells()), 162),
+])
+def test_the_specialised_freezes_keep_their_node_counts(define, count):
+    # Exact, so that the parse path is pinned: a rule map that builds a
+    # token once freezes to the graph one that builds a copy per use does.
+    assert len(frozen_nodes(define().freeze())) == count
+
+
 def test_the_plain_freeze_keeps_one_copy_per_original_node():
     # Each of the two opts is a choice with its own empty alternative.
     # ``program`` is its ``until`` alone, with no seq and no perform.
-    assert len(frozen_nodes(examply_def().freeze(specialise=False))) == 827
+    # The rule map builds each identifier and type-name token once.
+    assert len(frozen_nodes(examply_def().freeze(specialise=False))) == 276
+
+
+@pytest.mark.parametrize("rules", [examply_rules, composed_rules])
+def test_two_rule_maps_share_no_parser_object(rules):
+    first, second = rules(), rules()
+    ids = [{id(p) for p in reachable(m.values())} for m in (first, second)]
+    assert ids[0] and not ids[0] & ids[1]
 
 
 def test_every_whitespace_call_and_the_grammar_whitespace_are_one_node_each():
