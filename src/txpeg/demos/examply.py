@@ -44,7 +44,6 @@ from ..combinators import (
 from ..core import Parser
 from ..grammar import FrozenGrammar, GrammarDef, ref
 from .indent import (
-    IndentMap,
     IndentStack,
     aligned,
     dedent,
@@ -230,7 +229,7 @@ def _seeded_types() -> TypeStack:
 
 def examply_cells() -> tuple:
     """Cell factories every parse of this language needs."""
-    return (IndentMap, IndentStack, _seeded_types, EnclosingClasses)
+    return (IndentStack, _seeded_types, EnclosingClasses)
 
 
 def examply_grammar() -> FrozenGrammar:

@@ -1,14 +1,14 @@
 """Significant-whitespace machinery: indentation tracking as parse state.
 
-Two cells cooperate.  :class:`IndentMap` is inert, derived data: it keeps
-the input, which the cell takes when a context binds it, so any rule can
-start a parse, and reads from that text, for the one line a check asks
-about, the indentation width (tabs expanded to stops at multiples of 4)
-and the offset where the indentation ends.  :class:`IndentStack` is live
-state: the indentation widths of the enclosing blocks, pushed by
-:func:`indent` and popped by :func:`dedent` (parser classes, each a check
-and an effect in one step), and therefore restored automatically whenever
-the parse backtracks out of a block.
+One cell holds what the parse must recall.  A line's indentation is the
+input itself: the checks read it from ``ctx.text``, for the one line they
+ask about, as a width (tabs expanded to stops at multiples of 4) and the
+offset where the indentation ends, so any rule can start a parse and
+nothing is built per line.  :class:`IndentStack` is live state: the
+indentation widths of the enclosing blocks, pushed by :func:`indent` and
+popped by :func:`dedent` (parser classes, each a check and an effect in
+one step), and therefore restored automatically whenever the parse
+backtracks out of a block.
 
 The token layer consumes newlines as ordinary whitespace; line structure
 is recovered from the text, not from the token stream.  :func:`newline` is
@@ -23,11 +23,10 @@ from typing import NamedTuple
 
 from ..combinators import predicate
 from ..core import ParseContext, Parser
-from ..states import InertState, StackState
+from ..states import StackState
 
 __all__ = [
     "IndentEntry",
-    "IndentMap",
     "IndentStack",
     "aligned",
     "build_indent_table",
@@ -69,52 +68,38 @@ def build_indent_table(text: str) -> tuple[list[IndentEntry], list[int]]:
     return entries, starts
 
 
-class IndentMap(InertState):
-    """The input's indentation, read from the text on demand.
-
-    Inert on purpose: the indentation is a pure function of the input, so
-    backtracking has nothing to undo and the cell needs no trail.  Binding
-    keeps the context's text, and the checks below ask :meth:`_width`,
-    which allocates nothing.
-    """
-
-    def __init__(self):
-        self.text = ""
-
-    def bind(self, ctx: ParseContext) -> None:
-        self.text = ctx.text
-
-    def _width(self, offset: int, end: int = -1) -> int:
-        """The indentation width of the line holding ``offset``; but -1 if
-        ``end`` is not negative and that indentation does not end there."""
-        text = self.text
-        i, size = text.rfind("\n", 0, offset) + 1, len(text)
-        width = 0
-        while i < size:
-            ch = text[i]
-            if ch == " ":
-                width += 1
-            elif ch == "\t":
-                width += TAB_WIDTH - width % TAB_WIDTH
-            else:
-                break
-            i += 1
-        return width if end < 0 or i == end else -1
+def _width(text: str, offset: int, end: int = -1) -> int:
+    """The indentation width of the line of ``text`` holding ``offset``; but
+    -1 if ``end`` is not negative and that indentation does not end there."""
+    i, size = text.rfind("\n", 0, offset) + 1, len(text)
+    width = 0
+    while i < size:
+        ch = text[i]
+        if ch == " ":
+            width += 1
+        elif ch == "\t":
+            width += TAB_WIDTH - width % TAB_WIDTH
+        else:
+            break
+        i += 1
+    return width if end < 0 or i == end else -1
 
 
 class IndentStack(StackState):
     """Indentation widths of the enclosing blocks; empty means width 0."""
 
 
-def _current_count(ctx: ParseContext) -> int:
-    return ctx.state(IndentMap)._width(ctx.position)
+# bench/tracing.py still wraps methods of this name, which the indentation
+# layer's former text cell had; without the name every traced bench run
+# raises AttributeError.  ROADMAP item 1 drops that use, then this line.
+IndentMap = IndentStack
 
 
 class Indent(Parser):
     """Enter a block: the current line must be indented past the top."""
 
     def parse(self, ctx: ParseContext) -> bool:
-        new = _current_count(ctx)
+        new = _width(ctx.text, ctx.position)
         stack = ctx.state(IndentStack)
         old = stack.peek(0)
         if new > old:
@@ -132,7 +117,7 @@ class Dedent(Parser):
     def parse(self, ctx: ParseContext) -> bool:
         stack = ctx.state(IndentStack)
         old = stack.peek(0)
-        if ctx.position >= ctx.input_length or _current_count(ctx) < old:
+        if ctx.position >= ctx.input_length or _width(ctx.text, ctx.position) < old:
             stack.pop()
             return True
         return ctx.would_record(ctx.position) and ctx.fail(
@@ -148,7 +133,7 @@ dedent = Dedent
 def _at_line_start(ctx: ParseContext) -> bool:
     if ctx.position >= ctx.input_length:
         return True
-    return ctx.state(IndentMap)._width(ctx.position, ctx.position) >= 0
+    return _width(ctx.text, ctx.position, ctx.position) >= 0
 
 
 def newline() -> Parser:
@@ -159,7 +144,7 @@ def newline() -> Parser:
 def _is_aligned(ctx: ParseContext) -> bool:
     if ctx.position >= ctx.input_length:
         return True
-    width = ctx.state(IndentMap)._width(ctx.position, ctx.position)
+    width = _width(ctx.text, ctx.position, ctx.position)
     return width == ctx.state(IndentStack).peek(0)
 
 

@@ -19,48 +19,40 @@ not to be fast.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 __all__ = [
-    "LogState",
     "ModelError",
     "ModelParser",
-    "compose_two",
     "model_apply_change",
     "model_call",
     "model_diff",
     "model_merge",
     "model_restore",
     "model_snapshot",
-    "reduce_n",
 ]
-
-# A state is a tuple of opaque, hashable change labels.
-LogState = tuple
-
-Transform = Callable[[LogState], LogState]
 
 
 class ModelError(Exception):
     """A model operation was applied outside its stated precondition."""
 
 
-def model_snapshot(state: LogState) -> LogState:
+def model_snapshot(state: tuple) -> tuple:
     """Return a snapshot of ``state``; in the log model, the state itself."""
     return state
 
 
-def model_apply_change(change, state: LogState) -> LogState:
+def model_apply_change(change, state: tuple) -> tuple:
     """Append one change to the log."""
     return state + (change,)
 
 
-def model_restore(snapshot: LogState, state: LogState) -> LogState:
+def model_restore(snapshot: tuple, state: tuple) -> tuple:
     """Rewind to ``snapshot``, discarding everything applied after it."""
     return snapshot
 
 
-def model_diff(snapshot: LogState, state: LogState) -> LogState:
+def model_diff(snapshot: tuple, state: tuple) -> tuple:
     """Return the changes applied since ``snapshot``.
 
     ``snapshot`` must be a prefix of ``state``; a snapshot that the current
@@ -73,22 +65,9 @@ def model_diff(snapshot: LogState, state: LogState) -> LogState:
     return state[n:]
 
 
-def model_merge(delta: LogState, state: LogState) -> LogState:
+def model_merge(delta: tuple, state: tuple) -> tuple:
     """Replay ``delta`` on top of ``state`` by appending it to the log."""
     return state + delta
-
-
-def compose_two(f: Transform, g: Transform) -> Transform:
-    """Compose two state transforms, applying ``f`` first."""
-    return lambda state: g(f(state))
-
-
-def reduce_n(transforms: Iterable[Transform]) -> Transform:
-    """Fold transforms into one, left to right; identity when empty."""
-    acc: Transform = lambda state: state
-    for t in transforms:
-        acc = compose_two(acc, t)
-    return acc
 
 
 class ModelParser:
@@ -98,18 +77,20 @@ class ModelParser:
     the sequence of state transforms the parser would perform from there.
     """
 
-    def __init__(self, result: Callable[[LogState], bool],
-                 trace: Callable[[LogState], Sequence[Transform]]):
+    def __init__(self, result: Callable[[tuple], bool],
+                 trace: Callable[[tuple], Sequence[Callable[[tuple], tuple]]]):
         self.result = result
         self.trace = trace
 
 
-def model_call(parser: ModelParser, state: LogState) -> LogState:
+def model_call(parser: ModelParser, state: tuple) -> tuple:
     """Invoke ``parser`` on ``state``.
 
-    A successful invocation applies the parser's whole trace, composed left
-    to right; a failed one leaves the state exactly as it was.
+    A successful invocation applies the parser's whole trace, left to
+    right; a failed one leaves the state exactly as it was.
     """
     if not parser.result(state):
         return state
-    return reduce_n(parser.trace(state))(state)
+    for transform in parser.trace(state):
+        state = transform(state)
+    return state

@@ -23,7 +23,7 @@ FIXTURES = pathlib.Path(__file__).parent.parent / "fixtures" / "examply" / "acce
 LIBRARY = os.path.dirname(txpeg.__file__) + os.sep
 
 #: Calls into the library while the root parser runs, over every fixture.
-COUNT = 6174
+COUNT = 5940
 CEILING = COUNT * 102 // 100
 
 #: Calls into the library while the root parser runs over one expr chain

@@ -18,7 +18,7 @@ import txpeg
 LIBRARY = pathlib.Path(txpeg.__file__).parent
 
 #: The most code lines ``src/txpeg`` may hold, every module of its tree.
-CEILING = 1809
+CEILING = 1790
 
 #: The tokens that make no line a code line.
 LAYOUT = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,

@@ -15,12 +15,13 @@ from support import column_after
 from txpeg.combinators import (
     AstNode, Capture, Collect, perform, seq,
 )
-from txpeg.core import ContractViolationError, ParseContext
+from txpeg.core import ConfigurationError, ContractViolationError, ParseContext
+from txpeg.demos import indent as indent_module
 from txpeg.demos.examply import examply_cells, examply_grammar, examply_rules
 from txpeg.demos.indent import (
     IndentEntry,
-    IndentMap,
     IndentStack,
+    _width,
     aligned,
     build_indent_table,
     dedent,
@@ -70,11 +71,11 @@ def test_indent_table_shape():
     assert entries[3] == IndentEntry(0, 9)
 
 
-def _width_matches(cell, pos, entry):
+def _width_matches(text, pos, entry):
     # The width of the line holding pos, and whether its indentation ends
     # at the entry's end and nowhere else.
     count, end = entry
-    got = (cell._width(pos), cell._width(pos, end), cell._width(pos, end + 1))
+    got = (_width(text, pos), _width(text, pos, end), _width(text, pos, end + 1))
     return got == (count, count, -1)
 
 
@@ -82,12 +83,11 @@ def test_entry_lookup_spans_whole_lines():
     text = "  ab\n    cd\n"
     entries, _ = build_indent_table(text)
     assert entries == [IndentEntry(2, 2), IndentEntry(4, 9), IndentEntry(0, 12)]
-    cell = ParseContext(text, cells=[IndentMap()]).state(IndentMap)
     for offset in range(0, 5):
-        assert _width_matches(cell, offset, entries[0]), offset
+        assert _width_matches(text, offset, entries[0]), offset
     for offset in range(5, 12):
-        assert _width_matches(cell, offset, entries[1]), offset
-    assert _width_matches(cell, 12, entries[2])
+        assert _width_matches(text, offset, entries[1]), offset
+    assert _width_matches(text, 12, entries[2])
 
 
 def _random_indent_text(rng):
@@ -125,12 +125,11 @@ def test_indentation_read_from_the_text_matches_the_reference_table():
         text = _random_indent_text(rng)
         ctx = _indent_ctx(text)
         entries, _ = build_indent_table(ctx.text)
-        cell = ctx.state(IndentMap)
         stack = ctx.state(IndentStack)
         # Every offset, the end of input included.
         for pos in range(len(text) + 1):
             line = ctx.text.count("\n", 0, pos)
-            assert _width_matches(cell, pos, entries[line]), (text, pos)
+            assert _width_matches(ctx.text, pos, entries[line]), (text, pos)
             for top in (None, 1, 2, 4, 5, 8):
                 for name, parser in parsers.items():
                     while stack.size:
@@ -147,25 +146,34 @@ def test_indentation_read_from_the_text_matches_the_reference_table():
                     assert stack.peek() == want_top, (name, text, pos, top)
 
 
-def test_binding_the_indent_map_allocates_no_table():
+def test_an_examply_context_allocates_no_indent_table():
     text = "".join(" " * (i % 9) + "\t" * (i % 2) + f"x{i}\n" for i in range(10_000))
-    cell = IndentMap()
+    cells = [factory() for factory in examply_cells()]
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        ctx = ParseContext(text, cells=[cell])
+        ctx = ParseContext(text, cells=cells)
         after = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
-    # The context keeps the caller's text with no copy, and binding
-    # allocates almost nothing: the map keeps that text.
+    # The context keeps the caller's text with no copy, and nothing is
+    # built per line: the checks read each line's indentation from it.
     assert after - before < 1024
-    assert cell.text is ctx.text is text
+    assert ctx.text is text
+
+
+def test_the_indent_map_name_is_the_stack():
+    # The name survives for the bench tracer; registered beside the stack,
+    # it is the same cell class, so the context refuses it.
+    assert indent_module.IndentMap is IndentStack
+    assert "IndentMap" not in indent_module.__all__
+    with pytest.raises(ConfigurationError, match="duplicate state cell class IndentStack"):
+        ParseContext("", cells=[indent_module.IndentMap(), IndentStack()])
 
 
 def _indent_ctx(text):
-    # No set-up parse: the context builds the map when it binds the cell.
-    return ParseContext(text, cells=[IndentMap(), IndentStack()])
+    # No set-up parse: the checks read the indentation from the text.
+    return ParseContext(text, cells=[IndentStack()])
 
 
 def test_indent_pushes_only_deeper_lines():
@@ -732,8 +740,8 @@ def test_cells_are_fresh_per_parse():
 def test_examply_cells_list_every_needed_cell():
     made = [factory() for factory in examply_cells()]
     names = {type(cell).__name__ for cell in made}
-    assert names == {"IndentMap", "IndentStack", "TypeStack",
-                     "EnclosingClasses"}
+    assert len(made) == 3
+    assert names == {"IndentStack", "TypeStack", "EnclosingClasses"}
     types = next(c for c in made if type(c).__name__ == "TypeStack")
     assert [r.name for r in types.values()] == ["String", "Int"]
 

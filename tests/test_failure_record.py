@@ -9,7 +9,7 @@ import pytest
 from txpeg.combinators import choice, literal, not_, opt, perform, predicate, seq
 from txpeg.core import ContractViolationError, ParseContext, Parser
 from txpeg.demos.examply import examply_cells, examply_rules
-from txpeg.demos.indent import IndentMap, IndentStack, dedent, indent
+from txpeg.demos.indent import IndentStack, dedent, indent
 from txpeg.demos.smoke import RunTally, TagStack, anbncn_rules, tags_rules
 from txpeg.grammar import GrammarDef, ref, run_parse
 from txpeg.leftrec import leftrec
@@ -106,7 +106,7 @@ class Width(int):
                          ids=["indent", "dedent"])
 def test_indent_and_dedent_build_their_message_only_when_recorded(check, sign):
     # Both lines are 4 deep, so neither check passes on either line.
-    ctx = ParseContext("    a\n    b\n", cells=[IndentMap(), IndentStack()])
+    ctx = ParseContext("    a\n    b\n", cells=[IndentStack()])
     width = Width(4)
     width.formatted = []
     ctx.state(IndentStack).push(width)
