@@ -36,7 +36,7 @@ from .combinators import AstNode
 from .core import ConfigurationError, ContractViolationError
 from .grammar import FrozenGrammar, run_parse
 
-__all__ = ["GRAMMARS", "ast_from_data", "ast_to_data", "dump_ast", "main"]
+__all__ = ["GRAMMARS", "ast_to_data", "dump_ast", "main"]
 
 
 def _on_demand(module: str, factory: str) -> Callable[[], FrozenGrammar]:
@@ -71,30 +71,6 @@ def ast_to_data(value):
             stack.extend((v, items) for v in reversed(value))
         else:
             into.append(value)
-    return top[0]
-
-
-def ast_from_data(data):
-    """Inverse of :func:`ast_to_data`, for structural round-trips."""
-    # As ast_to_data; node children gather in lists, tupled at the end.
-    top: list = []
-    nodes: list = []
-    stack = [(data, top)]
-    while stack:
-        data, into = stack.pop()
-        if isinstance(data, dict):
-            node = AstNode(data["kind"], [], data["span"])
-            nodes.append(node)
-            into.append(node)
-            stack.extend((c, node.children) for c in reversed(data["children"]))
-        elif isinstance(data, list):
-            items: list = []
-            into.append(items)
-            stack.extend((v, items) for v in reversed(data))
-        else:
-            into.append(data)
-    for node in nodes:
-        node.children = tuple(node.children)
     return top[0]
 
 

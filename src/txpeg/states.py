@@ -227,7 +227,11 @@ class AstStack(MonotonicStack):
     Warren Abstract Machine saves its heap top in a choice point instead
     of trailing the heap.  So that stack is never bound and logs nothing;
     a subclass registered as a cell binds to the trail like any
-    :class:`MonotonicStack`.
+    :class:`MonotonicStack`.  ``steers = False`` is for that subclass:
+    the repetition guard reads only cells on the trail, so it never sees
+    ``ctx.ast``, but a trailed AST stack's pushes must not count as
+    progress either, or it would accept an endless repetition that
+    ``ctx.ast`` refuses.
     """
 
     steers = False

@@ -23,3 +23,14 @@ def test_every_exported_name_exists(name):
 def test_every_demo_module_is_covered():
     assert {"txpeg.demos.indent", "txpeg.demos.namespaces",
             "txpeg.demos.examply"} <= set(MODULES)
+
+
+@pytest.mark.xfail(strict=True, raises=AttributeError, reason=(
+    "`from .leftrec import leftrec` in txpeg/__init__.py rebinds txpeg.leftrec "
+    "from the submodule to the LeftRec class (CHANGES.md, FOUND: on "
+    "__init__.py); ROADMAP item 1's leftover moves LeftRec into "
+    "combinators.py, which ends the clash"))
+def test_importing_the_leftrec_submodule_binds_the_module():
+    import txpeg.leftrec as L
+
+    assert L.LeftRec.__name__ == "LeftRec"

@@ -10,7 +10,7 @@ import pathlib
 
 import pytest
 
-from txpeg.cli import ast_from_data, ast_to_data
+from txpeg.cli import ast_to_data
 from txpeg.demos.examply import examply_grammar
 from txpeg.demos.macro import composed_grammar, macro_grammar
 from txpeg.grammar import run_parse
@@ -104,10 +104,3 @@ def test_composed_reproduces_macro_suite(path):
     out = run_parse(COMPOSED, path.read_text())
     assert out.success, out.error
     assert ast_to_data(out.ast) == expected_for(path)
-
-
-@pytest.mark.parametrize("path", EXAMPLY_ACCEPT + MACRO_ACCEPT + COMPOSED_ACCEPT,
-                         ids=lambda p: p.stem)
-def test_expected_files_round_trip(path):
-    data = expected_for(path)
-    assert ast_to_data(ast_from_data(data)) == data

@@ -8,8 +8,7 @@ message, and the JSON form of the AST.  The inputs are short token
 sequences and seeded character mutations of the documents that
 ``bench/gen.py`` generates.  Small grammars for shapes the bundled ones
 lack get token sequences too.  The accepted documents are also checked as
-valid programs: their spans nest inside the input, and their ASTs
-round-trip through the CLI's JSON data.
+valid programs: their spans nest inside the input.
 """
 
 import json
@@ -23,7 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from token_outcomes import TOKENS, join
-from txpeg.cli import ast_from_data, ast_to_data
+from txpeg.cli import ast_to_data
 from txpeg.combinators import AstNode, ahead, choice, end_of_input, literal, seq, zero_more
 from txpeg.demos.examply import examply_cells, examply_grammar, examply_rules
 from txpeg.demos.expr import expr_grammar, expr_rules
@@ -192,7 +191,6 @@ def test_accepted_documents_have_nested_spans_and_round_trip(doc):
     for span, (start, end) in spans:
         assert span is not None and start <= span[0] <= span[1] <= end, (span, start, end)
     assert spans or name in ("tags", "anbncn")     # these two build no nodes
-    assert ast_from_data(ast_to_data(ast)) == ast
 
 
 @settings(derandomize=True, max_examples=400, deadline=None)

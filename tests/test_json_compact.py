@@ -7,7 +7,7 @@ import pathlib
 
 import pytest
 
-from txpeg.cli import ast_from_data, ast_to_data, dump_ast, main
+from txpeg.cli import ast_to_data, dump_ast, main
 from txpeg.combinators import AstNode
 from txpeg.demos.examply import examply_grammar
 from txpeg.demos.expr import expr_grammar
@@ -36,7 +36,7 @@ def test_both_json_formats_on_every_fixture(suite, path):
     assert dump_ast(ast, "json") == expected
     out = dump_ast(ast, "json-compact")
     assert out == compact(json.loads(expected))
-    assert ast_from_data(json.loads(out)) == ast
+    assert json.loads(out) == ast_to_data(ast)
 
 
 def test_the_compact_writer_matches_json_dumps_on_every_leaf_shape():
@@ -54,7 +54,6 @@ def test_the_cli_prints_compact_json_that_round_trips(tmp_path, capsys):
     out = capsys.readouterr().out
     assert out.count("\n") == 1
     direct = run_parse(examply_grammar(), path.read_text()).ast
-    assert ast_from_data(json.loads(out)) == direct
     assert out == compact(ast_to_data(direct))
 
 
