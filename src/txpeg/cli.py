@@ -14,8 +14,11 @@ success the AST goes to stdout, as an indented tree, as deterministic
 JSON indented by two spaces (the fixture format for expected-output
 files, which grows with the square of the nesting depth), or as the
 same JSON on one line (``json-compact``, which grows with the AST).
-All are written with explicit stacks, not recursion, so an AST of any
-depth prints.
+Both JSON formats are written from the AST in one walk, with no
+intermediate tree, byte-identical to
+``json.dumps(ast_to_data(ast), indent=2)`` and its
+``separators=(",", ":")`` form.  Every format is written with an
+explicit stack, not recursion, so an AST of any depth prints.
 
 Each entry of :data:`GRAMMARS` imports its demo module only when it is
 called, so a run loads and compiles just the grammar it parses.
@@ -25,12 +28,16 @@ from __future__ import annotations
 
 import argparse
 import importlib
-import json
 import os
 import sys
-from itertools import chain, repeat
-from json.encoder import encode_basestring_ascii
 from typing import Callable, Optional
+
+try:
+    # json.encoder's C escaper, imported alone: the json package would
+    # load its decoder too, on every CLI run.
+    from _json import encode_basestring_ascii
+except ImportError:
+    from json.encoder import encode_basestring_ascii
 
 from .combinators import AstNode
 from .core import ConfigurationError, ContractViolationError
@@ -53,7 +60,11 @@ GRAMMARS: dict = {
 
 
 def ast_to_data(value):
-    """AST value → plain data: nodes become {kind, span, children}."""
+    """AST value → plain data: nodes become {kind, span, children}.
+
+    ``json.dumps`` of this data is the reference for the CLI's JSON, which
+    :func:`dump_ast` writes from the AST directly, byte for byte the same.
+    """
     # Each item is a value and the list its data goes into; children are
     # pushed last first, so they are converted, and appended, in order.
     top: list = []
@@ -90,57 +101,94 @@ def _tree_lines(value, depth: int, out: list) -> None:
             out.append(f"{pad}{value!r}")
 
 
-def _json_text(data, pad: str = "  ") -> str:
-    """``json.dumps(data, indent=2)``, or with an empty ``pad``
-    ``json.dumps(data, separators=(",", ":"))``, byte for byte, without
-    recursion."""
+def _json_text(ast, pad: str = "  ") -> str:
+    """``json.dumps(ast_to_data(ast), indent=2)``, or with an empty ``pad``
+    ``json.dumps(ast_to_data(ast), separators=(",", ":"))``, byte for byte,
+    in one walk over the AST itself, without recursion."""
     newline, colon = ("\n", ": ") if pad else ("", ":")
+    # breaks[d] goes before the first item at depth d and commas[d] before
+    # each later one; both reach two levels past the depth being written.
+    breaks, commas = [newline], ["," + newline]
     out: list = []
     # The open containers, outermost first: each one's iterator over its
-    # remaining (prefix, value) items, and the text that closes it.
+    # remaining items, the text before each later item, the text that
+    # closes it and the depth of its items.
     stack: list = []
-    items, closer = iter((("", data),)), ""
+    items, sep, comma, closer, depth = iter((ast,)), "", "", "", 0
     while True:
-        for prefix, value in items:
+        while len(breaks) < depth + 3:
+            breaks.append(breaks[-1] + pad)
+            commas.append("," + breaks[-1])
+        for value in items:
             if isinstance(value, str):
-                out.append(prefix + encode_basestring_ascii(value))
-            elif type(value) is int:
-                out.append(prefix + repr(value))
-            elif value is None:
-                out.append(prefix + "null")
-            elif isinstance(value, (list, tuple, dict)):
-                is_dict = isinstance(value, dict)
-                if not value:
-                    out.append(prefix + ("{}" if is_dict else "[]"))
-                    continue
-                stack.append((items, closer))
-                inner = newline + pad * len(stack)
-                outer = inner[:len(inner) - len(pad)]
-                prefixes = chain((inner,), repeat("," + inner))
-                if is_dict:
-                    out.append(prefix + "{")
-                    closer = outer + "}"
-                    items = ((p + encode_basestring_ascii(k) + colon, v)
-                             for p, (k, v) in zip(prefixes, value.items()))
+                out.append(sep + encode_basestring_ascii(value))
+            elif isinstance(value, AstNode):
+                # One string up to the children's "[": a node's keys are
+                # one level in, its span's bounds and its children two.
+                key, item = breaks[depth + 1], breaks[depth + 2]
+                start, end = value.start, value.end
+                if start is None:
+                    span = "null"
+                elif type(start) is type(end) is int:
+                    span = f"[{item}{start},{item}{end}{key}]"
                 else:
-                    out.append(prefix + "[")
-                    closer = outer + "]"
-                    items = zip(prefixes, value)
+                    span = _json_text((start, end), pad).replace("\n", key)
+                out.append(f'{sep}{{{key}"kind"{colon}{encode_basestring_ascii(value.kind)},'
+                           f'{key}"span"{colon}{span},{key}"children"{colon}[')
+                if value.children:
+                    stack.append((items, comma, closer, depth))
+                    items, sep, comma = iter(value.children), item, commas[depth + 2]
+                    closer, depth = f"{key}]{breaks[depth]}}}", depth + 2
+                    break
+                out.append("]" + breaks[depth] + "}")
+            elif type(value) is int:
+                out.append(sep + repr(value))
+            elif value is None:
+                out.append(sep + "null")
+            elif isinstance(value, (list, tuple, dict)) and value:
+                stack.append((items, comma, closer, depth))
+                closer, depth = breaks[depth], depth + 1
+                if isinstance(value, dict):
+                    out.append(sep + "{")
+                    items = _keyed(value, out, breaks[depth], commas[depth], colon)
+                    sep = comma = ""
+                    closer += "}"
+                else:
+                    out.append(sep + "[")
+                    items, sep, comma = iter(value), breaks[depth], commas[depth]
+                    closer += "]"
                 break
+            elif isinstance(value, (list, tuple)):
+                out.append(sep + "[]")
             else:
-                out.append(prefix + json.dumps(value))
+                import json
+                out.append(sep + json.dumps(value))
+            sep = comma
         else:
             out.append(closer)
             if not stack:
                 return "".join(out)
-            items, closer = stack.pop()
+            items, comma, closer, depth = stack.pop()
+            sep = comma
+
+
+def _keyed(mapping: dict, out: list, first: str, later: str, colon: str):
+    """A dict's values, each yielded once its separator and key are in ``out``."""
+    sep = first
+    for key, value in mapping.items():
+        out.append(sep + encode_basestring_ascii(key) + colon)
+        sep = later
+        yield value
 
 
 def dump_ast(ast: list, fmt: str) -> str:
     """Serialize a parse result (a list of top-level values) as a
-    ``tree``, indented ``json`` or one-line ``json-compact``."""
+    ``tree``, indented ``json`` or one-line ``json-compact``; any other
+    format raises :class:`ValueError`."""
     if fmt in ("json", "json-compact"):
-        return _json_text(ast_to_data(ast), "  " if fmt == "json" else "") + "\n"
+        return _json_text(ast, "  " if fmt == "json" else "") + "\n"
+    if fmt != "tree":
+        raise ValueError(f"unknown format {fmt!r}: expected tree, json or json-compact")
     out: list = []
     for value in ast:
         _tree_lines(value, 0, out)

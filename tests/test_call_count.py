@@ -6,8 +6,11 @@ of the tags grammar, is parsed with the root parser called directly,
 under ``sys.setprofile``, and every ``call`` event of a function defined
 in the library counts.  Freeze and ``run_parse``'s own set-up run
 outside the count, so it is the same on every Python version the library
-supports.  Each count is deterministic; a change that raises one past its
-ceiling must say why in CHANGES.md and move the ceiling with it.
+supports.  The CLI's JSON writer spends most of its work in C builtins,
+so its guard counts every ``call`` and ``c_call`` event while
+``dump_ast`` writes the fixtures' ASTs.  Each count is deterministic; a
+change that raises one past its ceiling must say why in CHANGES.md and
+move the ceiling with it.
 """
 
 import os
@@ -15,6 +18,8 @@ import pathlib
 import sys
 
 import txpeg
+from txpeg import run_parse
+from txpeg.cli import dump_ast
 from txpeg.combinators import whitespace
 from txpeg.core import ParseContext
 from txpeg.demos.examply import examply_grammar
@@ -36,6 +41,11 @@ CHAIN_CEILING = CHAIN_COUNT * 102 // 100
 #: Calls into the library while the root parser runs over ``tag_tree(4)``.
 TAG_COUNT = 5119
 TAG_CEILING = TAG_COUNT * 102 // 100
+
+#: Python and C calls while ``dump_ast(ast, "json")`` writes the AST of
+#: every examply accept fixture.
+DUMP_COUNT = 2036
+DUMP_CEILING = DUMP_COUNT * 102 // 100
 
 
 def calls_while_parsing(grammar, text: str) -> int:
@@ -97,4 +107,27 @@ def test_a_tag_tree_stays_under_the_call_ceiling():
         f"parsing a depth-4 tag tree made {total} library calls, past the "
         f"ceiling of {TAG_CEILING} ({TAG_COUNT} + 2%); a rise must be "
         f"explained in CHANGES.md, with TAG_COUNT moved to the new figure"
+    )
+
+
+def test_the_json_writer_stays_under_the_call_ceiling():
+    grammar = examply_grammar()
+    asts = [run_parse(grammar, p.read_text()).ast for p in sorted(FIXTURES.glob("*.examply"))]
+    calls = 0
+
+    def profile(frame, event, arg):
+        nonlocal calls
+        if event in ("call", "c_call"):
+            calls += 1
+
+    sys.setprofile(profile)
+    try:
+        for ast in asts:
+            dump_ast(ast, "json")
+    finally:
+        sys.setprofile(None)
+    assert calls <= DUMP_CEILING, (
+        f"writing the examply accept fixtures' ASTs as JSON made {calls} "
+        f"calls, past the ceiling of {DUMP_CEILING} ({DUMP_COUNT} + 2%); a rise "
+        f"must be explained in CHANGES.md, with DUMP_COUNT moved to the new figure"
     )

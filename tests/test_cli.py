@@ -12,6 +12,7 @@ import sys
 import pytest
 
 from txpeg.cli import ast_to_data, dump_ast, main
+from txpeg.combinators import AstNode
 from txpeg.core import ConfigurationError, ContractViolationError
 from txpeg.demos.examply import examply_grammar
 from txpeg.demos.expr import expr_grammar
@@ -193,6 +194,83 @@ def test_the_json_writer_matches_json_dumps_with_indent_two():
               None, (), (1, "t"), {}, {"k": [[], {}]}, [[[]]], [{}]]
     ast = [AstNode("k", tuple(leaves), (0, 2)), AstNode("m", (), None), [], leaves]
     assert dump_ast(ast, "json") == json.dumps(ast_to_data(ast), indent=2) + "\n"
+
+
+STRINGS = ["", "x", "é\n\"q\"\t\\/", "\x00\x1f\x7f ", "\U0001f600\U00010348"]
+SCALARS = [-7, -(2 ** 70), 0, 12, None, True, False, 0.0, -2.5, 1e100]
+
+
+def random_leaf(rng, depth):
+    """A string or scalar, or now and then a tuple or dict of leaves."""
+    roll = rng.random()
+    if depth < 30 and roll < 0.15:
+        items = [random_leaf(rng, depth + 1) for _ in range(rng.randrange(3))]
+        if roll < 0.08:
+            return tuple(items)
+        return {rng.choice(STRINGS) + str(i): v for i, v in enumerate(items)}
+    return rng.choice(STRINGS + SCALARS)
+
+
+def random_ast(rng, depth, budget):
+    """An AST value at most 30 levels deep: a leaf, a list, or a node with
+    or without a span (of two ints, or now and then of two leaves), whose
+    children or items may be none at all.  Each list and node takes one
+    from ``budget[0]``, which caps their number."""
+    roll = rng.random()
+    if depth == 30 or budget[0] <= 0 or roll < 0.2:
+        return random_leaf(rng, depth)
+    budget[0] -= 1
+    items = [random_ast(rng, depth + 1, budget) for _ in range(rng.randrange(4))]
+    if roll < 0.4:
+        return items
+    span = rng.choice((None, (rng.randrange(50), rng.randrange(50, 100)),
+                       (rng.choice(SCALARS), rng.choice(STRINGS + SCALARS))))
+    return AstNode(rng.choice(("k", "sub", "é")), tuple(items), span)
+
+
+def test_the_json_writers_match_json_dumps_on_random_asts():
+    rng = random.Random(41)
+    depths = set()
+    for _ in range(200):
+        budget = [rng.randrange(200)]
+        ast = [random_ast(rng, 1, budget) for _ in range(rng.randrange(1, 4))]
+        data = ast_to_data(ast)
+        assert dump_ast(ast, "json") == json.dumps(data, indent=2) + "\n"
+        assert dump_ast(ast, "json-compact") == json.dumps(data, separators=(",", ":")) + "\n"
+        depths.add(depth_of(data))
+    # Leaves alone at the top, and nodes nested 30 deep, two levels each.
+    assert min(depths) == 1 and max(depths) > 50
+
+
+def depth_of(data) -> int:
+    """The containers nested in ``data``, counted without recursion."""
+    deepest, stack = 0, [(data, 0)]
+    while stack:
+        value, depth = stack.pop()
+        deepest = max(deepest, depth)
+        if isinstance(value, dict):
+            value = list(value.values())
+        if isinstance(value, (list, tuple)):
+            stack.extend((v, depth + 1) for v in value)
+    return deepest
+
+
+def test_both_json_formats_agree_on_an_ast_deeper_than_the_recursion_limit():
+    # json.dumps of the data would recurse past the limit, so each writer
+    # checks the other: they differ only in spaces and line breaks.
+    # Mostly lists, as the indented text grows with the square of the depth.
+    limit = sys.getrecursionlimit()
+    ast = []
+    for i in range(limit):
+        ast = [ast, -i] if i % 50 else [AstNode("n", ("a\nb", ast, {"k": ()}), (i, i + 1))]
+    indented, compact = dump_ast(ast, "json"), dump_ast(ast, "json-compact")
+    assert compact.count("\n") == 1 and compact.count('"kind":"n"') == limit // 50
+    assert indented.replace(" ", "").replace("\n", "") == compact.replace("\n", "")
+
+
+def test_dump_ast_rejects_an_unknown_format():
+    with pytest.raises(ValueError, match="tree, json or json-compact"):
+        dump_ast([], "xml")
 
 
 def test_non_utf8_file_exits_two_with_the_offending_byte(tmp_path, capsys):

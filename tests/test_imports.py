@@ -31,6 +31,16 @@ def test_importing_txpeg_and_its_cli_loads_no_dataclasses_or_inspect():
         assert not added & {"dataclasses", "inspect", "copy"}, code
 
 
+def test_importing_the_cli_loads_no_json_package():
+    # The writer escapes strings with json's C helper alone; the json
+    # package, and its decoder, load only for a leaf it does not write itself.
+    probe = "import sys, txpeg.cli\nprint(sorted(m for m in sys.modules if 'json' in m))"
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                          text=True, env=env, timeout=60, check=True)
+    assert done.stdout.strip() == "['_json']"
+
+
 def test_importing_the_cli_loads_no_demo_grammar():
     added = modules_added("import txpeg.cli")
     assert "txpeg.cli" in added
