@@ -173,9 +173,20 @@ def _json_text(ast, pad: str = "  ") -> str:
 
 
 def _keyed(mapping: dict, out: list, first: str, later: str, colon: str):
-    """A dict's values, each yielded once its separator and key are in ``out``."""
+    """A dict's values, each yielded once its separator and key are in ``out``.
+
+    A key is written as ``json.dumps`` writes it: a str as itself, an int,
+    float, bool or None as its JSON text in quotes, and any other raises
+    the same :class:`TypeError`.
+    """
     sep = first
     for key, value in mapping.items():
+        if not isinstance(key, str):
+            if key is not None and not isinstance(key, (int, float)):
+                raise TypeError(f"keys must be str, int, float, bool or None, "
+                                f"not {type(key).__name__}")
+            import json
+            key = json.dumps(key)
         out.append(sep + encode_basestring_ascii(key) + colon)
         sep = later
         yield value

@@ -572,7 +572,17 @@ class Build(Parser):
     ``make`` receives the values in the order they were pushed; the node's
     span covers the child's whole match.  Popping more than the child
     pushed would steal someone else's output, so that raises.
+
+    A frozen build of one value whose child is exactly a ``capture`` runs
+    the capture's own child and pushes ``make`` of the matched text: the
+    slice the capture would push is the one value it would pop, so it is
+    neither pushed nor popped.  Anything the captured child pushes stays
+    below the node, as on the plain path.
     """
+
+    #: The capture's child, set by freeze on its private copy of such a
+    #: build; the class's None keeps the plain path.
+    captured: Optional[Parser] = None
 
     def __init__(self, child: Parser, arity: int, make: Callable[..., AstNode]):
         self.children = (child,)
@@ -582,21 +592,33 @@ class Build(Parser):
     def parse(self, ctx: ParseContext) -> bool:
         ast = ctx.ast
         start = ctx.position
-        depth = ast._top[0]
-        if not self.children[0].parse(ctx):
-            return False
-        size = ast._top[0]
-        if size - depth < self.arity:
-            raise ContractViolationError(
-                f"build needs {self.arity} values but the child pushed {size - depth}"
-            )
-        made = ast.replace_above(size - self.arity, self.make)
+        captured = self.captured
+        if captured is not None:
+            if not captured.parse(ctx):
+                return False
+            made = self.make(ctx.text[start:ctx.position])
+            ast.push(made)
+        else:
+            depth = ast._top[0]
+            if not self.children[0].parse(ctx):
+                return False
+            size = ast._top[0]
+            if size - depth < self.arity:
+                raise ContractViolationError(
+                    f"build needs {self.arity} values but the child pushed {size - depth}"
+                )
+            made = ast.replace_above(size - self.arity, self.make)
         if isinstance(made, AstNode) and made.start is None:
             made.start = start
             made.end = ctx.position
         return True
 
     first = Parser.children_first
+
+    def specialise(self, nullable, first) -> None:
+        child = self.children[0]
+        if self.arity == 1 and type(child) is Capture:
+            self.captured = child.children[0]
 
 
 class OptValue(Parser):

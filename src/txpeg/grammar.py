@@ -117,9 +117,11 @@ class GrammarDef(Record):
         whitespace parser included when the grammar has none of its own,
         and specialises the copies: among others, a ``choice`` or a
         ``not_`` learns which children to try at each ASCII character and
-        at the end of input, a repetition of a ``char_pred`` to scan, and a
+        at the end of input, a repetition of a ``char_pred`` to scan, a
         ``seq`` splices its ``seq`` children into its own, so a run of
-        sequenced parsers takes one snapshot, not one per level.  The
+        sequenced parsers takes one snapshot, not one per level, and a
+        ``build`` of one ``capture`` makes its node from the matched text
+        without pushing and popping it.  The
         rule objects passed in are never modified, and two freezes share
         no node.  Within one freeze, structurally equal subgraphs become
         one node (:attr:`~txpeg.core.Parser.shareable`).  With

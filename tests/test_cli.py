@@ -268,6 +268,28 @@ def test_both_json_formats_agree_on_an_ast_deeper_than_the_recursion_limit():
     assert indented.replace(" ", "").replace("\n", "") == compact.replace("\n", "")
 
 
+@pytest.mark.parametrize("mapping", [
+    {1: 2}, {-(2 ** 70): "x"}, {1.5: None}, {float("nan"): 0, float("-inf"): 1},
+    {True: 1}, {False: [{}]}, {None: "n"},
+    {"s": 1, 2: {None: True}, 0.25: (), False: [{3: 4}]},
+], ids=["int", "big int", "float", "nan and inf", "true", "false", "none", "mixed"])
+def test_both_json_formats_write_non_str_keys_as_json_dumps_does(mapping):
+    ast = [AstNode("k", (mapping,), (0, 1)), mapping]
+    data = ast_to_data(ast)
+    assert dump_ast(ast, "json") == json.dumps(data, indent=2) + "\n"
+    assert dump_ast(ast, "json-compact") == json.dumps(data, separators=(",", ":")) + "\n"
+
+
+@pytest.mark.parametrize("key", [(1, 2), b"k", 1j, frozenset()])
+def test_both_json_formats_reject_other_keys_as_json_dumps_does(key):
+    with pytest.raises(TypeError) as reference:
+        json.dumps({key: 1})
+    for fmt in ("json", "json-compact"):
+        with pytest.raises(TypeError) as raised:
+            dump_ast([{"a": 0, key: 1}], fmt)
+        assert str(raised.value) == str(reference.value)
+
+
 def test_dump_ast_rejects_an_unknown_format():
     with pytest.raises(ValueError, match="tree, json or json-compact"):
         dump_ast([], "xml")

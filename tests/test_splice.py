@@ -4,7 +4,9 @@ The inner seq's own snapshot could never matter: it fails only by
 failing its parent, which restores to an older mark.  So a frozen seq
 runs its whole flattened run under one transaction, and
 ``freeze(specialise=False)`` keeps the nesting for the differential
-oracles to compare against.
+oracles to compare against.  Alongside it, a frozen build of one
+captured value makes its node from the matched text, without pushing
+and popping the slice.
 """
 
 from collections import Counter
@@ -12,10 +14,11 @@ from collections import Counter
 import pytest
 
 from test_sharing import frozen_nodes
-from txpeg.combinators import Seq, capture, literal, perform, seq
-from txpeg.core import ParseContext
+from txpeg.combinators import (AstNode, Build, Capture, Seq, build, capture, char_pred,
+                                literal, node, one_more, perform, seq)
+from txpeg.core import ContractViolationError, ParseContext
 from txpeg.demos.examply import examply_cells, examply_grammar, examply_rules
-from txpeg.demos.expr import expr_grammar
+from txpeg.demos.expr import expr_grammar, expr_rules
 from txpeg.demos.macro import composed_grammar, macro_grammar
 from txpeg.demos.smoke import TagStack, anbncn_grammar, tags_grammar, tags_rules
 from txpeg.grammar import GrammarDef, run_parse
@@ -116,3 +119,85 @@ def test_a_seq_that_holds_itself_freezes_and_reports_as_plain(specialise):
     r = run_parse(grammar, "aa")
     assert not r.success
     assert (r.error.line, r.error.column, r.error.message) == (1, 3, "expected 'a'")
+
+
+# A frozen build of one value whose child is exactly a capture makes its
+# node from the matched text: the capture's slice is neither pushed nor
+# popped.  Each case compares it with the plain path.
+
+def _stops(grammar, text: str) -> tuple:
+    """How the root parser leaves a fresh context: its verdict, the
+    position, the failure record and the whole AST stack, bottom first."""
+    ctx = ParseContext(text, [f() for f in grammar.cell_factories], grammar.whitespace)
+    matched = grammar.root_parser.parse(ctx)
+    return matched, ctx.position, ctx.furthest_failure(), ctx.ast.values()[::-1]
+
+
+def _pushes_its_own(ctx) -> None:
+    ctx.ast.push("own")
+
+
+FUSED_CASES = {
+    "captured child pushes": (
+        build(capture(seq(capture(literal("a")), perform(_pushes_its_own), literal("b"))),
+              1, node("ab")),
+        ["ab", "a", "ac", ""]),
+    "captured child fails after consuming": (
+        seq(build(capture(seq(literal("a"), literal("b"))), 1, node("ab")), literal("!")),
+        ["ac", "ab", "ab!", "a"]),
+    "make returns no node": (
+        build(capture(one_more(char_pred(str.isdigit, "digit"))), 1, int),
+        ["123", "0x", "x"]),
+    "make sets its own span": (
+        build(capture(literal("a")), 1, lambda s: AstNode("fixed", (s,), (7, 9))),
+        ["a", "b"]),
+    "nested builds of captures": (
+        build(capture(build(capture(one_more(literal("a"))), 1, node("in"))), 1, node("out")),
+        ["aaa", "", "b"]),
+}
+
+
+@pytest.mark.parametrize("case", FUSED_CASES)
+def test_a_fused_build_matches_the_plain_path(case):
+    top, texts = FUSED_CASES[case]
+    frozen, plain = (GrammarDef({"top": top}, "top").freeze(specialise=s) for s in (True, False))
+    assert any(type(p) is Build and p.captured is not None for p in frozen_nodes(frozen))
+    assert not any(getattr(p, "captured", None) for p in frozen_nodes(plain))
+    for text in texts:
+        assert _stops(frozen, text) == _stops(plain, text), text
+
+
+def test_a_fused_build_matches_the_plain_path_on_expr_chains():
+    frozen = expr_grammar()
+    plain = GrammarDef(expr_rules(), "expression").freeze(specialise=False)
+    chains = ["7", "12 - 345 -6", "-".join(str(i * 37) for i in range(60)),
+              "1 - - 2", "1 -", "12 - 3x", ""]
+    for text in chains:
+        assert _stops(frozen, text) == _stops(plain, text), text
+        assert run_parse(frozen, text) == run_parse(plain, text), text
+
+
+def test_a_fused_build_never_runs_its_capture(monkeypatch):
+    calls = []
+    plain_parse = Capture.parse
+
+    def counted(self, ctx):
+        calls.append(self)
+        return plain_parse(self, ctx)
+
+    monkeypatch.setattr(Capture, "parse", counted)
+    top = build(capture(one_more(char_pred(str.isdigit, "digit"))), 1, node("num"))
+    for specialise, runs in ((True, 0), (False, 1)):
+        grammar = GrammarDef({"top": top}, "top").freeze(specialise=specialise)
+        calls.clear()
+        assert run_parse(grammar, "42").ast == [AstNode("num", ("42",), (0, 2))]
+        assert len(calls) == runs
+
+
+@pytest.mark.parametrize("specialise", [True, False], ids=["frozen", "plain"])
+def test_a_build_of_two_values_from_one_capture_still_raises(specialise):
+    top = build(capture(literal("1")), 2, node("pair"))
+    grammar = GrammarDef({"top": top}, "top").freeze(specialise=specialise)
+    with pytest.raises(ContractViolationError,
+                       match="^build needs 2 values but the child pushed 1$"):
+        run_parse(grammar, "1")
